@@ -10,8 +10,8 @@ functions with bit-identical results:
 - ``dag_longest_path(theta, tails, heads, source, sink, n_nodes)``:
   longest-path values and arc indicators for a batch of directions.
 
-``BACKEND`` is "cython" or "numpy"; ``benchmarks/bench_kernels.py``
-compares the two.
+``BACKEND`` is "cython" or "numpy"; the benchmark in ``perfbench/``
+records it and times the scheduling kernel as ``kernels.sched_us_per_dir``.
 """
 
 from . import _ref

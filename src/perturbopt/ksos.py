@@ -20,6 +20,11 @@ elementwise square).  At the optimum B = mu (G W^-1 G scaled back), the
 equality constraints hold exactly and alpha are their multipliers; the
 candidate minimizer is the normalized nonnegative part of alpha applied
 to the sampled points.
+
+The Newton loop forms its matrix products with scipy's BLAS, the library
+that already runs its Cholesky calls: numpy and scipy may each bundle
+their own threaded OpenBLAS, and alternating between the two thread pools
+costs far more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.blas import dgemm
 from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
@@ -155,30 +161,48 @@ def gram_matrix(points: np.ndarray, s: float, length_scale: float) -> np.ndarray
 # Newton path-following solver
 
 
+def _matmul(A, B):
+    """``A @ B`` for C- or F-contiguous float64 matrices through scipy's
+    BLAS, making the call numpy's matmul makes: the row-major product as
+    the column-major ``B^T A^T``, each operand passed as its transpose view
+    when that view is F-contiguous and transposed otherwise.  The bits
+    match numpy's whenever both OpenBLAS builds split the work between
+    threads alike, which includes every single-threaded call."""
+    b, trans_b = (B.T, 0) if B.T.flags.f_contiguous else (B, 1)
+    a, trans_a = (A.T, 0) if A.T.flags.f_contiguous else (A, 1)
+    return dgemm(1.0, b, a, trans_a=trans_b, trans_b=trans_a).T
+
+
 def _newton_inner(R_scaled, G, lam_phi, alpha, cfg: NewtonConfig):
     """Minimize alpha.R_scaled - logdet(lam_phi I + G diag(alpha) G)
-    over sum(alpha) = 1, damped Newton.  Returns (alpha, T_diag, T, ok)."""
+    over sum(alpha) = 1, damped Newton.  Returns (alpha, T, ok, counts)
+    with T = G W^-1 G at the returned alpha and counts the Newton
+    iterations, the line-search Cholesky factorizations and the builds
+    of T (one at the start and one per accepted step)."""
     M = len(alpha)
-    ones = np.ones(M)
+    counts = {"newton_iters": 0, "factorizations": 0, "t_builds": 0}
 
-    def assemble(a):
-        W = lam_phi * np.eye(M) + G @ (a[:, None] * G)
+    def factor(a):
+        W = lam_phi * np.eye(M) + _matmul(G, a[:, None] * G)
         try:
             cf = cho_factor(W, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
-        Winv_G = cho_solve(cf, G, check_finite=False)
-        T = G @ Winv_G  # = G W^-1 G, symmetric PSD
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-        return W, T, logdet
+        return cf, 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
 
-    state = assemble(alpha)
+    def build_T(cf):
+        counts["t_builds"] += 1
+        return _matmul(G, cho_solve(cf, G, check_finite=False))  # symmetric PSD
+
+    state = factor(alpha)
     if state is None:
         raise GramSingular("initial barrier point not positive definite")
-    _, T, logdet = state
+    cf, logdet = state
+    T = build_T(cf)
     fval = float(alpha @ R_scaled) - logdet
     ok = False
     for _ in range(cfg.max_inner):
+        counts["newton_iters"] += 1
         grad = R_scaled - np.diag(T)
         H = T * T
         ridge = 1e-12 * max(1.0, float(np.trace(H)) / M)
@@ -200,19 +224,21 @@ def _newton_inner(R_scaled, G, lam_phi, alpha, cfg: NewtonConfig):
         accepted = False
         while t > 1e-12:
             cand = alpha + t * step
-            state = assemble(cand)
+            counts["factorizations"] += 1
+            state = factor(cand)
             if state is not None:
-                _, T_new, logdet_new = state
+                cf, logdet_new = state
                 f_new = float(cand @ R_scaled) - logdet_new
                 if f_new <= fval - 1e-4 * t * decrement:
-                    alpha, T, logdet, fval = cand, T_new, logdet_new, f_new
+                    alpha, fval = cand, f_new
+                    T = build_T(cf)
                     accepted = True
                     break
             t *= 0.5
         if not accepted:
             ok = decrement / 2.0 <= math.sqrt(cfg.inner_tol)
             break
-    return alpha, T, ok
+    return alpha, T, ok, counts
 
 
 def _sos_model_argmin(points, B, s, d, ell, space: ParamSpace) -> np.ndarray:
@@ -290,8 +316,10 @@ def ksos_minimize(
     # drifts, so a failed inner step ends the path.
     good = None
     for _ in range(newton.max_outer):
-        alpha_new, T_new, ok = _newton_inner(values / mu, G, cfg.lambda_phi, alpha, newton)
-        trace_log.append({"mu": mu, "inner_converged": ok})
+        alpha_new, T_new, ok, counts = _newton_inner(
+            values / mu, G, cfg.lambda_phi, alpha, newton
+        )
+        trace_log.append({"mu": mu, "inner_converged": ok, **counts})
         if not ok and good is not None:
             break
         alpha = alpha_new

@@ -1,6 +1,14 @@
+import json
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from perturbopt import ksos
 from perturbopt.ksos import (
     KsosConfig,
     NewtonConfig,
@@ -13,6 +21,7 @@ from perturbopt.ksos import (
     reconstruct_B,
     sobolev_kernel,
     _abs_hermite_l1,
+    _matmul,
 )
 from perturbopt.model import GeneralizedLinearModel, ParamSpace
 from perturbopt.problems import generate_instances
@@ -147,6 +156,164 @@ def test_multiplier_candidate_reported():
     assert space.contains(res.w_multiplier)
     doc = res.to_doc()
     assert "w_multiplier" in doc and "alpha" in doc
+
+
+# ---------------------------------------------------------------------------
+# Newton solver arithmetic
+
+
+def _reference_newton_inner(R_scaled, G, lam_phi, alpha, cfg):
+    """The Newton inner solve as first written: numpy products, and T built
+    at every line-search point.  Counts accepted steps instead of T builds."""
+    M = len(alpha)
+    counts = {"newton_iters": 0, "factorizations": 0, "accepted": 0}
+
+    def assemble(a):
+        W = lam_phi * np.eye(M) + G @ (a[:, None] * G)
+        try:
+            cf = cho_factor(W, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        Winv_G = cho_solve(cf, G, check_finite=False)
+        T = G @ Winv_G
+        logdet = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+        return W, T, logdet
+
+    state = assemble(alpha)
+    _, T, logdet = state
+    fval = float(alpha @ R_scaled) - logdet
+    ok = False
+    for _ in range(cfg.max_inner):
+        counts["newton_iters"] += 1
+        grad = R_scaled - np.diag(T)
+        H = T * T
+        ridge = 1e-12 * max(1.0, float(np.trace(H)) / M)
+        KKT = np.zeros((M + 1, M + 1))
+        KKT[:M, :M] = H + ridge * np.eye(M)
+        KKT[:M, M] = 1.0
+        KKT[M, :M] = 1.0
+        rhs = np.concatenate([-grad, [0.0]])
+        try:
+            sol = np.linalg.solve(KKT, rhs)
+        except np.linalg.LinAlgError:
+            break
+        step = sol[:M]
+        decrement = float(-grad @ step)
+        if decrement / 2.0 <= cfg.inner_tol:
+            ok = True
+            break
+        t = 1.0
+        accepted = False
+        while t > 1e-12:
+            cand = alpha + t * step
+            counts["factorizations"] += 1
+            state = assemble(cand)
+            if state is not None:
+                _, T_new, logdet_new = state
+                f_new = float(cand @ R_scaled) - logdet_new
+                if f_new <= fval - 1e-4 * t * decrement:
+                    alpha, T, logdet, fval = cand, T_new, logdet_new, f_new
+                    counts["accepted"] += 1
+                    accepted = True
+                    break
+            t *= 0.5
+        if not accepted:
+            ok = decrement / 2.0 <= math.sqrt(cfg.inner_tol)
+            break
+    return alpha, T, ok, counts
+
+
+def _quad2(w):
+    return float(np.sum((np.asarray(w) - np.array([0.2, -0.5])) ** 2))
+
+
+NEWTON_CASES = {
+    # the case that a plain column-major dgemm port changed
+    "1d_m32_zero_penalty": (quad1, 1, KsosConfig(M=32, s=2.0, lambda_phi=0.0, seed=3)),
+    "quad_1d": (quad1, 1, QUAD_1D),
+    # M=96 runs OpenBLAS's threaded dgemm; a short path keeps the reference fast
+    "2d_m96_planted": (
+        _quad2,
+        2,
+        KsosConfig(
+            M=96,
+            s=2.5,
+            lambda_phi=lambda_phi_schedule(96, 2.5, 2),
+            length_scale=0.35,
+            seed=2,
+            newton=NewtonConfig(max_outer=4),
+        ),
+    ),
+}
+
+
+def _solve_both(monkeypatch, case):
+    f, d, cfg = NEWTON_CASES[case]
+    space = ParamSpace.symmetric(d)
+    fast = ksos_minimize(f, space, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(ksos, "_newton_inner", _reference_newton_inner)
+        ref = ksos_minimize(f, space, cfg)
+    return fast, ref
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_newton_inner_bit_identical_to_reference(monkeypatch, case):
+    fast, ref = _solve_both(monkeypatch, case)
+    assert fast.alpha.tobytes() == ref.alpha.tobytes()
+    assert fast.w_hat.tobytes() == ref.w_hat.tobytes()
+    for name in ("c_hat", "max_constraint_residual", "mu_final"):
+        assert getattr(fast, name) == getattr(ref, name), name
+    keys = ("mu", "inner_converged", "newton_iters", "factorizations")
+    assert [[e[k] for k in keys] for e in fast.newton_trace] == [
+        [e[k] for k in keys] for e in ref.newton_trace
+    ]
+
+
+def test_t_builds_are_accepted_steps_plus_one(monkeypatch):
+    fast, ref = _solve_both(monkeypatch, "quad_1d")
+    assert [e["t_builds"] for e in fast.newton_trace] == [
+        e["accepted"] + 1 for e in ref.newton_trace
+    ]
+
+
+MATMUL_CHECK = """
+import json, numpy as np
+from perturbopt.ksos import _matmul
+bad = []
+for M in {sizes}:
+    rng = np.random.default_rng(M)
+    A, B = rng.standard_normal((M, M)), rng.standard_normal((M, M))
+    for right in (B, np.asfortranarray(B)):
+        C = _matmul(A, right)
+        if C.tobytes() != (A @ right).tobytes() or not C.flags.c_contiguous:
+            bad.append([M, bool(right.flags.f_contiguous)])
+print(json.dumps(bad))
+"""
+
+
+def test_matmul_layout_rule_matches_numpy_bitwise():
+    # With one BLAS thread the operand layout alone decides the bits, so
+    # this catches a numpy or scipy release that changes numpy's rule.
+    src = os.path.dirname(os.path.dirname(ksos.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = MATMUL_CHECK.format(sizes=(8, 32, 33, 96, 97, 128))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == []
+
+
+# Above OpenBLAS's threading threshold the two bundled builds split the
+# work between threads alike only for sizes that are multiples of 16; at
+# M=97 with an F-ordered right operand the last bits differ.
+@pytest.mark.parametrize("M", (96, 128))
+def test_matmul_matches_numpy_bitwise_with_default_threads(M):
+    rng = np.random.default_rng(M)
+    A, B = rng.standard_normal((M, M)), rng.standard_normal((M, M))
+    for right in (B, np.asfortranarray(B)):
+        assert _matmul(A, right).tobytes() == (A @ right).tobytes()
 
 
 # ---------------------------------------------------------------------------
