@@ -15,8 +15,8 @@ Subpackages and modules:
 - ``theory``: empirical verification of the perturbation-bias, empirical
   process, Lipschitz and tail bounds.
 - ``harness``: config, CLI, sweeps, manifests.
-- ``kernels``: batch hot-loop kernels (compiled extension with a pure numpy
-  fallback selected at import).
+- ``kernels``: the scheduling domain's fused numpy batch kernel (oracle plus
+  completion-time cost).
 """
 
 __version__ = "0.1.0"

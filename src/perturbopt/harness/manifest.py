@@ -1,9 +1,10 @@
 """Result manifests: enough metadata to re-run any output bit-exactly.
 
-The manifest records the artifact version (package version plus kernel
-backend), the full config snapshot, per-operation seed labels, wall-clock
-timings, and SHA-256 digests of every emitted data file.  Data files are
-deterministic given the manifest; timings are metadata and may vary.
+The manifest records the artifact version (package version plus the
+``kernels.backend()`` name), the full config snapshot, per-operation seed
+labels, wall-clock timings, and SHA-256 digests of every emitted data
+file.  Data files are deterministic given the manifest; timings are
+metadata and may vary.
 """
 
 from __future__ import annotations

@@ -1,28 +1,27 @@
 """Solution polytopes, linear maximization oracles and normal-fan geometry.
 
-Three polytope kinds are supported:
+Two polytope kinds are supported, each with one exact oracle:
 
 - ``Permutahedron(n)``: vertices are the n! permutations of (1, ..., n);
   the oracle sorts the direction vector.
-- ``DagPaths``: vertices are arc indicators of source-sink paths in a DAG;
-  the oracle is longest-path dynamic programming.
 - ``VspFlow``: vertices are arc subsets with in/out degree at most one per
   task (partitions of the tasks into vehicle paths); the oracle is a
-  min-cost flow on the unit-capacity path-partition network.
+  max-weight bipartite matching from out-copies to in-copies of the
+  tasks, solved as a rectangular assignment.
 
-All geometric quantities (internal cone radius, tie-splitting measure,
-facet normals) are computed exactly from vertex enumeration.  Enumeration
-is capped at ENUMERATION_CAP vertices; beyond the cap only the oracle is
-available.
+All geometric quantities (internal cone radius, tie-splitting measure)
+are computed exactly from vertex enumeration.  Enumeration is capped at
+ENUMERATION_CAP vertices; beyond the cap only the oracle is available.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 ENUMERATION_CAP = 10_000
 # Absolute tolerance on <y, theta> gaps when declaring a tie.  Exact ties
@@ -98,7 +97,7 @@ class SolutionPolytope:
             return cached
         if not self.enumerable:
             raise EnumerationUnavailable(
-                f"{self!r} has {self.vertex_count()} vertices, cap is {ENUMERATION_CAP}"
+                f"{self!r} has more than {ENUMERATION_CAP} vertices"
             )
         verts = np.array(list(self._iter_vertices()), dtype=np.float64)
         verts.setflags(write=False)
@@ -114,10 +113,6 @@ class SolutionPolytope:
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         setattr(self, "_dist_cache", dist)
         return dist
-
-    def span_rank(self) -> int:
-        """Rank of the linear span of the vertex set."""
-        return int(np.linalg.matrix_rank(self.vertices()))
 
 
 class Permutahedron(SolutionPolytope):
@@ -150,124 +145,14 @@ class Permutahedron(SolutionPolytope):
         return OracleResult(y, value, tie)
 
 
-class DagPaths(SolutionPolytope):
-    """Arc indicators of source-sink paths in a DAG.
-
-    ``arcs`` is a list of (tail, head) node pairs; nodes are hashable
-    labels.  The embedding dimension is the number of arcs.
-    """
-
-    def __init__(self, arcs, source, sink):
-        if not arcs:
-            raise ValueError("need at least one arc")
-        self.arcs = list(arcs)
-        self.source = source
-        self.sink = sink
-        self.dim = len(self.arcs)
-        self.nodes = sorted({u for u, _ in self.arcs} | {v for _, v in self.arcs}, key=str)
-        self._topo = self._topological_order()
-        self._in_arcs = {v: [] for v in self.nodes}
-        for idx, (u, v) in enumerate(self.arcs):
-            self._in_arcs[v].append((idx, u))
-        if self.vertex_count() == 0:
-            raise ValueError("no source-sink path in the DAG")
-
-    def __repr__(self):
-        return f"DagPaths({len(self.arcs)} arcs, {self.source}->{self.sink})"
-
-    def _topological_order(self):
-        indeg = {v: 0 for v in self.nodes}
-        out = {v: [] for v in self.nodes}
-        for u, v in self.arcs:
-            indeg[v] += 1
-            out[u].append(v)
-        frontier = sorted((v for v in self.nodes if indeg[v] == 0), key=str)
-        order = []
-        while frontier:
-            v = frontier.pop(0)
-            order.append(v)
-            added = []
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    added.append(w)
-            frontier.extend(sorted(added, key=str))
-        if len(order) != len(self.nodes):
-            raise ValueError("arc set contains a cycle")
-        return order
-
-    def vertex_count(self) -> int:
-        count = {v: 0 for v in self.nodes}
-        count[self.source] = 1
-        for v in self._topo:
-            for _, u in self._in_arcs[v]:
-                count[v] += count[u]
-        return count[self.sink]
-
-    def _iter_vertices(self):
-        out = {v: [] for v in self.nodes}
-        for idx, (u, v) in enumerate(self.arcs):
-            out[u].append((idx, v))
-        stack = [(self.source, [])]
-        while stack:
-            node, used = stack.pop()
-            if node == self.sink:
-                y = np.zeros(self.dim)
-                y[used] = 1.0
-                yield y
-                continue
-            for idx, w in reversed(out[node]):
-                stack.append((w, used + [idx]))
-
-    def _best_values(self, theta: np.ndarray, banned: int = -1) -> dict:
-        best = {v: -np.inf for v in self.nodes}
-        best[self.source] = 0.0
-        for v in self._topo:
-            for idx, u in self._in_arcs[v]:
-                if idx == banned or best[u] == -np.inf:
-                    continue
-                cand = best[u] + theta[idx]
-                if cand > best[v]:
-                    best[v] = cand
-        return best
-
-    def argmax(self, theta: np.ndarray) -> OracleResult:
-        theta = _check_theta(self, theta)
-        best = {v: -np.inf for v in self.nodes}
-        pred = {v: None for v in self.nodes}
-        best[self.source] = 0.0
-        for v in self._topo:
-            for idx, u in self._in_arcs[v]:
-                if best[u] == -np.inf:
-                    continue
-                cand = best[u] + theta[idx]
-                if cand > best[v]:
-                    best[v] = cand
-                    pred[v] = (idx, u)
-        value = best[self.sink]
-        used = []
-        node = self.sink
-        while node != self.source:
-            idx, node = pred[node]
-            used.append(idx)
-        y = np.zeros(self.dim)
-        y[used] = 1.0
-        # Exact second-best: the runner-up path must avoid at least one arc
-        # of the winner, so re-solve with each winning arc banned.
-        second = -np.inf
-        for idx in used:
-            second = max(second, self._best_values(theta, banned=idx)[self.sink])
-        tie = bool(second >= value - TIE_TOL)
-        return OracleResult(y, float(value), tie)
-
-
 class VspFlow(SolutionPolytope):
     """Partitions of tasks into vehicle paths, as arc-subset indicators.
 
     ``arcs`` is a list of (i, j) task pairs with i operated before j; a
     feasible solution is any arc subset with in-degree and out-degree at
     most one per task (in a DAG such subsets are exactly the partitions of
-    the tasks into paths).
+    the tasks into paths).  Such a subset is a matching from out-copies to
+    in-copies of the tasks, which is how the oracle solves it.
     """
 
     def __init__(self, n_tasks: int, arcs):
@@ -278,9 +163,16 @@ class VspFlow(SolutionPolytope):
         for i, j in self.arcs:
             if not (0 <= i < n_tasks and 0 <= j < n_tasks) or i == j:
                 raise ValueError(f"bad arc ({i}, {j})")
+        if len(set(self.arcs)) != len(self.arcs):
+            # parallel arcs would share one cell of the assignment matrix
+            raise ValueError("duplicate arcs")
         self.dim = len(self.arcs)
         if self.dim == 0:
             raise ValueError("need at least one arc")
+        self._tails = np.array([i for i, _ in self.arcs])
+        self._heads = np.array([j for _, j in self.arcs])
+        self._arc_at = np.full((n_tasks, n_tasks), -1)
+        self._arc_at[self._tails, self._heads] = np.arange(self.dim)
 
     def __repr__(self):
         return f"VspFlow({self.n_tasks} tasks, {len(self.arcs)} arcs)"
@@ -290,6 +182,21 @@ class VspFlow(SolutionPolytope):
         if cached is None:
             cached = sum(1 for _ in self._iter_subsets(cap=None))
             setattr(self, "_count_cache", cached)
+        return cached
+
+    @property
+    def enumerable(self) -> bool:
+        # Stop counting past the cap: a DAG with a few dozen arcs has far
+        # too many subsets to count in full.
+        cached = getattr(self, "_enumerable_cache", None)
+        if cached is None:
+            try:
+                for _ in self._iter_subsets():
+                    pass
+                cached = True
+            except EnumerationUnavailable:
+                cached = False
+            setattr(self, "_enumerable_cache", cached)
         return cached
 
     def _iter_subsets(self, cap=ENUMERATION_CAP):
@@ -348,84 +255,31 @@ class VspFlow(SolutionPolytope):
         return out
 
     def _min_cost_flow(self, theta: np.ndarray, banned: int = -1, forced: int = -1):
-        """Max-weight degree-constrained arc subset by successive shortest
-        paths on the out/in split network.  Returns (y, value).
+        """Max-weight degree-constrained arc subset.  Returns (y, value).
 
-        ``banned`` removes one arc; ``forced`` makes one arc's cost dominate
-        so every optimal flow includes it (the network stays acyclic, which
-        keeps the residual free of negative cycles).
+        One rectangular assignment: row i is task i's out-copy, column j <
+        n its in-copy, and column n + i its own zero-cost "unmatched" slot.
+        Arc (i, j) costs -theta; every other cell is infeasible.  ``banned``
+        removes one arc; ``forced`` makes one arc's cost dominate so every
+        optimal assignment includes it.
         """
         n = self.n_tasks
-        m = len(self.arcs)
-        n_nodes = 2 + 2 * n  # S, T, out_i, in_j
-        S, T = 0, 1
-
-        tails, heads, caps, costs = [], [], [], []
-
-        def add_edge(u, v, cap, cost):
-            tails.append(u)
-            heads.append(v)
-            caps.append(cap)
-            costs.append(cost)
-
-        big = 10.0 * (float(np.sum(np.abs(theta))) + 1.0)
-        for i in range(n):
-            add_edge(S, 2 + i, 1, 0.0)
-            add_edge(2 + n + i, T, 1, 0.0)
-        arc_edge = []
-        for idx, (i, j) in enumerate(self.arcs):
-            if idx == banned:
-                arc_edge.append(None)
-                continue
-            cost = -big if idx == forced else -float(theta[idx])
-            add_edge(2 + i, 2 + n + j, 1, cost)
-            arc_edge.append(len(tails) - 1)
-
-        n_edges = len(tails)
-        flow = [0] * n_edges
-
-        def shortest_augmenting_path():
-            # Bellman-Ford on the residual network (costs may be negative).
-            dist = [math.inf] * n_nodes
-            par = [None] * n_nodes
-            dist[S] = 0.0
-            for _ in range(n_nodes):
-                improved = False
-                for e in range(n_edges):
-                    u, v, c = tails[e], heads[e], costs[e]
-                    if flow[e] < caps[e] and dist[u] + c < dist[v] - 1e-15:
-                        dist[v] = dist[u] + c
-                        par[v] = (e, +1)
-                        improved = True
-                    if flow[e] > 0 and dist[v] - c < dist[u] - 1e-15:
-                        dist[u] = dist[v] - c
-                        par[u] = (e, -1)
-                        improved = True
-                if not improved:
-                    break
-            return dist[T], par
-
-        while True:
-            d, par = shortest_augmenting_path()
-            if not (d < -1e-15):
-                break
-            node = T
-            steps = 0
-            while node != S:
-                e, sign = par[node]
-                flow[e] += sign
-                node = tails[e] if sign == +1 else heads[e]
-                steps += 1
-                if steps > n_nodes:
-                    raise RuntimeError("augmenting path reconstruction cycled")
-
-        y = np.zeros(m)
+        cost = np.full((n, 2 * n), np.inf)
+        cost[self._tails, self._heads] = -theta
+        cost[np.arange(n), n + np.arange(n)] = 0.0
+        if banned >= 0:
+            cost[self._tails[banned], self._heads[banned]] = np.inf
+        if forced >= 0:
+            big = 10.0 * (float(np.sum(np.abs(theta))) + 1.0)
+            cost[self._tails[forced], self._heads[forced]] = -big
+        rows, cols = linear_sum_assignment(cost)
+        matched = cols < n
+        used = np.sort(self._arc_at[rows[matched], cols[matched]])
+        y = np.zeros(self.dim)
+        y[used] = 1.0
         value = 0.0
-        for idx in range(m):
-            e = arc_edge[idx]
-            if e is not None and flow[e] == 1:
-                y[idx] = 1.0
-                value += float(theta[idx])
+        for idx in used:
+            value += float(theta[idx])
         return y, value
 
     def argmax(self, theta: np.ndarray) -> OracleResult:
@@ -533,17 +387,3 @@ def p0(
     ses = np.sqrt(probs[keep] * (1.0 - probs[keep]) / n_samples)
     return SurrogateMeasure(atoms=atoms, is_dirac=False, std_errors=ses)
 
-
-def enumerate_normal_fan(polytope: SolutionPolytope):
-    """For each vertex y, the unit halfspace normals (y - y') / |y - y'|.
-
-    Redundant halfspaces are kept: exactness over minimality; the internal
-    radius equals the min distance to these hyperplanes.
-    """
-    verts = polytope.vertices()
-    fan = []
-    for i in range(len(verts)):
-        diffs = verts[i][None, :] - np.delete(verts, i, axis=0)
-        norms = np.linalg.norm(diffs, axis=1, keepdims=True)
-        fan.append((verts[i], diffs / norms))
-    return fan

@@ -208,11 +208,6 @@ class ContextualWrapper:
         return 0.0, 1.0
 
 
-def eval_cost(oracle, y, x: Instance) -> float:
-    """Black-box cost of solution y on instance x."""
-    return oracle.eval(y, x)
-
-
 # ---------------------------------------------------------------------------
 # Instance generation
 
@@ -450,15 +445,6 @@ def _polytope_to_doc(poly: SolutionPolytope) -> dict:
         return {"kind": "permutahedron", "n": poly.n}
     if isinstance(poly, VspFlow):
         return {"kind": "vspflow", "n_tasks": poly.n_tasks, "arcs": [list(a) for a in poly.arcs]}
-    from .polytopes import DagPaths
-
-    if isinstance(poly, DagPaths):
-        return {
-            "kind": "dagpaths",
-            "arcs": [list(a) for a in poly.arcs],
-            "source": poly.source,
-            "sink": poly.sink,
-        }
     raise TypeError(f"cannot serialize {poly!r}")
 
 
@@ -468,10 +454,6 @@ def _polytope_from_doc(doc: dict) -> SolutionPolytope:
         return Permutahedron(doc["n"])
     if kind == "vspflow":
         return VspFlow(doc["n_tasks"], [tuple(a) for a in doc["arcs"]])
-    if kind == "dagpaths":
-        from .polytopes import DagPaths
-
-        return DagPaths([tuple(a) for a in doc["arcs"]], doc["source"], doc["sink"])
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 

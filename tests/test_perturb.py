@@ -15,7 +15,7 @@ from perturbopt.perturb import (
     tail_mass_V,
 )
 from perturbopt.problems import ContextualWrapper, default_cost_oracle, generate_instances
-from perturbopt.rngs import substream
+from perturbopt.rngs import spawn_seed, substream
 
 
 def contextual_setup(n=1, seed=3, d_context=2, costs=None, context=None):
@@ -216,6 +216,46 @@ def test_crn_reproducibility_bitwise():
     rep2 = regularized_risk(w, instances, oracle, model, space, spec)
     assert rep1.value == rep2.value
     assert rep1.value == pytest.approx(v1, abs=1e-12)
+
+
+# The CRN surface of the benchmark's vsp and ctx train configs (data seed 7)
+# on a fixed w grid, as float.hex.  A change to the oracle, cost or risk
+# code that moves any bit of these values changes every trained artifact.
+SURFACE_GRID = [
+    [0.0, 0.0, 0.0],
+    [0.5, -0.25, 0.75],
+    [-1.0, 1.0, 0.5],
+    [0.3, 0.3, -0.9],
+    [-0.6, -0.2, 0.1],
+]
+SURFACE_PINS = {
+    ("stovsp", 8, (("tasks", (5,)),), 3, 32): [
+        "0x1.73ffcf3ec54c8p+2",
+        "0x1.36957d8d03233p+2",
+        "0x1.50a0103ff2b38p+2",
+        "0x1.bcfcd58c31fabp+2",
+        "0x1.cdc7a0ff038e9p+2",
+    ],
+    ("contextual", 256, (("d_context", 2), ("signal", 1.0)), 2, 256): [
+        "0x1.f31959aa7a996p-2",
+        "0x1.12e071271a93cp-2",
+        "0x1.51c557980b135p-1",
+        "0x1.4ff771fe1da93p-2",
+        "0x1.72ec38805c073p-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(SURFACE_PINS), ids=["vsp", "ctx"])
+def test_crn_surface_pinned_on_w_grid(case):
+    domain, n_train, params, d, samples = case
+    train = generate_instances(domain, n_train, spawn_seed(7, "dataset/train"), **dict(params))
+    model = model_for_instances(train, d=d)
+    space = ParamSpace.symmetric(d)
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=samples, master_seed=7)
+    surface = crn_risk_surface(train, default_cost_oracle(domain), model, space, spec)
+    got = [surface(np.array(w[:d])).hex() for w in SURFACE_GRID]
+    assert got == SURFACE_PINS[case]
 
 
 def test_report_serializes():

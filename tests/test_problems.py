@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perturbopt.model import ParamSpace, model_for_instances
+from perturbopt.perturb import PerturbationSpec, perturbation_block
 from perturbopt.polytopes import VspFlow
 from perturbopt.problems import (
     ContextualWrapper,
@@ -13,7 +15,6 @@ from perturbopt.problems import (
     SchedulingCompletionTime,
     StoVspDelayCost,
     declared_osc,
-    eval_cost,
     feature_matrix,
     generate_instances,
     instance_from_doc,
@@ -66,20 +67,20 @@ def vsp_instance(arcs, n_tasks, slack, scenario_table, index=0, n_scenarios=None
 
 
 # ---------------------------------------------------------------------------
-# eval_cost
+# cost oracles
 
 
 def test_scheduling_cost_both_orders():
     x = scheduling_instance([0.0, 0.0], [1.0, 2.0])
     oracle = SchedulingCompletionTime()
-    assert eval_cost(oracle, np.array([2.0, 1.0]), x) == pytest.approx(4.0)
-    assert eval_cost(oracle, np.array([1.0, 2.0]), x) == pytest.approx(5.0)
+    assert oracle.eval(np.array([2.0, 1.0]), x) == pytest.approx(4.0)
+    assert oracle.eval(np.array([1.0, 2.0]), x) == pytest.approx(5.0)
 
 
 def test_scheduling_rejects_non_permutation():
     x = scheduling_instance([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(InfeasibleSolution):
-        eval_cost(SchedulingCompletionTime(), np.array([1.0, 1.0]), x)
+        SchedulingCompletionTime().eval(np.array([1.0, 1.0]), x)
 
 
 def test_stovsp_no_delay_charges_vehicles():
@@ -88,7 +89,7 @@ def test_stovsp_no_delay_charges_vehicles():
     )
     oracle.c_vehicle = 10.0
     # empty arc set: three singleton paths
-    assert eval_cost(oracle, np.zeros(2), x) == pytest.approx(30.0)
+    assert oracle.eval(np.zeros(2), x) == pytest.approx(30.0)
 
 
 def test_stovsp_one_step_propagation():
@@ -97,9 +98,9 @@ def test_stovsp_one_step_propagation():
     x, oracle = vsp_instance(
         [(0, 1)], 2, slack=[1.0], scenario_table=np.array([[2.0, 0.0]])
     )
-    assert eval_cost(oracle, np.ones(1), x) == pytest.approx(3.0)
+    assert oracle.eval(np.ones(1), x) == pytest.approx(3.0)
     # separate vehicles: no propagation, total = 2
-    assert eval_cost(oracle, np.zeros(1), x) == pytest.approx(2.0)
+    assert oracle.eval(np.zeros(1), x) == pytest.approx(2.0)
 
 
 def test_stovsp_rejects_degree_violation():
@@ -107,7 +108,7 @@ def test_stovsp_rejects_degree_violation():
         [(0, 1), (0, 2)], 3, slack=[1.0, 1.0], scenario_table=np.zeros((1, 3))
     )
     with pytest.raises(InfeasibleSolution):
-        eval_cost(oracle, np.ones(2), x)  # task 0 served twice
+        oracle.eval(np.ones(2), x)  # task 0 served twice
 
 
 @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
@@ -116,21 +117,21 @@ def test_stovsp_cost_monotone_in_intrinsic_delays(d0, d1, bump):
     x, oracle = vsp_instance(
         [(0, 1)], 2, slack=[0.7], scenario_table=np.array([[d0, d1]])
     )
-    base = eval_cost(oracle, np.ones(1), x)
+    base = oracle.eval(np.ones(1), x)
     x2, oracle2 = vsp_instance(
         [(0, 1)], 2, slack=[0.7], scenario_table=np.array([[d0 + bump, d1]])
     )
-    assert eval_cost(oracle2, np.ones(1), x2) >= base - 1e-12
+    assert oracle2.eval(np.ones(1), x2) >= base - 1e-12
 
 
 def test_contextual_cost():
     x = generate_instances("contextual", 1, seed=0)[0]
     oracle = ContextualWrapper()
     c0, c1 = x.features["costs"]
-    assert eval_cost(oracle, np.array([0.0]), x) == pytest.approx(c0)
-    assert eval_cost(oracle, np.array([1.0]), x) == pytest.approx(c1)
+    assert oracle.eval(np.array([0.0]), x) == pytest.approx(c0)
+    assert oracle.eval(np.array([1.0]), x) == pytest.approx(c1)
     with pytest.raises(InfeasibleSolution):
-        eval_cost(oracle, np.array([0.5]), x)
+        oracle.eval(np.array([0.5]), x)
 
 
 def test_scheduling_relabel_invariance():
@@ -141,6 +142,44 @@ def test_scheduling_relabel_invariance():
     costs1 = sorted(oracle.eval_vertices(x1, x1.polytope.vertices()).tolist())
     costs2 = sorted(oracle.eval_vertices(x2, x2.polytope.vertices()).tolist())
     assert costs1 == costs2
+
+
+def stovsp_crn_directions(n=16, k=64):
+    """Generated stovsp instances with K CRN directions at three scales."""
+    instances = generate_instances("stovsp", n, seed=11, tasks=[4, 5, 6])
+    model = model_for_instances(instances, d=3)
+    space = ParamSpace.symmetric(3)
+    w = np.array([0.6, -0.4, 0.2])
+    for x in instances:
+        theta = model.predict(w, x, space=space)
+        for lam in (0.01, 0.1, 1.0):
+            spec = PerturbationSpec(lam=lam, mc_samples=k, master_seed=5)
+            yield x, theta[None, :] + lam * perturbation_block(spec, x.index, x.dim)
+
+
+def test_stovsp_batch_matches_vertex_table():
+    oracle = StoVspDelayCost()
+    for x, thetas in stovsp_crn_directions():
+        verts = x.polytope.vertices()
+        table = oracle.eval_vertices(x, verts)[np.argmax(thetas @ verts.T, axis=1)]
+        batch = oracle.eval_theta_batch(x, thetas)
+        assert np.array_equal(batch, table)  # bitwise
+
+
+def test_stovsp_banned_and_forced_solves_match_brute_force():
+    # the tie flag rests on these two optima
+    for x, thetas in stovsp_crn_directions():
+        poly = x.polytope
+        verts = poly.vertices()
+        for theta in thetas:
+            scores = verts @ theta
+            for e in range(poly.dim):
+                for kw, has_e in (({"banned": e}, 0.0), ({"forced": e}, 1.0)):
+                    y, value = poly._min_cost_flow(theta, **kw)
+                    best = float(np.max(scores[verts[:, e] == has_e]))
+                    assert y[e] == has_e
+                    assert value == pytest.approx(best, abs=1e-12)
+                    assert float(y @ theta) == pytest.approx(value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
