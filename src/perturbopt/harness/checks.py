@@ -13,7 +13,7 @@ from scipy.stats import norm
 from ..model import ParamSpace, model_for_instances
 from ..perturb import PerturbationSpec, sampled_policy_distribution
 from ..polytopes import Permutahedron, VspFlow, linear_oracle
-from ..problems import generate_instances
+from ..problems import default_cost_oracle, generate_instances
 from ..rngs import substream
 from ..theory import check_bias_bound, check_gauss_tail, check_lipschitz_lemmas
 from .config import ExperimentConfig
@@ -92,7 +92,8 @@ def _bias_bounds(cfg: ExperimentConfig, fault: str | None):
     )
     w = space.sample(substream(cfg.master_seed, "check/bias_w"), 1)[0]
     checks, _ = check_bias_bound(
-        w, instances, [0.01, 0.03, 0.1, 0.3, 1.0], cfg.epsilon0, model, space, spec
+        w, instances, default_cost_oracle("contextual"), [0.01, 0.03, 0.1, 0.3, 1.0],
+        cfg.epsilon0, model, space, spec,
     )
     failed = [c for c in checks if not c.passed]
     if failed:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,7 +52,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed-override", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker threads for sweep only")
     p.add_argument("--verbose", action="store_true")
 
 
@@ -102,7 +101,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, out_dir, threads = _load(args)
+    cfg, out_dir, _threads = _load(args)
     train_path = os.path.join(out_dir, TRAIN_FILE)
     if not os.path.exists(train_path):
         print(f"error: dataset {train_path} not found; run generate first", file=sys.stderr)
@@ -140,21 +139,13 @@ def cmd_train(args) -> int:
             length_scale=opt.get("length_scale"),
             seed=spawn_seed(cfg.master_seed, "train/ksos"),
         )
-        mapper = map
-        pool = None
-        if threads > 1:
-            pool = ThreadPoolExecutor(max_workers=threads)
-            mapper = pool.map
         try:
             with manifest.time("ksos"):
-                result = ksos_minimize(surface, space, ks_cfg, mapper=mapper)
+                result = ksos_minimize(surface, space, ks_cfg)
         except GramSingular as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             _write_json(os.path.join(out_dir, "result.json"), {"error": str(exc)})
             return EXIT_SOLVER_FAILURE
-        finally:
-            if pool is not None:
-                pool.shutdown()
         w_hat = result.w_hat
         result_doc.update(result.to_doc())
         if not result.converged:

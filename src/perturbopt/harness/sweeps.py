@@ -18,7 +18,7 @@ from ..ksos import (
 )
 from ..model import ParamSpace, model_for_instances
 from ..perturb import PerturbationSpec
-from ..problems import generate_instances
+from ..problems import default_cost_oracle, generate_instances
 from ..rngs import spawn_seed, substream
 from ..theory import check_bias_bound, check_empirical_process
 from .config import ExperimentConfig
@@ -59,6 +59,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str
         domain, n_instances, spawn_seed(cfg.master_seed, "sweep/bias/instances"),
         **({"d_context": cfg.model_d} if domain == "contextual" else {}),
     )
+    oracle = default_cost_oracle(domain)
     model = model_for_instances(instances, d=cfg.model_d)
     space = ParamSpace.symmetric(cfg.model_d)
     spec = PerturbationSpec(
@@ -69,7 +70,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str
     def one_w(i):
         w = space.sample(substream(cfg.master_seed, f"sweep/bias/w/{i}"), 1)[0]
         checks, fit = check_bias_bound(
-            w, instances, lambda_grid, eps0, model, space, spec
+            w, instances, oracle, lambda_grid, eps0, model, space, spec
         )
         return w, checks, fit
 

@@ -276,13 +276,12 @@ def ksos_minimize(
     risk_surface,
     space: ParamSpace,
     cfg: KsosConfig,
-    mapper=map,
 ) -> KsosResult:
     """Globally minimize a deterministic surface over the box.
 
     ``risk_surface`` must be a fixed function of w (common random numbers
-    for Monte Carlo surfaces).  ``mapper`` lets callers parallelize the M
-    surface evaluations.
+    for Monte Carlo surfaces); it is evaluated once at each of the M
+    sampled points, in order.
 
     The candidate minimizer is the argmin of the fitted SoS surrogate;
     the multiplier combination of the sampled points is reported alongside
@@ -293,7 +292,7 @@ def ksos_minimize(
     ell = cfg.length_scale if cfg.length_scale is not None else space.diameter() / 4.0
     rng = substream(cfg.seed, "ksos/sample")
     points = space.sample(rng, cfg.M)
-    values = np.array(list(mapper(risk_surface, [points[m] for m in range(cfg.M)])))
+    values = np.array([risk_surface(p) for p in points])
 
     K = gram_matrix(points, cfg.s, ell)
     jitter = 1e-9 * float(np.trace(K)) / cfg.M

@@ -192,10 +192,6 @@ def p_lambda(
 # Risks
 
 
-def _theta_of(model: GeneralizedLinearModel, space: ParamSpace, w, x: Instance) -> np.ndarray:
-    return model.predict(w, x, space=space)
-
-
 def _policy_cost_unperturbed(oracle, x: Instance, theta: np.ndarray) -> tuple[float, bool]:
     """Cost of the unperturbed policy with the measure-valued tie
     convention: on ties, average the cost under the tie-split measure."""
@@ -212,6 +208,38 @@ def _policy_cost_unperturbed(oracle, x: Instance, theta: np.ndarray) -> tuple[fl
     return float(probs @ costs), True
 
 
+def _validated_mode(instances, mode: str) -> str:
+    if len(instances) == 0:
+        raise ValueError("empty instance list")
+    mode = mode.lower()
+    if mode not in ("montecarlo", "exactenum"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
+
+def _risk_terms(w, instances, oracle, model, space, spec, mode, blocks=None):
+    """The one risk estimator: (value, cost samples or None, tie) per
+    instance at w.  The unperturbed policy at lam = 0, the exact vertex sum
+    for exactenum with a closed-form p_lambda, else the mean cost over the
+    instance's CRN noise block (blocks[i], or drawn here)."""
+    lam = spec.lam
+    for i, x in enumerate(instances):
+        theta = model.predict(w, x, space=space)
+        if lam == 0.0:
+            value, tie = _policy_cost_unperturbed(oracle, x, theta)
+            yield value, None, tie
+            continue
+        if mode == "exactenum":
+            probs = exact_policy_distribution(x.polytope, theta, lam)
+            if probs is not None:
+                costs = oracle.eval_vertices(x, x.polytope.vertices())
+                yield float(probs @ costs), None, False
+                continue
+        z = perturbation_block(spec, x.index, x.dim) if blocks is None else blocks[i]
+        costs = oracle.eval_theta_batch(x, theta[None, :] + lam * z)
+        yield np.mean(costs), costs, False
+
+
 def regularized_risk(
     w,
     instances,
@@ -225,46 +253,21 @@ def regularized_risk(
 
     montecarlo: common-random-number average of the oracle-solution cost
     over spec.mc_samples perturbed directions per instance.
-    exactenum: sum over enumerated vertices of p_lambda times cost, with
-    closed-form p_lambda where available and high-sample Monte Carlo
-    (quasi-exact, with reported standard error) elsewhere.
+    exactenum: sum over enumerated vertices of the closed-form p_lambda
+    times cost where one exists (std error 0); elsewhere the montecarlo
+    estimate, bit for bit.  At lam = 0 both give the unperturbed policy.
     """
-    if len(instances) == 0:
-        raise ValueError("empty instance list")
-    mode = mode.lower()
-    if mode not in ("montecarlo", "exactenum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    lam = spec.lam
+    mode = _validated_mode(instances, mode)
     n = len(instances)
     values = np.empty(n)
     variances = np.zeros(n)
     ties = False
-    for i, x in enumerate(instances):
-        theta = _theta_of(model, space, w, x)
-        if mode == "montecarlo":
-            if lam == 0.0:
-                values[i], tie = _policy_cost_unperturbed(oracle, x, theta)
-                ties |= tie
-                continue
-            z = perturbation_block(spec, x.index, x.dim)
-            costs = oracle.eval_theta_batch(x, theta[None, :] + lam * z)
-            values[i] = np.mean(costs)
-            variances[i] = np.var(costs, ddof=1) / len(costs) if len(costs) > 1 else 0.0
-        else:
-            if lam == 0.0:
-                values[i], tie = _policy_cost_unperturbed(oracle, x, theta)
-                ties |= tie
-                continue
-            probs = exact_policy_distribution(x.polytope, theta, lam)
-            verts = x.polytope.vertices()
-            costs = oracle.eval_vertices(x, verts)
-            if probs is None:
-                rng = substream(spec.master_seed, f"exactenum/{x.index}")
-                probs, ses = sampled_policy_distribution(
-                    x.polytope, theta, lam, spec.mc_samples, rng
-                )
-                variances[i] = float(np.sum((ses * costs) ** 2))
-            values[i] = float(probs @ costs)
+    terms = _risk_terms(w, instances, oracle, model, space, spec, mode)
+    for i, (value, costs, tie) in enumerate(terms):
+        values[i] = value
+        if costs is not None and len(costs) > 1:
+            variances[i] = np.var(costs, ddof=1) / len(costs)
+        ties |= tie
     value = float(np.mean(values))
     se = float(np.sqrt(np.sum(variances)) / n)
     return RiskReport(
@@ -272,7 +275,7 @@ def regularized_risk(
         mc_std_error=se,
         n_instances=n,
         mc_samples=spec.mc_samples,
-        lam=lam,
+        lam=spec.lam,
         epsilon0=spec.epsilon0,
         seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
         mode=mode,
@@ -284,21 +287,19 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec, mo
     """The fixed deterministic map w -> empirical regularized risk.
 
     Noise blocks are drawn once and reused for every w, so repeated calls
-    are bit-identical; suitable as the kernel-SoS objective.
+    are bit-identical; suitable as the kernel-SoS objective.  The values
+    are those of regularized_risk, summed left to right over the instances.
     """
+    mode = _validated_mode(instances, mode)
     blocks = None
-    if mode == "montecarlo" and spec.lam > 0.0:
+    if spec.lam > 0.0:
         blocks = [perturbation_block(spec, x.index, x.dim) for x in instances]
 
     def surface(w) -> float:
-        if blocks is not None:
-            total = 0.0
-            for x, z in zip(instances, blocks):
-                theta = _theta_of(model, space, w, x)
-                costs = oracle.eval_theta_batch(x, theta[None, :] + spec.lam * z)
-                total += float(np.mean(costs))
-            return total / len(instances)
-        return regularized_risk(w, instances, oracle, model, space, spec, mode=mode).value
+        total = 0.0
+        for value, _, _ in _risk_terms(w, instances, oracle, model, space, spec, mode, blocks):
+            total += float(value)
+        return total / len(instances)
 
     return surface
 
@@ -316,7 +317,7 @@ def tail_mass_V(
         raise ValueError("lam must be positive")
     total = 0.0
     for x in instances:
-        theta = _theta_of(model, space, w, x)
+        theta = model.predict(w, x, space=space)
         rho = internal_radius(x.polytope, theta)
         total += chi_tail(rho / lam, x.dim)
     return total / len(instances)

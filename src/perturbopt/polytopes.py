@@ -178,11 +178,7 @@ class VspFlow(SolutionPolytope):
         return f"VspFlow({self.n_tasks} tasks, {len(self.arcs)} arcs)"
 
     def vertex_count(self) -> int:
-        cached = getattr(self, "_count_cache", None)
-        if cached is None:
-            cached = sum(1 for _ in self._iter_subsets(cap=None))
-            setattr(self, "_count_cache", cached)
-        return cached
+        return len(self.vertices())
 
     @property
     def enumerable(self) -> bool:

@@ -401,16 +401,6 @@ def feature_matrix(x: Instance, d_model: int | None = None) -> np.ndarray:
     raise ValueError(f"no feature map for domain {x.domain!r}")
 
 
-def model_dim(domain: str, d_model: int | None = None) -> int:
-    if domain == "scheduling":
-        return d_model or 2
-    if domain == "stovsp":
-        return d_model or 3
-    if domain == "contextual":
-        raise ValueError("contextual model dim equals d_context; pass it explicitly")
-    raise ValueError(f"unknown domain {domain!r}")
-
-
 # ---------------------------------------------------------------------------
 # Oscillation
 

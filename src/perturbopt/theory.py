@@ -120,7 +120,8 @@ def gaussian_inverse_moment(tau: float) -> float:
 def uw_analytic_bound(instances, tau: float, epsilon0: float) -> float:
     """The convolution bound on the moment constant for positive base
     smoothing: Gaussian inverse moment times eps0^-tau times the
-    partition-weighted sum of |Y(G)|^2 d(G)^tau."""
+    partition-weighted sum of |Y(G)|^2 d(G)^tau.  Raises
+    EnumerationUnavailable when a polytope has too many vertices to count."""
     if epsilon0 <= 0.0:
         raise ValueError("analytic bound needs epsilon0 > 0")
     cells: dict[str, tuple[int, float, int]] = {}
@@ -190,6 +191,7 @@ def uw_moment(
 def check_bias_bound(
     w,
     instances,
+    oracle,
     lambda_grid,
     epsilon0: float,
     model: GeneralizedLinearModel,
@@ -198,11 +200,11 @@ def check_bias_bound(
     mode: str = "exactenum",
 ) -> tuple[list[BoundCheck], ScalingFit]:
     """Both risk-perturbation inequalities on a lambda grid, plus the
-    log-log scaling of |R_lambda - R_eps0| against lambda."""
+    log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
+    ``oracle`` of the instances."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
-    oracle = _cost_oracle_for(instances)
     osc = osc_bound(oracle, instances)
     base = regularized_risk(
         w, instances, oracle, model, space, spec.with_lambda(0.0, 0.0), mode=mode
@@ -249,15 +251,6 @@ def check_bias_bound(
         gaps.append(abs(r_lam.value - r_eps.value))
     fit = _scaling_fit(np.asarray(lambda_grid), np.asarray(gaps)[None, :])
     return checks, fit
-
-
-def _cost_oracle_for(instances):
-    from .problems import default_cost_oracle
-
-    domains = {x.domain for x in instances}
-    if len(domains) != 1:
-        raise ValueError("instances must share a domain")
-    return default_cost_oracle(domains.pop())
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ def test_predict_is_affine_in_w():
 def test_spt_rule_via_weights():
     # w = (0, -1) scores by negative processing time: the induced
     # permutation runs shortest processing time first
-    from perturbopt.perturb import _theta_of
     from perturbopt.polytopes import linear_oracle
     from perturbopt.problems import SchedulingCompletionTime
 
@@ -66,7 +65,7 @@ def test_spt_rule_via_weights():
     space = ParamSpace.symmetric(2)
     oracle = SchedulingCompletionTime()
     for x in instances:
-        theta = _theta_of(model, space, np.array([0.0, -1.0]), x)
+        theta = model.predict(np.array([0.0, -1.0]), x, space=space)
         y = linear_oracle(x.polytope, theta).y
         cost = oracle.eval(y, x)
         best = float(np.min(oracle.eval_vertices(x, x.polytope.vertices())))

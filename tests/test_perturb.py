@@ -218,8 +218,28 @@ def test_crn_reproducibility_bitwise():
     assert rep1.value == pytest.approx(v1, abs=1e-12)
 
 
-# The CRN surface of the benchmark's vsp and ctx train configs (data seed 7)
-# on a fixed w grid, as float.hex.  A change to the oracle, cost or risk
+@pytest.mark.parametrize(
+    "domain, params, d",
+    [("scheduling", {"jobs": [4]}, 2), ("stovsp", {"tasks": [5]}, 3)],
+    ids=["sched", "vsp"],
+)
+def test_exactenum_without_closed_form_is_montecarlo(domain, params, d):
+    # no closed-form p_lambda on these polytopes, so exactenum is the same
+    # CRN estimate, standard error included
+    instances = generate_instances(domain, 16, seed=3, **params)
+    model = model_for_instances(instances, d=d)
+    space = ParamSpace.symmetric(d)
+    oracle = default_cost_oracle(domain)
+    spec = PerturbationSpec(lam=0.3, epsilon0=0.0, mc_samples=256, master_seed=5)
+    w = np.full(d, 0.2)
+    exact = regularized_risk(w, instances, oracle, model, space, spec, mode="exactenum")
+    mc = regularized_risk(w, instances, oracle, model, space, spec, mode="montecarlo")
+    assert exact.value.hex() == mc.value.hex()
+    assert exact.mc_std_error.hex() == mc.mc_std_error.hex()
+
+
+# The CRN surface of the benchmark's sched, vsp and ctx train configs (data
+# seed 7) on a fixed w grid, as float.hex.  A change to the oracle, cost or risk
 # code that moves any bit of these values changes every trained artifact.
 SURFACE_GRID = [
     [0.0, 0.0, 0.0],
@@ -229,6 +249,13 @@ SURFACE_GRID = [
     [-0.6, -0.2, 0.1],
 ]
 SURFACE_PINS = {
+    ("scheduling", 48, (("jobs", (5,)),), 2, 512): [
+        "0x1.6e64c2c83ab18p+3",
+        "0x1.8fbff6fbd4b2bp+3",
+        "0x1.598e6065eed3cp+3",
+        "0x1.aaed53fdccbabp+3",
+        "0x1.2e0c8d42072dfp+3",
+    ],
     ("stovsp", 8, (("tasks", (5,)),), 3, 32): [
         "0x1.73ffcf3ec54c8p+2",
         "0x1.36957d8d03233p+2",
@@ -246,7 +273,7 @@ SURFACE_PINS = {
 }
 
 
-@pytest.mark.parametrize("case", list(SURFACE_PINS), ids=["vsp", "ctx"])
+@pytest.mark.parametrize("case", list(SURFACE_PINS), ids=["sched", "vsp", "ctx"])
 def test_crn_surface_pinned_on_w_grid(case):
     domain, n_train, params, d, samples = case
     train = generate_instances(domain, n_train, spawn_seed(7, "dataset/train"), **dict(params))
@@ -256,6 +283,39 @@ def test_crn_surface_pinned_on_w_grid(case):
     surface = crn_risk_surface(train, default_cost_oracle(domain), model, space, spec)
     got = [surface(np.array(w[:d])).hex() for w in SURFACE_GRID]
     assert got == SURFACE_PINS[case]
+
+
+# regularized_risk (value, mc_std_error) on the benchmark's test sets (data
+# seed 7) at two points of SURFACE_GRID, as float.hex.
+RISK_PINS = {
+    ("scheduling", 256, (("jobs", (5,)),), 2, 512): [
+        ("0x1.8dded185e57f5p+3", "0x1.4f0e7c2f0ff6ap-10"),
+        ("0x1.589832a519ec6p+3", "0x1.fadefdd40e1eep-11"),
+    ],
+    ("stovsp", 16, (("tasks", (5,)),), 3, 32): [
+        ("0x1.12662bf4fd5e7p+2", "0x1.0969a2846c9dep-8"),
+        ("0x1.347f2b48a00fep+2", "0x1.698d9a4b5f44fp-7"),
+    ],
+    ("contextual", 1024, (("d_context", 2), ("signal", 1.0)), 2, 256): [
+        ("0x1.24c3956a868bcp-2", "0x1.86d9e175ded43p-13"),
+        ("0x1.4faee9ad302a6p-1", "0x1.99b5e802a874ap-13"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(RISK_PINS), ids=["sched", "vsp", "ctx"])
+def test_regularized_risk_pinned_on_test_sets(case):
+    domain, n_test, params, d, samples = case
+    test = generate_instances(domain, n_test, spawn_seed(7, "dataset/test"), **dict(params))
+    model = model_for_instances(test, d=d)
+    space = ParamSpace.symmetric(d)
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=samples, master_seed=7)
+    oracle = default_cost_oracle(domain)
+    got = []
+    for w in SURFACE_GRID[1:3]:
+        rep = regularized_risk(np.array(w[:d]), test, oracle, model, space, spec)
+        got.append((rep.value.hex(), rep.mc_std_error.hex()))
+    assert got == RISK_PINS[case]
 
 
 def test_report_serializes():

@@ -16,6 +16,8 @@ from perturbopt.polytopes import (
     linear_oracle,
     p0,
 )
+from perturbopt.problems import Instance
+from perturbopt.theory import uw_analytic_bound
 
 
 def sample_polytopes():
@@ -289,6 +291,11 @@ def test_vsp_enumeration_stops_at_cap_on_dense_dag():
     assert not poly.enumerable
     with pytest.raises(EnumerationUnavailable):
         poly.vertices()
+    with pytest.raises(EnumerationUnavailable):
+        poly.vertex_count()
+    x = Instance("stovsp", "dense", 0, {}, poly, scenario_seed=0)
+    with pytest.raises(EnumerationUnavailable):
+        uw_analytic_bound([x], 0.5, 1e-3)
     # the oracle still works above the cap; the degree constraint matrix is
     # bipartite, hence totally unimodular, so the LP optimum is integral
     theta = np.random.default_rng(23).standard_normal(len(arcs))

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from perturbopt.model import ParamSpace, model_for_instances
 from perturbopt.perturb import PerturbationSpec, chi_tail
-from perturbopt.problems import generate_instances
+from perturbopt.problems import ContextualWrapper, StoVspDelayCost, generate_instances, osc_bound
 from perturbopt.rngs import substream
 from perturbopt.theory import (
     BoundCheck,
@@ -117,7 +117,7 @@ def test_bias_bounds_hold_on_grid():
     for _ in range(5):
         w = space.sample(rng, 1)[0]
         checks, fit = check_bias_bound(
-            w, instances, [0.01, 0.05, 0.2, 1.0], 1e-3, model, space, spec
+            w, instances, ContextualWrapper(), [0.01, 0.05, 0.2, 1.0], 1e-3, model, space, spec
         )
         assert all(c.passed for c in checks)
     assert fit.fitted_slope >= 0.3  # far above the tau - 0.2 floor
@@ -127,7 +127,7 @@ def test_bias_gap_vanishes_at_epsilon0():
     instances, model, space = contextual_pack(20, seed=47)
     spec = PerturbationSpec(lam=1.0, epsilon0=0.05, mc_samples=128, master_seed=5)
     checks, _ = check_bias_bound(
-        np.array([0.2, 0.2]), instances, [0.05, 0.5], 0.05, model, space, spec
+        np.array([0.2, 0.2]), instances, ContextualWrapper(), [0.05, 0.5], 0.05, model, space, spec
     )
     at_eps = [c for c in checks if c.name == "bias_vs_base_smoothed" and c.metadata["lambda"] == 0.05]
     assert at_eps[0].lhs == 0.0
@@ -141,7 +141,9 @@ def test_bias_closed_form_two_solution_example():
     model = model_for_instances(instances, d=2)
     w = np.array([1.0, 0.0])
     spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=64, master_seed=6)
-    checks, _ = check_bias_bound(w, instances, [0.1, 0.3, 1.0], 0.0, model, space, spec)
+    checks, _ = check_bias_bound(
+        w, instances, ContextualWrapper(), [0.1, 0.3, 1.0], 0.0, model, space, spec
+    )
     for c in checks:
         if c.name == "bias_vs_unperturbed":
             lam = c.metadata["lambda"]
@@ -155,7 +157,27 @@ def test_bias_rejects_grid_below_epsilon0():
     instances, model, space = contextual_pack(5, seed=51)
     spec = PerturbationSpec(lam=1.0, epsilon0=0.1, mc_samples=64, master_seed=7)
     with pytest.raises(ValueError):
-        check_bias_bound(np.zeros(2), instances, [0.01], 0.1, model, space, spec)
+        check_bias_bound(
+            np.zeros(2), instances, ContextualWrapper(), [0.01], 0.1, model, space, spec
+        )
+
+
+def test_bias_bound_uses_the_callers_oracle():
+    # stovsp with a 5x vehicle charge: the bound scales with this oracle's
+    # oscillation, not with the default oracle's
+    instances = generate_instances("stovsp", 6, seed=53, tasks=[4])
+    model = model_for_instances(instances, d=3)
+    space = ParamSpace.symmetric(3)
+    oracle = StoVspDelayCost(c_vehicle=5.0)
+    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=32, master_seed=8)
+    w = np.array([0.3, -0.2, 0.5])
+    osc = osc_bound(oracle, instances)
+    assert osc != osc_bound(StoVspDelayCost(), instances)
+    checks, _ = check_bias_bound(w, instances, oracle, [0.1, 1.0], 0.0, model, space, spec)
+    unperturbed = [c for c in checks if c.name == "bias_vs_unperturbed"]
+    assert len(unperturbed) == 2
+    for c in unperturbed:
+        assert c.rhs == 2.0 * osc * c.metadata["V"]
 
 
 # ---------------------------------------------------------------------------
