@@ -8,7 +8,7 @@ harness reports failures and exits nonzero.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..model import ParamSpace, model_for_instances
 from ..perturb import PerturbationSpec, sampled_policy_distribution
@@ -48,7 +48,7 @@ def _plambda_closed_form(cfg: ExperimentConfig, fault: str | None):
             probs, ses = sampled_policy_distribution(
                 x.polytope, np.array([theta]), lam, 8192, rng
             )
-            exact = norm.cdf(theta / lam)
+            exact = ndtr(theta / lam)
             dev = abs(probs[1] - exact)
             tol = 3.0 * max(ses[1], 1e-4)
             if dev > tol:

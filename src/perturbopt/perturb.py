@@ -13,8 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi as chi_dist
-from scipy.stats import norm
+from scipy.special import gammaincc, ndtr
 
 from .model import GeneralizedLinearModel, ParamSpace
 from .polytopes import (
@@ -91,9 +90,16 @@ def perturbation_block(spec: PerturbationSpec, instance_index: int, d: int) -> n
     return sample_perturbation(d, rng, size=spec.mc_samples)
 
 
-def chi_tail(threshold: float, d: int) -> float:
-    """P(|Z| > threshold) for the d-dimensional perturbation law."""
-    return float(chi_dist.sf(np.sqrt(d) * threshold, df=d))
+def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
+    """P(|Z| > threshold) for the d-dimensional perturbation law: the
+    regularized upper incomplete gamma Q(d/2, d t^2 / 2), which is 1 for
+    t <= 0.  A float for a scalar threshold, elementwise for an array.
+
+    The square is a product: on a numpy scalar ``** 2`` goes through pow,
+    which can differ from the array square in the last bit."""
+    x = np.sqrt(d) * np.maximum(threshold, 0.0)
+    tail = gammaincc(0.5 * d, 0.5 * (x * x))
+    return float(tail) if np.ndim(tail) == 0 else tail
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +133,11 @@ def exact_policy_distribution(
         return None
     if polytope.dim == 1 and len(verts) == 2:
         gap = float(verts[1, 0] - verts[0, 0])
-        p_hi = float(norm.cdf(np.sign(gap) * theta[0] / lam))
+        p_hi = float(ndtr(np.sign(gap) * theta[0] / lam))
         return np.array([1.0 - p_hi, p_hi])
     if isinstance(polytope, Permutahedron) and polytope.n == 2:
         # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
-        p_21 = float(norm.cdf((theta[0] - theta[1]) / lam))
+        p_21 = float(ndtr((theta[0] - theta[1]) / lam))
         probs = np.empty(2)
         for i, v in enumerate(verts):
             probs[i] = p_21 if v[0] == 2.0 else 1.0 - p_21
@@ -192,16 +198,20 @@ def p_lambda(
 # Risks
 
 
-def _policy_cost_unperturbed(oracle, x: Instance, theta: np.ndarray) -> tuple[float, bool]:
+def _policy_cost_unperturbed(
+    oracle, x: Instance, theta: np.ndarray, master_seed: int
+) -> tuple[float, bool]:
     """Cost of the unperturbed policy with the measure-valued tie
-    convention: on ties, average the cost under the tie-split measure."""
+    convention: on ties, average the cost under the tie-split measure,
+    estimated from the instance's "p0/<index>" substream where no closed
+    form applies."""
     res = linear_oracle(x.polytope, theta)
     if not res.tie:
         return float(oracle.eval(res.y, x)), False
     probs = exact_policy_distribution(x.polytope, theta, 0.0)
     verts = x.polytope.vertices()
     if probs is None:
-        measure = p0(x.polytope, theta)
+        measure = p0(x.polytope, theta, rng=substream(master_seed, f"p0/{x.index}"))
         value = sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)
         return float(value), True
     costs = oracle.eval_vertices(x, verts)
@@ -226,7 +236,7 @@ def _risk_terms(w, instances, oracle, model, space, spec, mode, blocks=None):
     for i, x in enumerate(instances):
         theta = model.predict(w, x, space=space)
         if lam == 0.0:
-            value, tie = _policy_cost_unperturbed(oracle, x, theta)
+            value, tie = _policy_cost_unperturbed(oracle, x, theta, spec.master_seed)
             yield value, None, tie
             continue
         if mode == "exactenum":
@@ -309,15 +319,24 @@ def tail_mass_V(
     instances,
     model: GeneralizedLinearModel,
     space: ParamSpace,
-    lam: float,
-) -> float:
+    lam: float | np.ndarray,
+) -> float | np.ndarray:
     """V_w(lam): average probability that the perturbation norm exceeds
-    rho(psi_w(X)) / lam, from the exact chi tail."""
-    if lam <= 0.0:
+    rho(psi_w(X)) / lam, from the exact chi tail.
+
+    lam may be a scalar (returns a float) or a 1-D grid (returns a float64
+    array with V_w(lam_j) at j).  The grid form predicts theta and computes
+    rho once per instance and evaluates the tail for the whole grid at
+    once; each entry is the scalar call's value bit for bit, because both
+    fold the instances left to right per lambda.
+    """
+    lams = np.asarray(lam, dtype=np.float64)
+    if np.any(lams <= 0.0):
         raise ValueError("lam must be positive")
-    total = 0.0
+    total = np.zeros_like(lams)
     for x in instances:
         theta = model.predict(w, x, space=space)
         rho = internal_radius(x.polytope, theta)
-        total += chi_tail(rho / lam, x.dim)
-    return total / len(instances)
+        total += chi_tail(rho / lams, x.dim)
+    v = total / len(instances)
+    return float(v) if v.ndim == 0 else v

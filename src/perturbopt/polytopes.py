@@ -364,15 +364,17 @@ def p0(
 
     Generic directions give a Dirac at the oracle output.  On cone
     boundaries the cone proportions are estimated by Monte Carlo over a
-    uniform ball of infinitesimal radius around theta.
+    uniform ball of infinitesimal radius around theta, drawn from rng;
+    a tie without rng raises ValueError, since every draw must come from
+    a labeled substream.
     """
     theta = _check_theta(polytope, theta)
     result = polytope.argmax(theta)
     if not result.tie:
         return SurrogateMeasure(atoms=[(result.y, 1.0)], is_dirac=True)
-    verts = polytope.vertices()
     if rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("p0 needs an rng to split a tie")
+    verts = polytope.vertices()
     radius = P0_RADIUS_REL * (1.0 + float(np.linalg.norm(theta)))
     probes = theta[None, :] + radius * _uniform_ball(rng, n_samples, polytope.dim)
     winners = np.argmax(probes @ verts.T, axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import GeneralizedLinearModel, ParamSpace
 from .perturb import (
@@ -212,14 +212,15 @@ def check_bias_bound(
     r_eps = regularized_risk(
         w, instances, oracle, model, space, spec.with_lambda(epsilon0, 0.0), mode=mode
     )
+    v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []
     gaps = []
     v_prev = -np.inf
-    for lam in lambda_grid:
+    for lam, v in zip(lambda_grid, v_grid):
         r_lam = regularized_risk(
             w, instances, oracle, model, space, spec.with_lambda(lam, 0.0), mode=mode
         )
-        v_lam = tail_mass_V(w, instances, model, space, lam)
+        v_lam = float(v)
         se = r_lam.mc_std_error + base.mc_std_error
         checks.append(
             BoundCheck(
@@ -264,7 +265,7 @@ def contextual_risk_matrix(instances, w_grid: np.ndarray, lam: float) -> np.ndar
     contexts = np.array([x.features["context"] for x in instances])
     costs = np.array([x.features["costs"] for x in instances])
     theta = contexts @ w_grid.T  # (n, G)
-    p1 = norm.cdf(theta / lam)
+    p1 = ndtr(theta / lam)
     return costs[:, [0]] + (costs[:, [1]] - costs[:, [0]]) * p1
 
 

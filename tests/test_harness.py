@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import perturbopt
 from perturbopt.harness.cli import main
 from perturbopt.harness.config import ConfigError, config_from_doc, load_config
 from perturbopt.harness.manifest import file_digest, load_manifest, verify_manifest
@@ -303,3 +306,19 @@ def test_seed_override_changes_dataset(tmp_path):
     d1 = file_digest(os.path.join(out1, "instances_train.jsonl"))
     d2 = file_digest(os.path.join(out2, "instances_train.jsonl"))
     assert d1 != d2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats is a large share of every CLI process's start-up;
+    # the package calls the scipy.special ufuncs underneath it instead
+    src = os.path.dirname(os.path.dirname(perturbopt.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, perturbopt.harness.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

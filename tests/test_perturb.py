@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi, norm
 
 from perturbopt.model import ParamSpace, model_for_instances
 from perturbopt.perturb import (
@@ -14,6 +14,7 @@ from perturbopt.perturb import (
     sample_perturbation,
     tail_mass_V,
 )
+from perturbopt.polytopes import Permutahedron, VspFlow, p0
 from perturbopt.problems import ContextualWrapper, default_cost_oracle, generate_instances
 from perturbopt.rngs import spawn_seed, substream
 
@@ -126,6 +127,25 @@ def test_p_lambda_monte_carlo_agrees_with_exact():
     assert np.all(np.abs(probs - exact) <= 3.0 * ses + 1e-9)
 
 
+def test_exact_policy_distribution_is_norm_cdf_bitwise():
+    # the closed forms call scipy.special.ndtr, which is what norm.cdf evaluates
+    one_d = VspFlow(2, [(0, 1)])
+    perm2 = Permutahedron(2)
+    rng = substream(6, "ndtr")
+    thetas = [0.0, -0.0, 1e-300, -3.7, 0.3, 40.0, np.inf, -np.inf]
+    thetas += list(rng.standard_normal(40) * 3.0)
+    for t in thetas:
+        for lam in (1e-3, 0.37, 1.0, 5.0):
+            probs = exact_policy_distribution(one_d, np.array([t]), lam)
+            p_hi = float(norm.cdf(t / lam))
+            assert probs.tolist() == [1.0 - p_hi, p_hi]
+            theta = np.array([t, 0.25])
+            probs = exact_policy_distribution(perm2, theta, lam)
+            p_21 = float(norm.cdf((theta[0] - theta[1]) / lam))
+            want = [p_21 if v[0] == 2.0 else 1.0 - p_21 for v in perm2.vertices()]
+            assert probs.tolist() == want
+
+
 def test_p_lambda_requires_positive_lambda():
     instances, _, _ = contextual_setup()
     spec = PerturbationSpec(lam=0.0, epsilon0=0.0)
@@ -177,6 +197,31 @@ def test_risk_zero_lambda_tie_uses_p0_measure():
     report = regularized_risk(np.zeros(2), instances, oracle, model, space, spec)
     assert report.ties_encountered
     assert report.value == pytest.approx(0.5, abs=1e-12)
+
+
+def test_zero_lambda_tie_without_closed_form_uses_labeled_substream():
+    # theta = 0 ties all 24 orders of Permutahedron(4): p0 splits the tie by
+    # Monte Carlo from the instance's "p0/<index>" substream
+    instances = generate_instances("scheduling", 4, seed=5, jobs=[4])
+    model = model_for_instances(instances, d=2)
+    space = ParamSpace.symmetric(2)
+    oracle = default_cost_oracle("scheduling")
+    w = np.zeros(2)
+
+    def risk(seed):
+        spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=seed)
+        return regularized_risk(w, instances, oracle, model, space, spec)
+
+    first, again, other = risk(1), risk(1), risk(2)
+    assert first.ties_encountered
+    assert first.value.hex() == again.value.hex()
+    assert first.value != other.value
+    values = []
+    for x in instances:
+        theta = model.predict(w, x, space=space)
+        measure = p0(x.polytope, theta, rng=substream(1, f"p0/{x.index}"))
+        values.append(float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)))
+    assert first.value.hex() == float(np.mean(values)).hex()
 
 
 def test_risk_errors():
@@ -332,6 +377,20 @@ def test_report_serializes():
 # tail mass V
 
 
+def test_chi_tail_is_scipy_chi_sf_bitwise():
+    thresholds = [-1.0, -1e-300, 0.0, 1e-300, 1e-8, 0.01, 0.3, 0.7, 1.0, 2.0, 3.5, 7.0, 40.0, np.inf]
+    # thresholds where a numpy-scalar ``** 2`` (pow) misses chi.sf's array square
+    thresholds += [2.703289804057066, 2.105408500611607, 7.7784749683541, 1.5971601070494996]
+    thresholds += list(substream(7, "chi").uniform(0.0, 6.0, 200))
+    grid = np.array(thresholds)
+    for d in (1, 2, 3, 5, 10):
+        want = [float(chi.sf(np.sqrt(d) * t, df=d)) for t in thresholds]
+        got = [chi_tail(t, d) for t in thresholds]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert [float(v).hex() for v in chi_tail(grid, d)] == [v.hex() for v in want]
+
+
 def test_tail_mass_chi1_example():
     assert chi_tail(2.0, 1) == pytest.approx(2.0 * (1.0 - norm.cdf(2.0)))
     assert chi_tail(2.0, 1) == pytest.approx(0.04550, abs=1e-5)
@@ -345,8 +404,9 @@ def test_tail_mass_limits():
     )
     assert tail_mass_V(w, instances, model, space, 1e6) > 0.999
     assert tail_mass_V(w, instances, model, space, 1e-6) < 1e-12
-    with pytest.raises(ValueError):
-        tail_mass_V(w, instances, model, space, 0.0)
+    for lam in (0.0, [0.1, 0.0, 1.0], [0.5, -0.1]):
+        with pytest.raises(ValueError):
+            tail_mass_V(w, instances, model, space, lam)
 
 
 def test_tail_mass_is_one_on_boundary():
@@ -364,3 +424,21 @@ def test_tail_mass_monotone_in_lambda():
     grid = [0.01, 0.05, 0.2, 0.5, 1.0, 3.0]
     vals = [tail_mass_V(w, instances, model, space, lam) for lam in grid]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_tail_mass_grid_equals_scalar_calls_bitwise():
+    for domain, params, d in (
+        ("contextual", {"d_context": 2}, 2),
+        ("scheduling", {"jobs": [4]}, 2),
+        ("stovsp", {"tasks": [5]}, 3),
+    ):
+        instances = generate_instances(domain, 12, seed=19, **params)
+        model = model_for_instances(instances, d=d)
+        space = ParamSpace.symmetric(d)
+        w = np.linspace(-0.6, 0.8, d)
+        grid = [1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0]
+        v = tail_mass_V(w, instances, model, space, grid)
+        assert v.dtype == np.float64 and v.shape == (len(grid),)
+        scalar = [tail_mass_V(w, instances, model, space, lam) for lam in grid]
+        assert all(type(s) is float for s in scalar)
+        assert [float(a).hex() for a in v] == [s.hex() for s in scalar]

@@ -210,6 +210,13 @@ def test_p0_permutahedron_facet_split():
         assert abs(p - 0.5) < 0.01
 
 
+def test_p0_tie_needs_an_rng():
+    one_d = VspFlow(2, [(0, 1)])
+    with pytest.raises(ValueError):
+        p0(one_d, np.array([0.0]))
+    assert p0(one_d, np.array([-0.4])).is_dirac  # no tie, no draw
+
+
 def test_p0_probabilities_sum_to_one():
     rng = np.random.default_rng(13)
     for poly in sample_polytopes()[:4]:

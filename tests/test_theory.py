@@ -153,6 +153,55 @@ def test_bias_closed_form_two_solution_example():
             assert c.passed
 
 
+# check_bias_bound on 30 contextual instances (seed 61) at two w: per lambda
+# of BIAS_GRID, (V, lhs and rhs of bias_vs_unperturbed, lhs and rhs of
+# bias_vs_base_smoothed), as float.hex.
+BIAS_GRID = [0.02, 0.1, 0.5, 2.0]
+BIAS_PINS = {
+    (0.4, -0.7): [
+        ("0x1.ee57880730a66p-6", "0x1.940ef3a361540p-8", "0x1.d5fbdaf297877p-5",
+         "0x1.8c69379138340p-8", "0x1.d5fbdaf297877p-4"),
+        ("0x1.1cdaf244df752p-4", "0x1.f8cbaa5538880p-8", "0x1.0ed1c145a2da5p-3",
+         "0x1.f125ee430f680p-8", "0x1.0ed1c145a2da5p-2"),
+        ("0x1.d97a4d067e98bp-2", "0x1.02e47c98b4500p-10", "0x1.c225cebc3f6acp-1",
+         "0x1.c89b18a01fa00p-11", "0x1.c225cebc3f6acp+0"),
+        ("0x1.b073695c2a325p-1", "0x1.82d38e516eb00p-9", "0x1.9b246f845e5eep+0",
+         "0x1.7388162d1c700p-9", "0x1.9b246f845e5eep+1"),
+    ],
+    (-0.9, 0.25): [
+        ("0x1.cbdf443052acdp-6", "0x1.b2b14d2af9f00p-9", "0x1.b536653a69b2ep-5",
+         "0x1.b2ab6c4f7b000p-9", "0x1.b536653a69b2ep-4"),
+        ("0x1.bbd052275f931p-4", "0x1.670af66c86440p-8", "0x1.a5f2030d0e363p-3",
+         "0x1.670de6da45bc0p-8", "0x1.a5f2030d0e363p-2"),
+        ("0x1.c594b25403fb2p-2", "0x1.65ae74a80eb80p-8", "0x1.af3b2f3f88f82p-1",
+         "0x1.65ab843a4f400p-8", "0x1.af3b2f3f88f82p+0"),
+        ("0x1.a7efbd1e230b9p-1", "0x1.b6bdcc73a6d00p-7", "0x1.930c29e02235bp+0",
+         "0x1.b6bc543cc7140p-7", "0x1.930c29e02235bp+1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("w", list(BIAS_PINS), ids=["w0", "w1"])
+def test_bias_bound_pinned(w):
+    instances, model, space = contextual_pack(30, seed=61)
+    spec = PerturbationSpec(lam=1.0, epsilon0=1e-3, mc_samples=256, master_seed=9)
+    checks, _ = check_bias_bound(
+        np.array(w), instances, ContextualWrapper(), BIAS_GRID, 1e-3, model, space, spec
+    )
+    got = []
+    v_prev = -np.inf
+    for lam, (unperturbed, smoothed, monotone) in zip(BIAS_GRID, zip(*[iter(checks)] * 3)):
+        assert unperturbed.metadata["lambda"] == smoothed.metadata["lambda"] == lam
+        v = unperturbed.metadata["V"]
+        assert type(v) is float and smoothed.metadata["V"] == v
+        assert (monotone.lhs, monotone.rhs) == (v_prev, v)
+        v_prev = v
+        got.append(tuple(
+            f.hex() for f in (v, unperturbed.lhs, unperturbed.rhs, smoothed.lhs, smoothed.rhs)
+        ))
+    assert got == BIAS_PINS[w]
+
+
 def test_bias_rejects_grid_below_epsilon0():
     instances, model, space = contextual_pack(5, seed=51)
     spec = PerturbationSpec(lam=1.0, epsilon0=0.1, mc_samples=64, master_seed=7)
@@ -193,6 +242,18 @@ def test_contextual_risk_matrix_closed_form():
         for j, w in enumerate(w_grid):
             theta = float(x.features["context"] @ w)
             assert mat[i, j] == pytest.approx(c0 + (c1 - c0) * norm.cdf(theta / 0.5))
+
+
+def test_contextual_risk_matrix_is_norm_cdf_formula_bitwise():
+    instances, _, space = contextual_pack(25, seed=57)
+    w_grid = np.vstack([space.sample(substream(9, "wg"), 11), np.zeros((1, 2))])
+    contexts = np.array([x.features["context"] for x in instances])
+    costs = np.array([x.features["costs"] for x in instances])
+    for lam in (0.05, 0.5, 3.0):
+        p1 = norm.cdf(contexts @ w_grid.T / lam)
+        want = costs[:, [0]] + (costs[:, [1]] - costs[:, [0]]) * p1
+        got = contextual_risk_matrix(instances, w_grid, lam)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_zero_variance_domain_has_zero_deviation():
