@@ -176,19 +176,17 @@ def cmd_train(args) -> int:
 
     with manifest.time("evaluation"):
         train_report = regularized_risk(w_hat, train, oracle, model, space, spec)
-        test_report = regularized_risk(w_hat, test, oracle, model, space, spec)
-        rng = substream(cfg.master_seed, "train/random_policies")
-        random_ws = space.sample(rng, 20)
-        random_risks = [
-            regularized_risk(w, test, oracle, model, space, spec).value
-            for w in random_ws
-        ]
+        random_ws = space.sample(substream(cfg.master_seed, "train/random_policies"), 20)
         budget = int(opt.get("M", opt.get("budget", 96)))
         base_w, base_v = baseline_minimize(
             surface, space, "randomsearch", budget,
             seed=spawn_seed(cfg.master_seed, "train/baseline_matched"),
         )
-        base_test = regularized_risk(base_w, test, oracle, model, space, spec)
+        # one pass over the test set: each noise block is drawn once for all 22 w
+        test_report, *random_reports, base_test = regularized_risk(
+            np.vstack([w_hat, random_ws, base_w]), test, oracle, model, space, spec
+        )
+        random_risks = [r.value for r in random_reports]
 
     result_doc["comparison"] = {
         "random_policy_test_risks": random_risks,

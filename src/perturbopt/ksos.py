@@ -29,6 +29,7 @@ costs far more than the arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -412,8 +413,10 @@ def certificate(
 # Closed-form smoothness estimates for generalized linear embeddings
 
 
+@functools.cache
 def _abs_hermite_l1(order: int) -> float:
-    """integral of |He_k(t)| phi(t) dt (probabilists' Hermite)."""
+    """integral of |He_k(t)| phi(t) dt (probabilists' Hermite); cached,
+    since it depends on the order alone."""
     if order == 0:
         return 1.0
     coeffs = np.zeros(order + 1)
@@ -499,7 +502,7 @@ def glm_smoothness_estimates(
             if fallback is None:
                 raise ValueError(
                     f"feature matrix of instance {x.index} is rank deficient "
-                    "(rank {rank} < {d}); supply fallback bounds"
+                    f"(rank {rank} < {d}); supply fallback bounds"
                 )
             warnings.warn("rank-deficient feature matrix; using fallback bounds")
             return fallback

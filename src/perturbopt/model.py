@@ -91,13 +91,17 @@ class GeneralizedLinearModel:
             raise ValueError(f"feature matrix has shape {phi.shape}, want {(x.dim, self.d)}")
         return phi
 
-    def predict(self, w, x: Instance, space: ParamSpace | None = None) -> np.ndarray:
+    def check_param(self, w, space: ParamSpace | None = None) -> np.ndarray:
+        """w as a float64 array, after the shape and box checks of predict."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.d,):
             raise ValueError(f"parameter has shape {w.shape}, want ({self.d},)")
         if space is not None and not space.contains(w, atol=1e-12):
             raise ParamOutsideBox(f"w={w} outside the parameter box")
-        return self.feature_matrix(x) @ w
+        return w
+
+    def predict(self, w, x: Instance, space: ParamSpace | None = None) -> np.ndarray:
+        return self.feature_matrix(x) @ self.check_param(w, space)
 
 
 def model_for_instances(instances, d: int, builder=None) -> GeneralizedLinearModel:

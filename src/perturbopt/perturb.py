@@ -227,27 +227,53 @@ def _validated_mode(instances, mode: str) -> str:
     return mode
 
 
-def _risk_terms(w, instances, oracle, model, space, spec, mode, blocks=None):
-    """The one risk estimator: (value, cost samples or None, tie) per
-    instance at w.  The unperturbed policy at lam = 0, the exact vertex sum
-    for exactenum with a closed-form p_lambda, else the mean cost over the
-    instance's CRN noise block (blocks[i], or drawn here)."""
+def _param_rows(W, model, space) -> np.ndarray:
+    """W as a C-contiguous (M, d) float64 array; a single w is one row.
+    Every row passes model.check_param, so a bad row raises what
+    model.predict raises."""
+    W = np.asarray(W, dtype=np.float64)
+    for w in W if W.ndim == 2 else [W]:
+        model.check_param(w, space)
+    return np.ascontiguousarray(W.reshape(-1, model.d))
+
+
+def _risk_terms(W, instances, oracle, model, space, spec, mode, blocks=None):
+    """The one risk estimator, for a batch W of M parameters (a single w is
+    M = 1).  Yields (values, costs, ties) per instance: the risk term of
+    each w, the (M, K) Monte Carlo cost samples behind them (None for exact
+    terms) and whether each row's lam = 0 policy hit a tie.
+
+    Every row of W is checked once, before any oracle call.  Per instance,
+    the feature matrix is built once and theta = phi @ w per row, which is
+    model.predict(w, x) bit for bit.  At lam = 0 each row takes the
+    unperturbed policy; exactenum with a closed-form p_lambda sums over the
+    vertices row by row; otherwise the instance's CRN noise block
+    (blocks[i], or drawn here once for all rows) perturbs every theta in one
+    eval_theta_batch call, and the mean over the K samples of each row
+    equals np.mean of that row's costs bit for bit."""
+    W = _param_rows(W, model, space)
     lam = spec.lam
+    no_ties = np.zeros(len(W), dtype=bool)
     for i, x in enumerate(instances):
-        theta = model.predict(w, x, space=space)
+        phi = model.feature_matrix(x)
+        thetas = np.empty((len(W), x.dim))
+        for m, w in enumerate(W):
+            thetas[m] = phi @ w
         if lam == 0.0:
-            value, tie = _policy_cost_unperturbed(oracle, x, theta, spec.master_seed)
-            yield value, None, tie
+            terms = [_policy_cost_unperturbed(oracle, x, t, spec.master_seed) for t in thetas]
+            yield np.array([v for v, _ in terms]), None, np.array([t for _, t in terms])
             continue
         if mode == "exactenum":
-            probs = exact_policy_distribution(x.polytope, theta, lam)
-            if probs is not None:
+            first = exact_policy_distribution(x.polytope, thetas[0], lam)
+            if first is not None:
+                rest = [exact_policy_distribution(x.polytope, t, lam) for t in thetas[1:]]
                 costs = oracle.eval_vertices(x, x.polytope.vertices())
-                yield float(probs @ costs), None, False
+                yield np.array([float(p @ costs) for p in [first, *rest]]), None, no_ties
                 continue
         z = perturbation_block(spec, x.index, x.dim) if blocks is None else blocks[i]
-        costs = oracle.eval_theta_batch(x, theta[None, :] + lam * z)
-        yield np.mean(costs), costs, False
+        dirs = (thetas[:, None, :] + lam * z).reshape(-1, x.dim)
+        costs = oracle.eval_theta_batch(x, dirs).reshape(len(W), -1)
+        yield np.mean(costs, axis=1), costs, no_ties
 
 
 def regularized_risk(
@@ -258,7 +284,7 @@ def regularized_risk(
     space: ParamSpace,
     spec: PerturbationSpec,
     mode: str = "montecarlo",
-) -> RiskReport:
+) -> RiskReport | list[RiskReport]:
     """Empirical regularized risk of the policy at parameter w.
 
     montecarlo: common-random-number average of the oracle-solution cost
@@ -266,31 +292,40 @@ def regularized_risk(
     exactenum: sum over enumerated vertices of the closed-form p_lambda
     times cost where one exists (std error 0); elsewhere the montecarlo
     estimate, bit for bit.  At lam = 0 both give the unperturbed policy.
+
+    w may be one parameter of shape (d,), which returns one report, or a
+    batch of shape (M, d), which returns a list of M reports from one pass
+    over the instances: each noise block is drawn once for all rows, and
+    report m equals the single call at W[m] bit for bit (value, std error
+    and ties).
     """
     mode = _validated_mode(instances, mode)
     n = len(instances)
-    values = np.empty(n)
-    variances = np.zeros(n)
-    ties = False
-    terms = _risk_terms(w, instances, oracle, model, space, spec, mode)
-    for i, (value, costs, tie) in enumerate(terms):
-        values[i] = value
-        if costs is not None and len(costs) > 1:
-            variances[i] = np.var(costs, ddof=1) / len(costs)
-        ties |= tie
-    value = float(np.mean(values))
-    se = float(np.sqrt(np.sum(variances)) / n)
-    return RiskReport(
-        value=value,
-        mc_std_error=se,
-        n_instances=n,
-        mc_samples=spec.mc_samples,
-        lam=spec.lam,
-        epsilon0=spec.epsilon0,
-        seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
-        mode=mode,
-        ties_encountered=ties,
+    values, variances, ties = [], [], []
+    for value, costs, tie in _risk_terms(w, instances, oracle, model, space, spec, mode):
+        values.append(value)
+        ties.append(tie)
+        k = 0 if costs is None else costs.shape[1]
+        variances.append(np.var(costs, axis=1, ddof=1) / k if k > 1 else np.zeros(len(value)))
+    # one contiguous row of n per-instance terms per w, folded as np.mean folds it
+    values, variances, ties = (
+        np.ascontiguousarray(np.transpose(c)) for c in (values, variances, ties)
     )
+    reports = [
+        RiskReport(
+            value=float(np.mean(v)),
+            mc_std_error=float(np.sqrt(np.sum(s)) / n),
+            n_instances=n,
+            mc_samples=spec.mc_samples,
+            lam=spec.lam,
+            epsilon0=spec.epsilon0,
+            seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
+            mode=mode,
+            ties_encountered=bool(np.any(t)),
+        )
+        for v, s, t in zip(values, variances, ties)
+    ]
+    return reports if np.ndim(w) == 2 else reports[0]
 
 
 def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec, mode="montecarlo"):
@@ -307,8 +342,8 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec, mo
 
     def surface(w) -> float:
         total = 0.0
-        for value, _, _ in _risk_terms(w, instances, oracle, model, space, spec, mode, blocks):
-            total += float(value)
+        for values, _, _ in _risk_terms(w, instances, oracle, model, space, spec, mode, blocks):
+            total += float(values[0])
         return total / len(instances)
 
     return surface

@@ -158,6 +158,51 @@ def test_train_writes_artifacts(trained_run):
     assert ok, bad
 
 
+def test_train_evaluation_equals_single_w_calls(trained_run):
+    # train scores its 22 test-set policies in one batched regularized_risk
+    # call; every number equals a single-w call made in the order train
+    # made them before: w_hat, the 20 random policies, then the baseline
+    from perturbopt.ksos import baseline_minimize
+    from perturbopt.model import ParamSpace, model_for_instances
+    from perturbopt.perturb import PerturbationSpec, crn_risk_surface, regularized_risk
+    from perturbopt.problems import default_cost_oracle
+    from perturbopt.rngs import spawn_seed, substream
+
+    out, _code = trained_run
+    train = load_instances(os.path.join(out, "instances_train.jsonl"))
+    test = load_instances(os.path.join(out, "instances_test.jsonl"))
+    model = model_for_instances(train, d=2)
+    space = ParamSpace.symmetric(2)
+    oracle = default_cost_oracle("scheduling")
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=128, master_seed=7)
+    result = json.load(open(os.path.join(out, "result.json")))
+    w_hat = np.array(result["w_hat"])
+
+    def risk(w, instances):
+        return regularized_risk(w, instances, oracle, model, space, spec)
+
+    train_report = risk(w_hat, train)
+    test_report = risk(w_hat, test)
+    random_ws = space.sample(substream(7, "train/random_policies"), 20)
+    random_risks = [risk(w, test).value for w in random_ws]
+    surface = crn_risk_surface(train, oracle, model, space, spec)
+    base_w, base_v = baseline_minimize(
+        surface, space, "randomsearch", 32, seed=spawn_seed(7, "train/baseline_matched")
+    )
+    assert result["comparison"] == {
+        "random_policy_test_risks": random_risks,
+        "random_policy_median": float(np.median(random_risks)),
+        "budget_matched_random_search": {
+            "w": base_w.tolist(),
+            "train_value": base_v,
+            "test_risk": risk(base_w, test).value,
+        },
+    }
+    for name, report in (("risk_train.json", train_report), ("risk_test.json", test_report)):
+        text = json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
+        assert open(os.path.join(out, name)).read() == text
+
+
 def test_train_requires_dataset(tmp_path):
     cfg_path = write_cfg(tmp_path, TOY)
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "empty")]) == 2

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -400,6 +401,45 @@ def test_glm_estimates_rank_deficient_fallback():
             model, [x], 1.0, 2.5, 2, 1.0, space, fallback=(3.0, 4.0)
         )
     assert out == (3.0, 4.0)
+
+
+def test_abs_hermite_l1_runs_quad_once_per_order(monkeypatch):
+    # the integral depends on the order alone, so the smoothness estimate
+    # over many instances integrates each order once, to the same bits
+    instances = generate_instances("scheduling", 24, seed=3, jobs=[5])
+    from perturbopt.model import model_for_instances
+
+    model = model_for_instances(instances, d=2)
+    space = ParamSpace.symmetric(2)
+    uncached = _abs_hermite_l1.__wrapped__
+    want_l1 = [uncached(k).hex() for k in range(6)]
+    monkeypatch.setattr(ksos, "_abs_hermite_l1", uncached)
+    want = glm_smoothness_estimates(model, instances, 0.1, 3.5, 2, 1.0, space)
+    monkeypatch.undo()
+
+    calls = []
+    real_quad = ksos.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return real_quad(*args, **kwargs)
+
+    monkeypatch.setattr(ksos, "quad", counting_quad)
+    _abs_hermite_l1.cache_clear()
+    got = glm_smoothness_estimates(model, instances, 0.1, 3.5, 2, 1.0, space)
+    assert got == want
+    assert len(calls) == 3  # orders 1, 2 and 3; order 0 has no integral
+    assert [_abs_hermite_l1(k).hex() for k in range(6)] == want_l1
+    assert len(calls) == 5  # only orders 4 and 5 were new
+
+
+def test_glm_estimates_rank_deficient_message_names_the_rank():
+    from perturbopt.model import model_for_instances
+
+    instances = generate_instances("contextual", 2, seed=0, d_context=2)
+    model = model_for_instances(instances, d=2)  # each feature matrix is 1 x 2
+    with pytest.raises(ValueError, match=re.escape("(rank 1 < 2)")):
+        glm_smoothness_estimates(model, instances, 1.0, 2.5, 2, 1.0, ParamSpace.symmetric(2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi, norm
 
-from perturbopt.model import ParamSpace, model_for_instances
+from perturbopt.model import ParamOutsideBox, ParamSpace, model_for_instances
 from perturbopt.perturb import (
     PerturbationSpec,
     chi_tail,
@@ -361,6 +366,100 @@ def test_regularized_risk_pinned_on_test_sets(case):
         rep = regularized_risk(np.array(w[:d]), test, oracle, model, space, spec)
         got.append((rep.value.hex(), rep.mc_std_error.hex()))
     assert got == RISK_PINS[case]
+
+
+# ---------------------------------------------------------------------------
+# batched risk: regularized_risk(W) for W of shape (M, d)
+
+BATCH_DOMAINS = {
+    "ctx": ("contextual", {"d_context": 2}, 2),
+    "sched": ("scheduling", {"jobs": [4]}, 2),
+    "vsp": ("stovsp", {"tasks": [5]}, 3),
+}
+
+
+@functools.cache
+def batch_setup(name):
+    domain, params, d = BATCH_DOMAINS[name]
+    instances = generate_instances(domain, 4, seed=23, **params)
+    model = model_for_instances(instances, d=d)
+    return instances, model, ParamSpace.symmetric(d), default_cost_oracle(domain)
+
+
+def report_bits(rep):
+    return rep.value.hex(), rep.mc_std_error.hex(), rep.ties_encountered
+
+
+@st.composite
+def batches(draw):
+    name = draw(st.sampled_from(sorted(BATCH_DOMAINS)))
+    d = BATCH_DOMAINS[name][2]
+    m = draw(st.integers(1, 5))
+    row = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    if draw(st.booleans()):  # theta = 0 ties every vertex at lam = 0
+        rows[draw(st.integers(0, m - 1))] = [0.0] * d
+    return name, np.array(rows)
+
+
+@given(
+    batch=batches(),
+    mode=st.sampled_from(["montecarlo", "exactenum"]),
+    lam=st.sampled_from([0.0, 0.3]),
+)
+@settings(max_examples=50, deadline=None)
+def test_batch_reports_equal_single_calls_bitwise(batch, mode, lam):
+    name, W = batch
+    instances, model, space, oracle = batch_setup(name)
+    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    reports = regularized_risk(W, instances, oracle, model, space, spec, mode=mode)
+    assert len(reports) == len(W)
+    for w, rep in zip(W, reports):
+        single = regularized_risk(w, instances, oracle, model, space, spec, mode=mode)
+        assert report_bits(rep) == report_bits(single)
+        assert rep.to_doc() == single.to_doc()
+
+
+class CountingOracle:
+    """A cost oracle that counts every call made to it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("mode", ["montecarlo", "exactenum"])
+def test_batch_rejects_a_bad_row_before_any_oracle_call(mode, lam):
+    instances, model, space, inner = batch_setup("sched")
+    oracle = CountingOracle(inner)
+    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    good = np.array([[0.2, -0.4], [0.5, 0.5]])
+    outside = np.vstack([good, [[0.3, 1.5]]])
+    with pytest.raises(ParamOutsideBox) as got:
+        regularized_risk(outside, instances, oracle, model, space, spec, mode=mode)
+    with pytest.raises(ParamOutsideBox) as want:
+        model.predict(outside[-1], instances[0], space=space)
+    assert str(got.value) == str(want.value)
+    wide = np.hstack([good, np.zeros((2, 1))])
+    with pytest.raises(ValueError, match=re.escape("parameter has shape (3,), want (2,)")) as got:
+        regularized_risk(wide, instances, oracle, model, space, spec, mode=mode)
+    assert got.type is ValueError
+    surface = crn_risk_surface(instances, oracle, model, space, spec, mode=mode)
+    with pytest.raises(ParamOutsideBox):
+        surface(outside[-1])
+    assert oracle.calls == 0
+    regularized_risk(good, instances, oracle, model, space, spec, mode=mode)
+    assert oracle.calls > 0
 
 
 def test_report_serializes():
