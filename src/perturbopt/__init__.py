@@ -1,10 +1,11 @@
 """Policies that chain a parametric score model with a linear combinatorial
-oracle, smoothed by Gaussian perturbation, trained by regret minimization.
+oracle, smoothed by Gaussian perturbation, trained by empirical regularized
+risk minimization.
 
 Subpackages and modules:
 
 - ``polytopes``: solution polytopes, linear maximization oracles, normal-fan
-  geometry (internal radius, tie-splitting measure, facet normals).
+  geometry (internal radius, tie-splitting measure).
 - ``problems``: instance generators, feature maps and black-box cost oracles
   for the scheduling / vehicle-scheduling / contextual domains.
 - ``model``: generalized linear score models over a compact parameter box.

@@ -45,6 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep")
     p.add_argument("kind", choices=["bias", "nprocess", "ksos"])
     _common_flags(p)
+    p.add_argument("--threads", type=int, default=None, help="worker threads (default: config threads)")
     return parser
 
 
@@ -52,18 +53,16 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="YAML experiment config")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed-override", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker threads for sweep only")
     p.add_argument("--verbose", action="store_true")
 
 
-def _load(args) -> tuple[ExperimentConfig, str, int]:
+def _load(args) -> tuple[ExperimentConfig, str]:
     cfg = load_config(args.config)
     if args.seed_override is not None:
         cfg.master_seed = args.seed_override
     out_dir = cfg.resolve_output_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    threads = args.threads if args.threads is not None else cfg.threads
-    return cfg, out_dir, threads
+    return cfg, out_dir
 
 
 def _write_json(path: str, doc: dict) -> str:
@@ -74,7 +73,7 @@ def _write_json(path: str, doc: dict) -> str:
 
 
 def cmd_generate(args) -> int:
-    cfg, out_dir, _threads = _load(args)
+    cfg, out_dir = _load(args)
     manifest = ManifestWriter(
         out_dir, cfg.to_doc(),
         seed_labels={"train": "dataset/train", "test": "dataset/test"},
@@ -101,7 +100,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, out_dir, _threads = _load(args)
+    cfg, out_dir = _load(args)
     train_path = os.path.join(out_dir, TRAIN_FILE)
     if not os.path.exists(train_path):
         print(f"error: dataset {train_path} not found; run generate first", file=sys.stderr)
@@ -215,7 +214,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, out_dir, threads = _load(args)
+    cfg, out_dir = _load(args)
+    threads = args.threads if args.threads is not None else cfg.threads
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     runner = {
         "bias": run_bias_sweep,
@@ -235,7 +235,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg, out_dir, _threads = _load(args)
+    cfg, out_dir = _load(args)
     results = run_checks(cfg)
     report = [
         {"name": name, "passed": passed, "detail": detail}

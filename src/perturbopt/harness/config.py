@@ -105,6 +105,14 @@ def _validate(doc: dict) -> list[str]:
         if not cond:
             problems.append(msg)
 
+    def number(val, path):
+        """val as a float, or None with a problem reported."""
+        try:
+            return float(val)
+        except (TypeError, ValueError):
+            problems.append(f"{path}: must be a number, got {val!r}")
+            return None
+
     expect(isinstance(doc, dict), "top level: must be a mapping")
     if not isinstance(doc, dict):
         return problems
@@ -126,14 +134,24 @@ def _validate(doc: dict) -> list[str]:
             if val is not None:
                 expect(isinstance(val, int) and val >= 1, f"domain.{key}: must be >= 1")
 
+    model = doc.get("model", {})
+    expect(isinstance(model, dict), "model: must be a mapping")
+    if isinstance(model, dict):
+        d = model.get("d", 2)
+        expect(isinstance(d, int) and d >= 1, "model.d: must be a positive integer")
+
+    eps0 = 1e-3
     perturb = doc.get("perturb", {})
     expect(isinstance(perturb, dict), "perturb: must be a mapping")
     if isinstance(perturb, dict):
-        lam = float(perturb.get("lambda", 0.1))
-        eps0 = float(perturb.get("epsilon0", 1e-3))
-        expect(lam >= 0.0, "perturb.lambda: must be >= 0")
-        expect(eps0 >= 0.0, "perturb.epsilon0: must be >= 0")
-        expect(lam >= eps0, "perturb.lambda: must be >= perturb.epsilon0")
+        lam = number(perturb.get("lambda", 0.1), "perturb.lambda")
+        eps0 = number(perturb.get("epsilon0", 1e-3), "perturb.epsilon0")
+        if lam is not None:
+            expect(lam >= 0.0, "perturb.lambda: must be >= 0")
+        if eps0 is not None:
+            expect(eps0 >= 0.0, "perturb.epsilon0: must be >= 0")
+        if lam is not None and eps0 is not None:
+            expect(lam >= eps0, "perturb.lambda: must be >= perturb.epsilon0")
         samples = perturb.get("samples", 512)
         expect(
             isinstance(samples, int) and samples >= 1, "perturb.samples: must be >= 1"
@@ -163,14 +181,12 @@ def _validate(doc: dict) -> list[str]:
                     and sorted(grid) == grid
                 )
                 expect(ok, f"sweeps.{sweep_key}.{grid_key}: must be a nonempty sorted list")
-        bias = sweeps.get("bias", {})
-        if isinstance(bias, dict):
-            eps0 = float(doc.get("perturb", {}).get("epsilon0", 1e-3)) if isinstance(doc.get("perturb", {}), dict) else 1e-3
-            for lam in bias.get("lambda_grid", []) or []:
-                expect(
-                    float(lam) >= eps0,
-                    f"sweeps.bias.lambda_grid: value {lam} below epsilon0 {eps0}",
-                )
+                if ok and sweep_key == "bias" and eps0 is not None:
+                    for lam in grid:
+                        expect(
+                            lam >= eps0,
+                            f"sweeps.bias.lambda_grid: value {lam} below epsilon0 {eps0}",
+                        )
 
     check = doc.get("check", {})
     expect(isinstance(check, dict), "check: must be a mapping")
@@ -215,7 +231,3 @@ def load_config(path: str) -> ExperimentConfig:
         doc = {}
     return config_from_doc(doc)
 
-
-def dump_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_doc(), fh, sort_keys=True)

@@ -47,6 +47,9 @@ def _parallel_map(fn, items, threads: int):
 
 
 def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
+    """Bias bounds over a lambda grid at random w.  Runs on contextual
+    instances with d_context = model.d whatever the configured domain,
+    until the sweep follows cfg.domain (ROADMAP 5)."""
     sweep = cfg.sweeps.get("bias", {})
     lambda_grid = sweep.get("lambda_grid", [0.01, 0.03, 0.1, 0.3, 1.0])
     n_pairs = int(sweep.get("n_pairs", 100))
@@ -54,12 +57,11 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str
     eps0 = cfg.epsilon0
     n_w = max(1, n_pairs // len(lambda_grid))
 
-    domain = cfg.domain_name if cfg.domain_name == "contextual" else "contextual"
     instances = generate_instances(
-        domain, n_instances, spawn_seed(cfg.master_seed, "sweep/bias/instances"),
-        **({"d_context": cfg.model_d} if domain == "contextual" else {}),
+        "contextual", n_instances, spawn_seed(cfg.master_seed, "sweep/bias/instances"),
+        d_context=cfg.model_d,
     )
-    oracle = default_cost_oracle(domain)
+    oracle = default_cost_oracle("contextual")
     model = model_for_instances(instances, d=cfg.model_d)
     space = ParamSpace.symmetric(cfg.model_d)
     spec = PerturbationSpec(

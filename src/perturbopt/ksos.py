@@ -18,8 +18,7 @@ dual
 solved by damped Newton (the dual Hessian is mu T*T with T = G W^-1 G,
 elementwise square).  At the optimum B = mu (G W^-1 G scaled back), the
 equality constraints hold exactly and alpha are their multipliers; the
-candidate minimizer is the normalized nonnegative part of alpha applied
-to the sampled points.
+candidate minimizer is the argmin of the fitted SoS surrogate.
 
 The Newton loop forms its matrix products with scipy's BLAS, the library
 that already runs its Cholesky calls: numpy and scipy may each bundle
@@ -93,7 +92,6 @@ class KsosResult:
     negative_mass: float
     mu_final: float
     trace_BK: float
-    w_multiplier: np.ndarray | None = None
     newton_trace: list = field(default_factory=list)
 
     def to_doc(self) -> dict:
@@ -110,23 +108,11 @@ class KsosResult:
             "max_constraint_residual": self.max_constraint_residual,
             "negative_mass": self.negative_mass,
             "mu_final": self.mu_final,
-            "w_multiplier": None
-            if self.w_multiplier is None
-            else self.w_multiplier.tolist(),
         }
 
 
 # ---------------------------------------------------------------------------
 # Sobolev (Matern) kernel
-
-
-def sobolev_kernel(w, w2, s: float, d: int, length_scale: float = 1.0) -> float:
-    """Reproducing kernel of H^s over R^d restricted to the box: a Matern
-    kernel with smoothness nu = s - d/2, normalized to k(w, w) = 1."""
-    if not s > d / 2:
-        raise ValueError("need s > d/2")
-    r = float(np.linalg.norm(np.asarray(w, float) - np.asarray(w2, float)))
-    return float(_matern(np.array([r]), s - d / 2, length_scale)[0])
 
 
 def _matern(r: np.ndarray, nu: float, ell: float) -> np.ndarray:
@@ -152,6 +138,9 @@ def _matern(r: np.ndarray, nu: float, ell: float) -> np.ndarray:
 
 
 def gram_matrix(points: np.ndarray, s: float, length_scale: float) -> np.ndarray:
+    """Gram matrix of the reproducing kernel of H^s over R^d restricted to
+    the box: a Matern kernel with smoothness nu = s - d/2, normalized to
+    k(w, w) = 1."""
     d = points.shape[1]
     diff = points[:, None, :] - points[None, :, :]
     r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -284,9 +273,7 @@ def ksos_minimize(
     for Monte Carlo surfaces); it is evaluated once at each of the M
     sampled points, in order.
 
-    The candidate minimizer is the argmin of the fitted SoS surrogate;
-    the multiplier combination of the sampled points is reported alongside
-    (it degrades to the nearest sample for small trace penalties).
+    The candidate minimizer is the argmin of the fitted SoS surrogate.
     """
     d = space.d
     cfg.validate(d)
@@ -338,19 +325,7 @@ def ksos_minimize(
     trace_BK = float(mu * np.trace(Winv))
     B = mu * G_inv @ Winv @ G_inv
 
-    neg = np.clip(-alpha, 0.0, None)
-    negative_mass = float(np.sum(neg))
-    pos = np.clip(alpha, 0.0, None)
-    if pos.sum() <= 0.0:
-        w_multiplier = points[int(np.argmin(values))].copy()
-    else:
-        w_multiplier = (pos / pos.sum()) @ points
-    if negative_mass > 0.05:
-        warnings.warn(
-            f"kSoS multipliers carry negative mass {negative_mass:.3f}; "
-            "multiplier candidate uses the renormalized nonnegative part"
-        )
-    w_multiplier = space.project(w_multiplier)
+    negative_mass = float(np.sum(np.clip(-alpha, 0.0, None)))
     w_hat = _sos_model_argmin(points, B, cfg.s, d, ell, space)
     risk_at_hat = float(risk_surface(w_hat))
 
@@ -367,23 +342,8 @@ def ksos_minimize(
         negative_mass=negative_mass,
         mu_final=mu,
         trace_BK=trace_BK,
-        w_multiplier=w_multiplier,
         newton_trace=trace_log,
     )
-
-
-def reconstruct_B(result: KsosResult, space: ParamSpace, cfg: KsosConfig) -> np.ndarray:
-    """The PSD coefficient matrix of the SoS operator in the sampled span
-    (for invariant checks)."""
-    ell = cfg.length_scale if cfg.length_scale is not None else space.diameter() / 4.0
-    K = gram_matrix(result.sampled_points, cfg.s, ell)
-    K = K + 1e-9 * float(np.trace(K)) / cfg.M * np.eye(cfg.M)
-    evals, evecs = eigh(K)
-    G = (evecs * np.sqrt(evals)) @ evecs.T
-    G_inv = (evecs / np.sqrt(evals)) @ evecs.T
-    W = cfg.lambda_phi * np.eye(cfg.M) + G @ (result.alpha[:, None] * G)
-    Winv = np.linalg.solve(W, np.eye(cfg.M))
-    return result.mu_final * G_inv @ Winv @ G_inv
 
 
 def lambda_phi_schedule(M: int, s: float, d: int, delta: float = 0.1, cbar: float = 1.0) -> float:

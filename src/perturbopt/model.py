@@ -75,7 +75,8 @@ class GeneralizedLinearModel:
 
     ``builder`` maps an instance to its (d(G), d) feature matrix; the
     declared ``lipschitz_bound`` must dominate |Phi(x)|_op on every
-    generated instance (checked by lipschitz_audit).
+    generated instance, and model_for_instances makes it exactly the
+    largest one.
     """
 
     d: int
@@ -112,27 +113,3 @@ def model_for_instances(instances, d: int, builder=None) -> GeneralizedLinearMod
     model.lipschitz_bound = float(max(ops))
     return model
 
-
-def lipschitz_audit(
-    model: GeneralizedLinearModel,
-    instances,
-    trials: int,
-    rng: np.random.Generator,
-    space: ParamSpace | None = None,
-) -> float:
-    """Measured Lipschitz constant of w -> psi_w(x) over random parameter
-    pairs; must not exceed the declared bound."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    space = space or ParamSpace.symmetric(model.d)
-    measured = 0.0
-    for x in instances:
-        phi = model.feature_matrix(x)
-        ws = space.sample(rng, 2 * trials)
-        for t in range(trials):
-            w1, w2 = ws[2 * t], ws[2 * t + 1]
-            dw = np.linalg.norm(w1 - w2)
-            if dw == 0.0:
-                continue
-            measured = max(measured, float(np.linalg.norm(phi @ (w1 - w2)) / dw))
-    return measured

@@ -163,37 +163,6 @@ def sampled_policy_distribution(
     return probs, ses
 
 
-def p_lambda(
-    polytope: SolutionPolytope,
-    theta,
-    y,
-    spec: PerturbationSpec,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Smoothed probability that the oracle picks y at direction theta.
-
-    Exact (std error 0) where a closed form exists, Monte Carlo with
-    spec.mc_samples draws otherwise.  lam must be positive; use p0 for the
-    unperturbed measure.
-    """
-    if spec.lam <= 0.0:
-        raise ValueError("p_lambda needs lam > 0; use p0 at lam = 0")
-    theta = np.asarray(theta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    verts = polytope.vertices()
-    matches = np.flatnonzero(np.all(np.isclose(verts, y[None, :], atol=1e-9), axis=1))
-    if len(matches) != 1:
-        raise ValueError("y is not an enumerated vertex")
-    idx = int(matches[0])
-    probs = exact_policy_distribution(polytope, theta, spec.lam)
-    if probs is not None:
-        return float(probs[idx]), 0.0
-    if rng is None:
-        rng = substream(spec.master_seed, "p_lambda")
-    probs, ses = sampled_policy_distribution(polytope, theta, spec.lam, spec.mc_samples, rng)
-    return float(probs[idx]), float(ses[idx])
-
-
 # ---------------------------------------------------------------------------
 # Risks
 

@@ -47,18 +47,11 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class SurrogateMeasure:
-    """Tie-splitting measure over solutions: atoms (vertex, probability).
-
-    ``std_errors`` is None in exact mode and carries the Monte Carlo
-    standard error per atom in sampled mode.
-    """
+    """Tie-splitting measure over solutions: atoms (vertex, probability),
+    a single atom of mass 1 off the cone boundaries."""
 
     atoms: list[tuple[np.ndarray, float]]
     is_dirac: bool
-    std_errors: np.ndarray | None = None
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.atoms])
 
 
 def _check_theta(polytope: "SolutionPolytope", theta: np.ndarray) -> np.ndarray:
@@ -84,22 +77,20 @@ class SolutionPolytope:
         raise NotImplementedError
 
     def vertex_count(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def enumerable(self) -> bool:
-        return self.vertex_count() <= ENUMERATION_CAP
+        return len(self.vertices())
 
     def vertices(self) -> np.ndarray:
-        """All vertices, shape (N, dim).  Cached after first call."""
+        """All vertices, shape (N, dim), from one pass that stops one vertex
+        past the cap.  Cached after first call."""
         cached = getattr(self, "_vertices_cache", None)
         if cached is not None:
             return cached
-        if not self.enumerable:
+        verts = list(itertools.islice(self._iter_vertices(), ENUMERATION_CAP + 1))
+        if len(verts) > ENUMERATION_CAP:
             raise EnumerationUnavailable(
                 f"{self!r} has more than {ENUMERATION_CAP} vertices"
             )
-        verts = np.array(list(self._iter_vertices()), dtype=np.float64)
+        verts = np.array(verts, dtype=np.float64)
         verts.setflags(write=False)
         setattr(self, "_vertices_cache", verts)
         return verts
@@ -177,39 +168,16 @@ class VspFlow(SolutionPolytope):
     def __repr__(self):
         return f"VspFlow({self.n_tasks} tasks, {len(self.arcs)} arcs)"
 
-    def vertex_count(self) -> int:
-        return len(self.vertices())
-
-    @property
-    def enumerable(self) -> bool:
-        # Stop counting past the cap: a DAG with a few dozen arcs has far
-        # too many subsets to count in full.
-        cached = getattr(self, "_enumerable_cache", None)
-        if cached is None:
-            try:
-                for _ in self._iter_subsets():
-                    pass
-                cached = True
-            except EnumerationUnavailable:
-                cached = False
-            setattr(self, "_enumerable_cache", cached)
-        return cached
-
-    def _iter_subsets(self, cap=ENUMERATION_CAP):
+    def _iter_vertices(self):
         m = len(self.arcs)
         out_used = [False] * self.n_tasks
         in_used = [False] * self.n_tasks
         chosen = []
-        emitted = 0
 
         def rec(k):
-            nonlocal emitted
             if k == m:
                 y = np.zeros(m)
                 y[chosen] = 1.0
-                emitted += 1
-                if cap is not None and emitted > cap:
-                    raise EnumerationUnavailable("vertex cap exceeded")
                 yield y
                 return
             yield from rec(k + 1)
@@ -224,9 +192,6 @@ class VspFlow(SolutionPolytope):
                 in_used[j] = False
 
         yield from rec(0)
-
-    def _iter_vertices(self):
-        yield from self._iter_subsets(cap=None)
 
     def n_paths(self, y: np.ndarray) -> int:
         """Number of vehicle paths used by solution y."""
@@ -382,6 +347,5 @@ def p0(
     probs = counts / n_samples
     keep = np.flatnonzero(probs > 0)
     atoms = [(verts[i], float(probs[i])) for i in keep]
-    ses = np.sqrt(probs[keep] * (1.0 - probs[keep]) / n_samples)
-    return SurrogateMeasure(atoms=atoms, is_dirac=False, std_errors=ses)
+    return SurrogateMeasure(atoms=atoms, is_dirac=False)
 

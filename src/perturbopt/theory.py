@@ -41,23 +41,8 @@ class BoundCheck:
     metadata: dict = field(default_factory=dict)
 
     @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
     def passed(self) -> bool:
         return self.lhs <= self.rhs * (1.0 + NUMERICAL_SLACK) + 3.0 * self.se_lhs
-
-    def row(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "se_lhs": self.se_lhs,
-            "passed": int(self.passed),
-            **{f"param_{k}": v for k, v in self.metadata.items()},
-        }
 
 
 @dataclass(frozen=True)
@@ -67,13 +52,6 @@ class ScalingFit:
     fitted_slope: float
     slope_ci: tuple[float, float]
     per_seed_slopes: np.ndarray
-
-    def row(self) -> dict:
-        return {
-            "fitted_slope": self.fitted_slope,
-            "slope_lo": self.slope_ci[0],
-            "slope_hi": self.slope_ci[1],
-        }
 
 
 def fit_loglog(x, y) -> float:

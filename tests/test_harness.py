@@ -64,6 +64,23 @@ def test_config_validation_messages():
         config_from_doc({"sweeps": {"bias": {"lambda_grid": [1.0, 0.5]}}})
     with pytest.raises(ConfigError):
         config_from_doc({"check": {"names": ["nonsense"]}})
+    # malformed values are config problems, never a traceback from float()
+    # or a failure later in the run
+    for doc, key in (
+        ({"perturb": {"lambda": "abc"}}, "perturb.lambda"),
+        ({"sweeps": {"bias": {"lambda_grid": [0.1, "x"]}}}, "sweeps.bias.lambda_grid"),
+        ({"model": {"d": 0}}, "model.d"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            config_from_doc(doc)
+        assert any(p.startswith(key) for p in err.value.problems), err.value.problems
+
+
+def test_malformed_config_value_exits_2(tmp_path, capsys):
+    bad = dict(TOY, perturb=dict(TOY["perturb"], **{"lambda": "abc"}))
+    cfg_path = write_cfg(tmp_path, bad)
+    assert main(["generate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
+    assert "perturb.lambda: must be a number" in capsys.readouterr().err
 
 
 def test_config_roundtrip(tmp_path):
@@ -71,10 +88,7 @@ def test_config_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.to_doc()["domain"] == TOY["domain"]
     # lossless through serialization
-    from perturbopt.harness.config import dump_config
-
-    path2 = str(tmp_path / "cfg2.yaml")
-    dump_config(cfg, path2)
+    path2 = write_cfg(tmp_path, cfg.to_doc(), name="cfg2.yaml")
     assert load_config(path2).to_doc() == cfg.to_doc()
 
 
@@ -208,18 +222,14 @@ def test_train_requires_dataset(tmp_path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "empty")]) == 2
 
 
-def test_train_thread_invariance(tmp_path):
+def test_train_takes_no_threads_flag(tmp_path, capsys):
+    # train, generate and check are serial; only sweep has worker threads
     cfg_path = write_cfg(tmp_path, TOY)
-    digests = {}
-    for threads in (1, 2):
-        out = str(tmp_path / f"t{threads}")
-        assert main(["generate", "--config", cfg_path, "--out", out]) == 0
-        main(["train", "--config", cfg_path, "--out", out, "--threads", str(threads)])
-        digests[threads] = [
-            file_digest(os.path.join(out, f))
-            for f in ("result.json", "risk_train.json", "risk_test.json")
-        ]
-    assert digests[1] == digests[2]
+    for command in ("generate", "train", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--threads", "2"])
+        assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +290,29 @@ def test_ksos_sweep_schema(tmp_path):
     assert len(rows) == 4
     assert {"M", "arg_error", "certificate_covers"} <= set(rows[0])
     assert all(r["certificate_covers"] == "1" for r in rows)
+
+
+def test_sweep_thread_invariance(tmp_path):
+    doc = dict(
+        TOY,
+        sweeps={
+            "bias": {"lambda_grid": [0.01, 0.1, 1.0], "n_pairs": 6, "n_instances": 12},
+            "ksos": {"m_grid": [16, 32], "seeds": 2, "d": 1},
+        },
+    )
+    cfg_path = write_cfg(tmp_path, doc)
+    digests = {}
+    for threads in (1, 2):
+        out = str(tmp_path / f"t{threads}")
+        os.makedirs(out)
+        for kind in ("ksos", "bias"):
+            assert main(["sweep", kind, "--config", cfg_path, "--out", out, "--threads", str(threads)]) == 0
+        digests[threads] = [
+            file_digest(os.path.join(out, f"sweep_{kind}{suffix}.csv"))
+            for kind in ("ksos", "bias")
+            for suffix in ("", "_summary")
+        ]
+    assert digests[1] == digests[2]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from perturbopt.ksos import (
     gram_matrix,
     ksos_minimize,
     lambda_phi_schedule,
-    reconstruct_B,
-    sobolev_kernel,
     _abs_hermite_l1,
     _matmul,
 )
@@ -40,22 +38,28 @@ def quad1(w):
 
 
 def test_kernel_is_one_at_zero_lag():
-    for s, d in ((1.0, 1), (2.0, 1), (2.5, 2), (3.0, 3)):
-        w = np.full(d, 0.37)
-        assert sobolev_kernel(w, w, s, d) == 1.0
+    rng = np.random.default_rng(4)
+    for s, d in ((1.0, 1), (2.0, 1), (2.5, 2), (3.0, 3), (3.2, 2)):
+        K = gram_matrix(rng.uniform(-1.0, 1.0, (6, d)), s, 0.7)
+        assert np.diag(K).tolist() == [1.0] * 6
 
 
 def test_kernel_half_integer_closed_form():
     # nu = 1/2 is the exponential kernel
-    assert sobolev_kernel([0.0], [1.0], s=1.0, d=1) == pytest.approx(np.exp(-1.0))
-    assert sobolev_kernel([0.0, 0.0], [0.6, 0.8], s=1.5, d=2, length_scale=2.0) == (
-        pytest.approx(np.exp(-0.5))
-    )
+    K = gram_matrix(np.array([[0.0], [1.0]]), s=1.0, length_scale=1.0)
+    assert K[0, 1] == pytest.approx(np.exp(-1.0))
+    assert K[1, 0] == K[0, 1]
+    K = gram_matrix(np.array([[0.0, 0.0], [0.6, 0.8]]), s=1.5, length_scale=2.0)
+    assert K[0, 1] == pytest.approx(np.exp(-0.5))
 
 
 def test_kernel_requires_smoothness_above_half_dim():
+    # s = 0.5 in d = 1 would be a Matern kernel with nu = 0; ksos_minimize
+    # refuses it before evaluating the surface once
+    calls = []
     with pytest.raises(ValueError):
-        sobolev_kernel([0.0], [1.0], s=0.5, d=1)
+        ksos_minimize(calls.append, ParamSpace.symmetric(1), KsosConfig(M=8, s=0.5, lambda_phi=0.1))
+    assert calls == []
 
 
 def test_gram_matrix_psd():
@@ -120,10 +124,19 @@ def test_quadratic_2d_recovery_with_scheduled_penalty():
     assert abs(f(res.w_hat) - 0.0) <= 1e-3
 
 
-def test_interior_point_keeps_B_psd():
-    space = ParamSpace.symmetric(1)
-    res = ksos_minimize(quad1, space, QUAD_1D)
-    B = reconstruct_B(res, space, QUAD_1D)
+def test_interior_point_keeps_B_psd(monkeypatch):
+    # the B that ksos_minimize hands to the surrogate argmin
+    seen = []
+    original = ksos._sos_model_argmin
+
+    def recording_argmin(points, B, *args):
+        seen.append(B)
+        return original(points, B, *args)
+
+    monkeypatch.setattr(ksos, "_sos_model_argmin", recording_argmin)
+    ksos_minimize(quad1, ParamSpace.symmetric(1), QUAD_1D)
+    (B,) = seen
+    assert B.shape == (QUAD_1D.M, QUAD_1D.M)
     eigs = np.linalg.eigvalsh((B + B.T) / 2.0)
     assert eigs.min() >= -1e-10
 
@@ -148,15 +161,6 @@ def test_error_decreases_with_more_samples():
             errs.append(abs(res.w_hat[0] - 0.3))
         medians.append(np.median(errs))
     assert medians[1] < medians[0]
-
-
-def test_multiplier_candidate_reported():
-    space = ParamSpace.symmetric(1)
-    res = ksos_minimize(quad1, space, QUAD_1D)
-    assert res.w_multiplier is not None
-    assert space.contains(res.w_multiplier)
-    doc = res.to_doc()
-    assert "w_multiplier" in doc and "alpha" in doc
 
 
 # ---------------------------------------------------------------------------

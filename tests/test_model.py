@@ -5,7 +5,6 @@ from perturbopt.model import (
     GeneralizedLinearModel,
     ParamOutsideBox,
     ParamSpace,
-    lipschitz_audit,
     model_for_instances,
 )
 from perturbopt.problems import generate_instances
@@ -81,21 +80,18 @@ def test_measured_lipschitz_below_declared():
     ):
         instances = generate_instances(domain, 10, seed=2, **kw)
         model = model_for_instances(instances, d=d)
-        measured = lipschitz_audit(model, instances, trials=30, rng=rng)
-        assert measured <= model.lipschitz_bound + 1e-12
+        space = ParamSpace.symmetric(d)
+        for x in instances:
+            for w1, w2 in space.sample(rng, 60).reshape(30, 2, d):
+                lhs = np.linalg.norm(model.feature_matrix(x) @ (w1 - w2))
+                assert lhs <= model.lipschitz_bound * np.linalg.norm(w1 - w2) + 1e-12
 
 
-def test_lipschitz_audit_exact_cases():
-    x = generate_instances("contextual", 1, seed=0, d_context=2)[0]
-    rng = np.random.default_rng(1)
-    # identity feature matrix: measured constant 1, attained
-    ident = GeneralizedLinearModel(d=1, lipschitz_bound=1.0, builder=lambda _: np.eye(1))
-    assert lipschitz_audit(ident, [x], trials=50, rng=rng) == pytest.approx(1.0)
-    scaled = GeneralizedLinearModel(
-        d=1, lipschitz_bound=3.0, builder=lambda _: 3.0 * np.eye(1)
-    )
-    assert lipschitz_audit(scaled, [x], trials=50, rng=rng) == pytest.approx(3.0)
-    zero = GeneralizedLinearModel(d=1, lipschitz_bound=0.0, builder=lambda _: np.zeros((1, 1)))
-    assert lipschitz_audit(zero, [x], trials=10, rng=rng) == 0.0
-    with pytest.raises(ValueError):
-        lipschitz_audit(ident, [x], trials=1, rng=rng)
+def test_model_for_instances_lipschitz_bound_is_exact():
+    # 1x1 feature matrices: the bound is the largest |Phi|, exactly
+    instances = generate_instances("contextual", 3, seed=0, d_context=2)
+    assert model_for_instances(instances, d=1, builder=lambda _: np.eye(1)).lipschitz_bound == 1.0
+    scaled = model_for_instances(instances, d=1, builder=lambda _: 3.0 * np.eye(1))
+    assert scaled.lipschitz_bound == 3.0
+    zero = model_for_instances(instances, d=1, builder=lambda _: np.zeros((1, 1)))
+    assert zero.lipschitz_bound == 0.0

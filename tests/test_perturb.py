@@ -13,7 +13,6 @@ from perturbopt.perturb import (
     chi_tail,
     crn_risk_surface,
     exact_policy_distribution,
-    p_lambda,
     perturbation_block,
     regularized_risk,
     sample_perturbation,
@@ -88,9 +87,8 @@ def test_perturbation_block_is_crn():
 def test_p_lambda_gaussian_cdf_closed_form():
     instances, _, _ = contextual_setup()
     x = instances[0]
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=8192, master_seed=0)
-    p, se = p_lambda(x.polytope, np.array([0.3]), np.array([1.0]), spec)
-    assert se == 0.0  # closed form
+    probs = exact_policy_distribution(x.polytope, np.array([0.3]), 1.0)
+    p = probs[x.polytope.vertices()[:, 0].tolist().index(1.0)]
     assert p == pytest.approx(norm.cdf(0.3))
     assert p == pytest.approx(0.61791, abs=1e-5)
 
@@ -149,13 +147,6 @@ def test_exact_policy_distribution_is_norm_cdf_bitwise():
             p_21 = float(norm.cdf((theta[0] - theta[1]) / lam))
             want = [p_21 if v[0] == 2.0 else 1.0 - p_21 for v in perm2.vertices()]
             assert probs.tolist() == want
-
-
-def test_p_lambda_requires_positive_lambda():
-    instances, _, _ = contextual_setup()
-    spec = PerturbationSpec(lam=0.0, epsilon0=0.0)
-    with pytest.raises(ValueError):
-        p_lambda(instances[0].polytope, np.array([0.3]), np.array([1.0]), spec)
 
 
 # ---------------------------------------------------------------------------

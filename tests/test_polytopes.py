@@ -281,9 +281,9 @@ def test_uncentered_span_is_full_dimensional():
 
 def test_enumeration_cap():
     big = Permutahedron(8)  # 40320 vertices > cap
-    assert not big.enumerable
     with pytest.raises(EnumerationUnavailable):
         big.vertices()
+    assert big.vertex_count() == 40320
     # the oracle still works above the cap
     res = linear_oracle(big, np.arange(8.0))
     assert res.y.tolist() == [float(i) for i in range(1, 9)]
@@ -295,7 +295,6 @@ def test_vsp_enumeration_stops_at_cap_on_dense_dag():
     n = 14
     arcs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     poly = VspFlow(n, arcs)
-    assert not poly.enumerable
     with pytest.raises(EnumerationUnavailable):
         poly.vertices()
     with pytest.raises(EnumerationUnavailable):

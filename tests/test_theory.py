@@ -36,8 +36,6 @@ def test_boundcheck_pass_logic():
     assert BoundCheck("a", lhs=1.0, rhs=1.0).passed
     assert BoundCheck("b", lhs=1.1, rhs=1.0, se_lhs=0.05).passed  # within 3 se
     assert not BoundCheck("c", lhs=1.2, rhs=1.0, se_lhs=0.05).passed
-    row = BoundCheck("d", lhs=0.5, rhs=1.0, metadata={"lambda": 0.1}).row()
-    assert row["passed"] == 1 and row["param_lambda"] == 0.1
 
 
 def test_fit_loglog_recovers_slope():
