@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 
 
 def _oracle_equivalence(cfg: ExperimentConfig, fault: str | None):
-    rng = substream(cfg.master_seed, "check/oracle")
+    rng = substream(cfg.get("master_seed"), "check/oracle")
     cases = [
         (Permutahedron(4), 300),
         (VspFlow(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3), (2, 4)]), 100),
@@ -40,8 +40,8 @@ def _oracle_equivalence(cfg: ExperimentConfig, fault: str | None):
 
 
 def _plambda_closed_form(cfg: ExperimentConfig, fault: str | None):
-    x = generate_instances("contextual", 1, cfg.master_seed, d_context=1)[0]
-    rng = substream(cfg.master_seed, "check/plambda")
+    x = generate_instances("contextual", 1, cfg.get("master_seed"), d_context=1)[0]
+    rng = substream(cfg.get("master_seed"), "check/plambda")
     worst = 0.0
     for theta in (-0.6, -0.1, 0.0, 0.3, 1.2):
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -58,12 +58,12 @@ def _plambda_closed_form(cfg: ExperimentConfig, fault: str | None):
 
 
 def _lipschitz(cfg: ExperimentConfig, fault: str | None):
-    instances = generate_instances("contextual", 4, cfg.master_seed, d_context=2)
+    instances = generate_instances("contextual", 4, cfg.get("master_seed"), d_context=2)
     model = model_for_instances(instances, d=2)
     space = ParamSpace.symmetric(2)
     checks = check_lipschitz_lemmas(
         instances, lam=0.5, trials=200, model=model, space=space,
-        master_seed=cfg.master_seed,
+        master_seed=cfg.get("master_seed"),
     )
     failed = [c for c in checks if not c.passed]
     if failed:
@@ -83,17 +83,18 @@ def _gauss_tail(cfg: ExperimentConfig, fault: str | None):
 
 
 def _bias_bounds(cfg: ExperimentConfig, fault: str | None):
-    instances = generate_instances("contextual", 40, cfg.master_seed, d_context=2)
+    instances = generate_instances("contextual", 40, cfg.get("master_seed"), d_context=2)
     model = model_for_instances(instances, d=2)
     space = ParamSpace.symmetric(2)
+    eps0 = cfg.get("perturb.epsilon0")
     spec = PerturbationSpec(
-        lam=1.0, epsilon0=cfg.epsilon0, mc_samples=cfg.mc_samples,
-        master_seed=cfg.master_seed,
+        lam=1.0, epsilon0=eps0, mc_samples=cfg.get("perturb.samples"),
+        master_seed=cfg.get("master_seed"),
     )
-    w = space.sample(substream(cfg.master_seed, "check/bias_w"), 1)[0]
+    w = space.sample(substream(cfg.get("master_seed"), "check/bias_w"), 1)[0]
     checks, _ = check_bias_bound(
         w, instances, default_cost_oracle("contextual"), [0.01, 0.03, 0.1, 0.3, 1.0],
-        cfg.epsilon0, model, space, spec,
+        eps0, model, space, spec,
     )
     failed = [c for c in checks if not c.passed]
     if failed:
@@ -112,12 +113,5 @@ CHECKS = {
 
 
 def run_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    names = cfg.check.get("names")
-    if names is None:
-        names = list(CHECKS)
-    fault = cfg.check.get("inject_fault")
-    results = []
-    for name in names:
-        passed, detail = CHECKS[name](cfg, fault)
-        results.append((name, passed, detail))
-    return results
+    fault = cfg.get("check.inject_fault")
+    return [(name, *CHECKS[name](cfg, fault)) for name in cfg.get("check.names", list(CHECKS))]

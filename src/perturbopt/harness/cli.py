@@ -2,7 +2,10 @@
 
 Subcommands: generate, train, sweep (bias|nprocess|ksos), check.
 Exit codes: 0 ok, 1 check/assert failure, 2 config error, 3 solver
-failure.  The default output root comes from $PERTURBOPT_OUT.
+failure.  ``config.SCHEMA`` is the reference for the config keys and their
+defaults; every value outside a key's type, bound or choices, and every
+kSoS setting ``KsosConfig.validate`` rejects, exits 2 before any solve.
+The default output root comes from $PERTURBOPT_OUT.
 """
 
 from __future__ import annotations
@@ -57,9 +60,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> tuple[ExperimentConfig, str]:
-    cfg = load_config(args.config)
-    if args.seed_override is not None:
-        cfg.master_seed = args.seed_override
+    cfg = load_config(args.config, master_seed=args.seed_override)
     out_dir = cfg.resolve_output_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     return cfg, out_dir
@@ -78,14 +79,13 @@ def cmd_generate(args) -> int:
         out_dir, cfg.to_doc(),
         seed_labels={"train": "dataset/train", "test": "dataset/test"},
     )
+    name, params, seed = cfg.get("domain.name"), cfg.get("domain.params"), cfg.get("master_seed")
     with manifest.time("generate"):
         train = generate_instances(
-            cfg.domain_name, cfg.n_train,
-            spawn_seed(cfg.master_seed, "dataset/train"), **cfg.domain_params,
+            name, cfg.get("domain.n_train"), spawn_seed(seed, "dataset/train"), **params
         )
         test = generate_instances(
-            cfg.domain_name, cfg.n_test,
-            spawn_seed(cfg.master_seed, "dataset/test"), **cfg.domain_params,
+            name, cfg.get("domain.n_test"), spawn_seed(seed, "dataset/test"), **params
         )
         train_path = os.path.join(out_dir, TRAIN_FILE)
         test_path = os.path.join(out_dir, TEST_FILE)
@@ -99,8 +99,32 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _ksos_config(cfg: ExperimentConfig) -> KsosConfig:
+    """The kSoS settings of cfg; a setting KsosConfig rejects is a config
+    problem under optimizer."""
+    m, s, d = cfg.get("optimizer.M"), cfg.get("optimizer.s"), cfg.get("model.d")
+    lam_phi = cfg.get("optimizer.lambda_phi")
+    if lam_phi is None:
+        lam_phi = lambda_phi_schedule(
+            m, s, d, delta=cfg.get("optimizer.delta"), cbar=cfg.get("optimizer.cbar")
+        )
+    ks_cfg = KsosConfig(
+        M=m, s=s, lambda_phi=lam_phi, length_scale=cfg.get("optimizer.length_scale"),
+        seed=spawn_seed(cfg.get("master_seed"), "train/ksos"),
+    )
+    try:
+        ks_cfg.validate(d)
+    except ValueError as exc:
+        raise ConfigError([f"optimizer: {exc}"])
+    return ks_cfg
+
+
 def cmd_train(args) -> int:
     cfg, out_dir = _load(args)
+    kind, d, seed = cfg.get("optimizer.kind"), cfg.get("model.d"), cfg.get("master_seed")
+    ks_cfg = _ksos_config(cfg) if kind == "ksos" else None
+    # the matched random search gets the budget of the optimizer that runs
+    budget = ks_cfg.M if ks_cfg is not None else cfg.get("optimizer.budget")
     train_path = os.path.join(out_dir, TRAIN_FILE)
     if not os.path.exists(train_path):
         print(f"error: dataset {train_path} not found; run generate first", file=sys.stderr)
@@ -108,36 +132,20 @@ def cmd_train(args) -> int:
     train = load_instances(train_path)
     test = load_instances(os.path.join(out_dir, TEST_FILE))
 
-    model = model_for_instances(train, d=cfg.model_d)
-    space = ParamSpace.symmetric(cfg.model_d)
-    oracle = default_cost_oracle(cfg.domain_name)
+    model = model_for_instances(train, d=d)
+    space = ParamSpace.symmetric(d)
+    oracle = default_cost_oracle(cfg.get("domain.name"))
     spec = PerturbationSpec(
-        lam=cfg.lam, epsilon0=cfg.epsilon0, mc_samples=cfg.mc_samples,
-        master_seed=cfg.master_seed,
+        lam=cfg.get("perturb.lambda"), epsilon0=cfg.get("perturb.epsilon0"),
+        mc_samples=cfg.get("perturb.samples"), master_seed=seed,
     )
     surface = crn_risk_surface(train, oracle, model, space, spec)
 
-    opt = cfg.optimizer
-    kind = opt.get("kind", "ksos")
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     status = EXIT_OK
     result_doc: dict = {"optimizer": kind}
 
-    if kind == "ksos":
-        m = int(opt.get("M", 96))
-        s = float(opt.get("s", 2.5))
-        lam_phi = opt.get("lambda_phi")
-        if lam_phi is None:
-            lam_phi = lambda_phi_schedule(
-                m, s, cfg.model_d,
-                delta=float(opt.get("delta", 0.1)),
-                cbar=float(opt.get("cbar", 1.0)),
-            )
-        ks_cfg = KsosConfig(
-            M=m, s=s, lambda_phi=float(lam_phi),
-            length_scale=opt.get("length_scale"),
-            seed=spawn_seed(cfg.master_seed, "train/ksos"),
-        )
+    if ks_cfg is not None:
         try:
             with manifest.time("ksos"):
                 result = ksos_minimize(surface, space, ks_cfg)
@@ -152,34 +160,31 @@ def cmd_train(args) -> int:
         f0_inf = max(abs(b) for x in train for b in oracle.bounds(x))
         try:
             norm_bound, trace_bound = glm_smoothness_estimates(
-                model, train, cfg.lam, s, cfg.model_d, f0_inf, space
+                model, train, spec.lam, ks_cfg.s, d, f0_inf, space
             )
             result_doc["certificate_inputs"] = {
                 "sobolev_norm_bound": norm_bound,
                 "trace_bound": trace_bound,
-                "lambda_phi": float(lam_phi),
+                "lambda_phi": ks_cfg.lambda_phi,
             }
             result_doc["certified_optimality_bound"] = certificate(
-                result.aposteriori_gap, trace_bound, norm_bound, float(lam_phi)
+                result.aposteriori_gap, trace_bound, norm_bound, ks_cfg.lambda_phi
             )
         except ValueError as exc:
             result_doc["certificate_inputs"] = {"skipped": str(exc)}
     else:
-        budget = int(opt.get("budget", 96))
         with manifest.time(kind):
             w_hat, value = baseline_minimize(
-                surface, space, kind, budget,
-                seed=spawn_seed(cfg.master_seed, "train/baseline"),
+                surface, space, kind, budget, seed=spawn_seed(seed, "train/baseline")
             )
         result_doc.update({"w_hat": w_hat.tolist(), "value": value})
 
     with manifest.time("evaluation"):
         train_report = regularized_risk(w_hat, train, oracle, model, space, spec)
-        random_ws = space.sample(substream(cfg.master_seed, "train/random_policies"), 20)
-        budget = int(opt.get("M", opt.get("budget", 96)))
+        random_ws = space.sample(substream(seed, "train/random_policies"), 20)
         base_w, base_v = baseline_minimize(
             surface, space, "randomsearch", budget,
-            seed=spawn_seed(cfg.master_seed, "train/baseline_matched"),
+            seed=spawn_seed(seed, "train/baseline_matched"),
         )
         # one pass over the test set: each noise block is drawn once for all 22 w
         test_report, *random_reports, base_test = regularized_risk(
@@ -215,7 +220,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, out_dir = _load(args)
-    threads = args.threads if args.threads is not None else cfg.threads
+    threads = args.threads if args.threads is not None else cfg.get("threads")
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     runner = {
         "bias": run_bias_sweep,

@@ -1,28 +1,26 @@
 """Experiment configuration: one YAML file drives a whole experiment.
 
-Validation reports every offending key path so a bad config fails loudly
-(CLI exit code 2) before any computation starts.
+``SCHEMA`` is the reference for the config format: every key the program
+reads, by dotted path, with its default, its type and its lower bound or
+allowed values.  ``ExperimentConfig.get(path)`` returns the typed value or
+the default.  Validation reports every offending key path, so every value
+of the wrong type, below its bound or outside its choices fails loudly
+(CLI exit code 2) before any computation starts.  An integer key takes a
+YAML integer only; a number key takes anything ``float()`` parses except a
+bool.  Keys the schema does not list are ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
 CONFIG_VERSION = 1
 OUTPUT_ENV_VAR = "PERTURBOPT_OUT"
-
-KNOWN_DOMAINS = ("scheduling", "stovsp", "contextual")
-KNOWN_OPTIMIZERS = ("ksos", "randomsearch", "neldermead")
-KNOWN_CHECKS = (
-    "oracle_equivalence",
-    "plambda_closed_form",
-    "lipschitz",
-    "gauss_tail",
-    "bias_bounds",
-)
 
 
 class ConfigError(ValueError):
@@ -31,193 +29,174 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
-@dataclass
+NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a mapping"}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key.  A list key with an ``item`` type is a grid: a
+    nonempty sorted list of those.  A ``low`` bound is inclusive unless
+    ``strict``.  A default of None means the reader derives the value, and
+    null is then accepted too."""
+
+    default: object
+    kind: type
+    low: float | None = None
+    strict: bool = False
+    choices: tuple = ()
+    item: type | None = None
+
+    def convert(self, val):
+        """val as this key's type; ValueError says what is wrong with it."""
+        if self.choices:
+            items = val if self.kind is list else [val]
+            ok = isinstance(val, self.kind) and all(v in self.choices for v in items)
+            need = ("a list of " if self.kind is list else "one of ") + ", ".join(self.choices)
+        elif self.item:
+            ok = isinstance(val, list) and val and all(_is(self.item, v) for v in val)
+            ok = ok and sorted(val) == val
+            need = f"a nonempty sorted list of {'numbers' if self.item is float else 'integers'}"
+        else:
+            if self.kind is float and not isinstance(val, bool):
+                with contextlib.suppress(TypeError, ValueError, OverflowError):
+                    val = float(val)
+            ok = isinstance(val, float) if self.kind is float else _is(self.kind, val)
+            need = NOUNS[self.kind]
+            if ok and self.low is not None and not (val > self.low if self.strict else val >= self.low):
+                ok, need = False, f"{'>' if self.strict else '>='} {self.low}"
+        if not ok:
+            raise ValueError(f"must be {need}, got {val!r}")
+        return copy.deepcopy(val)
+
+
+def _is(kind: type, val) -> bool:
+    """val is of kind, where a bool is no number and an int is a float."""
+    if kind in (int, float) and isinstance(val, bool):
+        return False
+    return isinstance(val, (int, float) if kind is float else kind)
+
+
+SCHEMA = {
+    "master_seed": Key(7, int),
+    "output_dir": Key(None, str),  # None: --out, else $PERTURBOPT_OUT, else "out"
+    "threads": Key(1, int, low=1),
+    "domain.name": Key("scheduling", str, choices=("scheduling", "stovsp", "contextual")),
+    "domain.params": Key({}, dict),  # keyword arguments of the instance generator
+    "domain.n_train": Key(48, int, low=1),
+    "domain.n_test": Key(256, int, low=1),
+    "model.d": Key(2, int, low=1),
+    "perturb.lambda": Key(0.1, float, low=0.0),
+    "perturb.epsilon0": Key(1e-3, float, low=0.0),
+    "perturb.samples": Key(512, int, low=1),
+    "optimizer.kind": Key("ksos", str, choices=("ksos", "randomsearch", "neldermead")),
+    "optimizer.M": Key(96, int, low=1),
+    "optimizer.s": Key(2.5, float),
+    "optimizer.lambda_phi": Key(None, float),  # None: lambda_phi_schedule(M, s, d, delta, cbar)
+    "optimizer.delta": Key(0.1, float, low=0.0, strict=True),
+    "optimizer.cbar": Key(1.0, float, low=0.0),
+    "optimizer.length_scale": Key(None, float, low=0.0, strict=True),  # None: diam(W) / 4
+    "optimizer.budget": Key(96, int, low=1),
+    "sweeps.bias.lambda_grid": Key([0.01, 0.03, 0.1, 0.3, 1.0], list, item=float),
+    "sweeps.bias.n_pairs": Key(100, int, low=1),
+    "sweeps.bias.n_instances": Key(60, int, low=1),
+    "sweeps.nprocess.n_grid": Key([64, 128, 256, 512, 1024, 2048, 4096], list, item=int),
+    "sweeps.nprocess.seeds": Key(20, int, low=1),
+    "sweeps.nprocess.lambda": Key(0.5, float, low=0.0, strict=True),
+    "sweeps.nprocess.d_context": Key(2, int, low=1),
+    "sweeps.nprocess.w_grid": Key(128, int, low=1),
+    "sweeps.nprocess.pool": Key(100_000, int, low=1),
+    "sweeps.nprocess.delta": Key(0.1, float, low=0.0, strict=True),
+    "sweeps.nprocess.dudley_constant": Key(24.0, float, low=0.0),
+    "sweeps.ksos.m_grid": Key([32, 64, 128, 256], list, item=int),
+    "sweeps.ksos.seeds": Key(10, int, low=1),
+    "sweeps.ksos.d": Key(1, int, low=1),
+    "sweeps.ksos.s": Key(None, float),  # None: optimizer.s, else 2.0 for d = 1 and 2.5 otherwise
+    "check.names": Key(  # None: every check
+        None, list,
+        choices=("oracle_equivalence", "plambda_closed_form", "lipschitz", "gauss_tail", "bias_bounds"),
+    ),
+    "check.inject_fault": Key(None, str),
+}
+
+_UNSET = object()
+
+
+def _raw(doc: dict, path: str, problems: list[str]):
+    """The value at the dotted path, or _UNSET where it is absent.  A value
+    on the way that is not a mapping is appended to problems, once."""
+    *parents, name = path.split(".")
+    node = doc
+    for depth, part in enumerate(parents, 1):
+        node = node.get(part, {})
+        if not isinstance(node, dict):
+            problem = f"{'.'.join(parents[:depth])}: must be a mapping"
+            if problem not in problems:
+                problems.append(problem)
+            return _UNSET
+    return node.get(name, _UNSET)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    master_seed: int = 7
-    output_dir: str | None = None
-    threads: int = 1
-    domain: dict = field(default_factory=lambda: {"name": "scheduling"})
-    model: dict = field(default_factory=dict)
-    perturb: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
-    sweeps: dict = field(default_factory=dict)
-    check: dict = field(default_factory=dict)
+    """A validated config document; read it through ``get``."""
 
-    # -- accessors with defaults -------------------------------------------
-    @property
-    def domain_name(self) -> str:
-        return self.domain.get("name", "scheduling")
+    doc: dict
 
-    @property
-    def domain_params(self) -> dict:
-        return dict(self.domain.get("params", {}))
-
-    @property
-    def n_train(self) -> int:
-        return int(self.domain.get("n_train", 48))
-
-    @property
-    def n_test(self) -> int:
-        return int(self.domain.get("n_test", 256))
-
-    @property
-    def model_d(self) -> int:
-        return int(self.model.get("d", 2))
-
-    @property
-    def lam(self) -> float:
-        return float(self.perturb.get("lambda", 0.1))
-
-    @property
-    def epsilon0(self) -> float:
-        return float(self.perturb.get("epsilon0", 1e-3))
-
-    @property
-    def mc_samples(self) -> int:
-        return int(self.perturb.get("samples", 512))
+    def get(self, path: str, default=_UNSET):
+        """The typed value at the dotted ``path``.  Where the document does
+        not set it: ``default`` if given (for a default that depends on other
+        values), else SCHEMA's default."""
+        val = _raw(self.doc, path, [])
+        if val is _UNSET or val is None:
+            return copy.deepcopy(SCHEMA[path].default) if default is _UNSET else default
+        return SCHEMA[path].convert(val)
 
     def resolve_output_dir(self, override: str | None = None) -> str:
-        if override:
-            return override
-        if self.output_dir:
-            return self.output_dir
-        return os.environ.get(OUTPUT_ENV_VAR, "out")
+        return override or self.get("output_dir") or os.environ.get(OUTPUT_ENV_VAR, "out")
 
     def to_doc(self) -> dict:
+        """The document as loaded, with the top-level defaults filled in."""
         return {
             "version": CONFIG_VERSION,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "threads": self.threads,
-            "domain": self.domain,
-            "model": self.model,
-            "perturb": self.perturb,
-            "optimizer": self.optimizer,
-            "sweeps": self.sweeps,
-            "check": self.check,
+            "master_seed": self.get("master_seed"),
+            "output_dir": self.get("output_dir"),
+            "threads": self.get("threads"),
+            "domain": self.doc.get("domain", {"name": self.get("domain.name")}),
+            **{k: self.doc.get(k, {}) for k in ("model", "perturb", "optimizer", "sweeps", "check")},
         }
 
 
-def _validate(doc: dict) -> list[str]:
-    problems = []
-
-    def expect(cond, msg):
-        if not cond:
-            problems.append(msg)
-
-    def number(val, path):
-        """val as a float, or None with a problem reported."""
-        try:
-            return float(val)
-        except (TypeError, ValueError):
-            problems.append(f"{path}: must be a number, got {val!r}")
-            return None
-
-    expect(isinstance(doc, dict), "top level: must be a mapping")
-    if not isinstance(doc, dict):
-        return problems
-    version = doc.get("version", CONFIG_VERSION)
-    expect(version == CONFIG_VERSION, f"version: unsupported value {version!r}")
-
-    seed = doc.get("master_seed", 7)
-    expect(isinstance(seed, int), "master_seed: must be an integer")
-    threads = doc.get("threads", 1)
-    expect(isinstance(threads, int) and threads >= 1, "threads: must be a positive integer")
-
-    domain = doc.get("domain", {})
-    expect(isinstance(domain, dict), "domain: must be a mapping")
-    if isinstance(domain, dict):
-        name = domain.get("name", "scheduling")
-        expect(name in KNOWN_DOMAINS, f"domain.name: unknown domain {name!r}")
-        for key in ("n_train", "n_test"):
-            val = domain.get(key)
-            if val is not None:
-                expect(isinstance(val, int) and val >= 1, f"domain.{key}: must be >= 1")
-
-    model = doc.get("model", {})
-    expect(isinstance(model, dict), "model: must be a mapping")
-    if isinstance(model, dict):
-        d = model.get("d", 2)
-        expect(isinstance(d, int) and d >= 1, "model.d: must be a positive integer")
-
-    eps0 = 1e-3
-    perturb = doc.get("perturb", {})
-    expect(isinstance(perturb, dict), "perturb: must be a mapping")
-    if isinstance(perturb, dict):
-        lam = number(perturb.get("lambda", 0.1), "perturb.lambda")
-        eps0 = number(perturb.get("epsilon0", 1e-3), "perturb.epsilon0")
-        if lam is not None:
-            expect(lam >= 0.0, "perturb.lambda: must be >= 0")
-        if eps0 is not None:
-            expect(eps0 >= 0.0, "perturb.epsilon0: must be >= 0")
-        if lam is not None and eps0 is not None:
-            expect(lam >= eps0, "perturb.lambda: must be >= perturb.epsilon0")
-        samples = perturb.get("samples", 512)
-        expect(
-            isinstance(samples, int) and samples >= 1, "perturb.samples: must be >= 1"
-        )
-
-    optimizer = doc.get("optimizer", {})
-    expect(isinstance(optimizer, dict), "optimizer: must be a mapping")
-    if isinstance(optimizer, dict):
-        kind = optimizer.get("kind", "ksos")
-        expect(kind in KNOWN_OPTIMIZERS, f"optimizer.kind: unknown kind {kind!r}")
-
-    sweeps = doc.get("sweeps", {})
-    expect(isinstance(sweeps, dict), "sweeps: must be a mapping")
-    if isinstance(sweeps, dict):
-        for grid_key, sweep_key in (
-            ("lambda_grid", "bias"),
-            ("n_grid", "nprocess"),
-            ("m_grid", "ksos"),
-        ):
-            section = sweeps.get(sweep_key, {})
-            if isinstance(section, dict) and grid_key in section:
-                grid = section[grid_key]
-                ok = (
-                    isinstance(grid, list)
-                    and len(grid) > 0
-                    and all(isinstance(v, (int, float)) for v in grid)
-                    and sorted(grid) == grid
-                )
-                expect(ok, f"sweeps.{sweep_key}.{grid_key}: must be a nonempty sorted list")
-                if ok and sweep_key == "bias" and eps0 is not None:
-                    for lam in grid:
-                        expect(
-                            lam >= eps0,
-                            f"sweeps.bias.lambda_grid: value {lam} below epsilon0 {eps0}",
-                        )
-
-    check = doc.get("check", {})
-    expect(isinstance(check, dict), "check: must be a mapping")
-    if isinstance(check, dict):
-        names = check.get("names")
-        if names is not None:
-            expect(isinstance(names, list), "check.names: must be a list")
-            if isinstance(names, list):
-                for n in names:
-                    expect(n in KNOWN_CHECKS, f"check.names: unknown check {n!r}")
-    return problems
-
-
 def config_from_doc(doc: dict) -> ExperimentConfig:
-    problems = _validate(doc)
+    """doc checked against SCHEMA, then across fields; ConfigError lists
+    every problem."""
+    if not isinstance(doc, dict):
+        raise ConfigError(["top level: must be a mapping"])
+    version = doc.get("version", CONFIG_VERSION)
+    problems = [] if version == CONFIG_VERSION else [f"version: unsupported value {version!r}"]
+    for path, key in SCHEMA.items():
+        val = _raw(doc, path, problems)
+        if val is not _UNSET and (val is not None or key.default is not None):
+            try:
+                key.convert(val)
+            except ValueError as exc:
+                problems.append(f"{path}: {exc}")
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        master_seed=doc.get("master_seed", 7),
-        output_dir=doc.get("output_dir"),
-        threads=doc.get("threads", 1),
-        domain=doc.get("domain", {"name": "scheduling"}),
-        model=doc.get("model", {}),
-        perturb=doc.get("perturb", {}),
-        optimizer=doc.get("optimizer", {}),
-        sweeps=doc.get("sweeps", {}),
-        check=doc.get("check", {}),
-    )
+    cfg = ExperimentConfig(doc)
+    eps0 = cfg.get("perturb.epsilon0")
+    if cfg.get("perturb.lambda") < eps0:
+        problems.append("perturb.lambda: must be >= perturb.epsilon0")
+    # only a grid the document sets: a run that sweeps nothing keeps any epsilon0
+    for lam in cfg.get("sweeps.bias.lambda_grid", []):
+        if lam < eps0:
+            problems.append(f"sweeps.bias.lambda_grid: value {lam} below epsilon0 {eps0}")
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, master_seed: int | None = None) -> ExperimentConfig:
+    """The config at path; ``master_seed`` overrides the document's."""
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -229,5 +208,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError([f"{path}: YAML parse error{loc}: {exc}"])
     if doc is None:
         doc = {}
+    if master_seed is not None and isinstance(doc, dict):
+        doc["master_seed"] = master_seed
     return config_from_doc(doc)
-

@@ -49,28 +49,25 @@ def _parallel_map(fn, items, threads: int):
 def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
     """Bias bounds over a lambda grid at random w.  Runs on contextual
     instances with d_context = model.d whatever the configured domain,
-    until the sweep follows cfg.domain (ROADMAP 5)."""
-    sweep = cfg.sweeps.get("bias", {})
-    lambda_grid = sweep.get("lambda_grid", [0.01, 0.03, 0.1, 0.3, 1.0])
-    n_pairs = int(sweep.get("n_pairs", 100))
-    n_instances = int(sweep.get("n_instances", 60))
-    eps0 = cfg.epsilon0
-    n_w = max(1, n_pairs // len(lambda_grid))
+    until the sweep follows domain.name (ROADMAP 5)."""
+    lambda_grid = cfg.get("sweeps.bias.lambda_grid")
+    eps0, d, seed = cfg.get("perturb.epsilon0"), cfg.get("model.d"), cfg.get("master_seed")
+    n_w = max(1, cfg.get("sweeps.bias.n_pairs") // len(lambda_grid))
 
     instances = generate_instances(
-        "contextual", n_instances, spawn_seed(cfg.master_seed, "sweep/bias/instances"),
-        d_context=cfg.model_d,
+        "contextual", cfg.get("sweeps.bias.n_instances"),
+        spawn_seed(seed, "sweep/bias/instances"), d_context=d,
     )
     oracle = default_cost_oracle("contextual")
-    model = model_for_instances(instances, d=cfg.model_d)
-    space = ParamSpace.symmetric(cfg.model_d)
+    model = model_for_instances(instances, d=d)
+    space = ParamSpace.symmetric(d)
     spec = PerturbationSpec(
-        lam=max(lambda_grid), epsilon0=eps0, mc_samples=cfg.mc_samples,
-        master_seed=cfg.master_seed,
+        lam=max(lambda_grid), epsilon0=eps0, mc_samples=cfg.get("perturb.samples"),
+        master_seed=seed,
     )
 
     def one_w(i):
-        w = space.sample(substream(cfg.master_seed, f"sweep/bias/w/{i}"), 1)[0]
+        w = space.sample(substream(seed, f"sweep/bias/w/{i}"), 1)[0]
         checks, fit = check_bias_bound(
             w, instances, oracle, lambda_grid, eps0, model, space, spec
         )
@@ -134,22 +131,19 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str
 
 
 def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
-    sweep = cfg.sweeps.get("nprocess", {})
-    n_grid = sweep.get("n_grid", [64, 128, 256, 512, 1024, 2048, 4096])
-    seeds = int(sweep.get("seeds", 20))
-    lam = float(sweep.get("lambda", 0.5))
-    d_context = int(sweep.get("d_context", 2))
+    lam = cfg.get("sweeps.nprocess.lambda")
+    d_context = cfg.get("sweeps.nprocess.d_context")
     result = check_empirical_process(
-        n_grid=n_grid,
+        n_grid=cfg.get("sweeps.nprocess.n_grid"),
         lam=lam,
-        n_seeds=seeds,
-        master_seed=cfg.master_seed,
+        n_seeds=cfg.get("sweeps.nprocess.seeds"),
+        master_seed=cfg.get("master_seed"),
         space=ParamSpace.symmetric(d_context),
         d_context=d_context,
-        w_grid_size=int(sweep.get("w_grid", 128)),
-        pool_size=int(sweep.get("pool", 100_000)),
-        delta=float(sweep.get("delta", 0.1)),
-        dudley_constant=float(sweep.get("dudley_constant", 24.0)),
+        w_grid_size=cfg.get("sweeps.nprocess.w_grid"),
+        pool_size=cfg.get("sweeps.nprocess.pool"),
+        delta=cfg.get("sweeps.nprocess.delta"),
+        dudley_constant=cfg.get("sweeps.nprocess.dudley_constant"),
     )
     rows = [
         {
@@ -211,21 +205,18 @@ def quadratic_certificate_bounds(
 
 
 def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
-    sweep = cfg.sweeps.get("ksos", {})
-    m_grid = [int(m) for m in sweep.get("m_grid", [32, 64, 128, 256])]
-    seeds = int(sweep.get("seeds", 10))
-    d = int(sweep.get("d", 1))
-    s = float(sweep.get("s", cfg.optimizer.get("s", 2.0 if d == 1 else 2.5)))
-    cbar = float(cfg.optimizer.get("cbar", 1.0))
-    delta = float(cfg.optimizer.get("delta", 0.1))
+    m_grid, d = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d")
+    s = cfg.get("sweeps.ksos.s", cfg.get("optimizer.s", 2.0 if d == 1 else 2.5))
+    cbar, delta = cfg.get("optimizer.cbar"), cfg.get("optimizer.delta")
     space = ParamSpace.symmetric(d)
-    ell = cfg.optimizer.get("length_scale") or space.diameter() / 4.0
+    ell = cfg.get("optimizer.length_scale", space.diameter() / 4.0)
+    master_seed = cfg.get("master_seed")
 
-    grid_oracle = space.sample(substream(cfg.master_seed, "sweep/ksos/oracle"), 10_000)
+    grid_oracle = space.sample(substream(master_seed, "sweep/ksos/oracle"), 10_000)
 
     def one_cell(cell):
         m, seed_idx = cell
-        seed = spawn_seed(cfg.master_seed, f"sweep/ksos/{m}/{seed_idx}")
+        seed = spawn_seed(master_seed, f"sweep/ksos/{m}/{seed_idx}")
         target = space.sample(substream(seed, "target"), 1)[0] * 0.6
         surface = lambda w: float(np.sum((np.asarray(w) - target) ** 2))
         lam_phi = lambda_phi_schedule(m, s, d, delta=delta, cbar=cbar)
@@ -251,7 +242,7 @@ def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str
             "converged": int(result.converged),
         }
 
-    cells = [(m, s_idx) for m in m_grid for s_idx in range(seeds)]
+    cells = [(m, s_idx) for m in m_grid for s_idx in range(cfg.get("sweeps.ksos.seeds"))]
     rows = _parallel_map(one_cell, cells, threads)
     path = write_csv(
         os.path.join(out_dir, "sweep_ksos.csv"),

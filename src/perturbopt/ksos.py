@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,7 +438,6 @@ def glm_smoothness_estimates(
     d: int,
     f0_inf: float,
     space: ParamSpace,
-    fallback: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """(Sobolev-norm bound, trace bound) for the risk surface of a
     generalized linear embedding, as pure lam^{-s_tilde} power laws with
@@ -459,13 +457,10 @@ def glm_smoothness_estimates(
         gramian = phi.T @ phi
         rank = np.linalg.matrix_rank(gramian)
         if rank < d:
-            if fallback is None:
-                raise ValueError(
-                    f"feature matrix of instance {x.index} is rank deficient "
-                    f"(rank {rank} < {d}); supply fallback bounds"
-                )
-            warnings.warn("rank-deficient feature matrix; using fallback bounds")
-            return fallback
+            raise ValueError(
+                f"feature matrix of instance {x.index} is rank deficient "
+                f"(rank {rank} < {d}); the closed-form bounds need full column rank"
+            )
         # Z = Phi Z' + Z'' with cov(Z') = (Phi^T Phi)^{-1} / d(x)
         sigma_w = np.linalg.inv(gramian) / x.dim
         eigvals = np.linalg.eigvalsh(sigma_w)

@@ -297,14 +297,15 @@ def regularized_risk(
     return reports if np.ndim(w) == 2 else reports[0]
 
 
-def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec, mode="montecarlo"):
+def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     """The fixed deterministic map w -> empirical regularized risk.
 
     Noise blocks are drawn once and reused for every w, so repeated calls
     are bit-identical; suitable as the kernel-SoS objective.  The values
-    are those of regularized_risk, summed left to right over the instances.
+    are those of the montecarlo regularized_risk, summed left to right over
+    the instances.
     """
-    mode = _validated_mode(instances, mode)
+    mode = _validated_mode(instances, "montecarlo")
     blocks = None
     if spec.lam > 0.0:
         blocks = [perturbation_block(spec, x.index, x.dim) for x in instances]

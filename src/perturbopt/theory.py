@@ -175,20 +175,19 @@ def check_bias_bound(
     model: GeneralizedLinearModel,
     space: ParamSpace,
     spec: PerturbationSpec,
-    mode: str = "exactenum",
 ) -> tuple[list[BoundCheck], ScalingFit]:
     """Both risk-perturbation inequalities on a lambda grid, plus the
     log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
-    ``oracle`` of the instances."""
+    ``oracle`` of the instances, with exactenum risks."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
     osc = osc_bound(oracle, instances)
     base = regularized_risk(
-        w, instances, oracle, model, space, spec.with_lambda(0.0, 0.0), mode=mode
+        w, instances, oracle, model, space, spec.with_lambda(0.0, 0.0), mode="exactenum"
     )
     r_eps = regularized_risk(
-        w, instances, oracle, model, space, spec.with_lambda(epsilon0, 0.0), mode=mode
+        w, instances, oracle, model, space, spec.with_lambda(epsilon0, 0.0), mode="exactenum"
     )
     v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []
@@ -196,7 +195,7 @@ def check_bias_bound(
     v_prev = -np.inf
     for lam, v in zip(lambda_grid, v_grid):
         r_lam = regularized_risk(
-            w, instances, oracle, model, space, spec.with_lambda(lam, 0.0), mode=mode
+            w, instances, oracle, model, space, spec.with_lambda(lam, 0.0), mode="exactenum"
         )
         v_lam = float(v)
         se = r_lam.mc_std_error + base.mc_std_error

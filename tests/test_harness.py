@@ -10,7 +10,7 @@ import yaml
 
 import perturbopt
 from perturbopt.harness.cli import main
-from perturbopt.harness.config import ConfigError, config_from_doc, load_config
+from perturbopt.harness.config import SCHEMA, ConfigError, config_from_doc, load_config
 from perturbopt.harness.manifest import file_digest, load_manifest, verify_manifest
 from perturbopt.problems import load_instances
 
@@ -46,9 +46,34 @@ def read_csv_rows(path):
 
 def test_config_defaults_from_empty_doc():
     cfg = config_from_doc({})
-    assert cfg.master_seed == 7
-    assert cfg.domain_name == "scheduling"
-    assert cfg.lam == 0.1
+    assert cfg.get("master_seed") == 7
+    assert cfg.get("domain.name") == "scheduling"
+    assert cfg.get("perturb.lambda") == 0.1
+
+
+def doc_with(path, value):
+    """A config document that sets only the dotted path."""
+    doc = node = {}
+    *parents, name = path.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[name] = value
+    return doc
+
+
+# values of the wrong type for each kind of key: a bool or a float is no
+# integer, a string is no number, grid, list or mapping, a number no string
+WRONG_TYPE = {int: [True, 96.0], float: ["x", True], list: ["x"], dict: ["x"], str: [5]}
+
+
+@pytest.mark.parametrize("path", list(SCHEMA))
+def test_schema_key_default_and_type(path):
+    key = SCHEMA[path]
+    assert config_from_doc({}).get(path) == key.default
+    for value in WRONG_TYPE[key.kind]:
+        with pytest.raises(ConfigError) as err:
+            config_from_doc(doc_with(path, value))
+        assert any(p.startswith(f"{path}: ") for p in err.value.problems), err.value.problems
 
 
 def test_config_validation_messages():
@@ -81,6 +106,31 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, bad)
     assert main(["generate", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2
     assert "perturb.lambda: must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, patch, key",
+    [
+        ("train", {"optimizer": {"M": "abc"}}, "optimizer.M: "),
+        ("train", {"optimizer": {"M": 0}}, "optimizer.M: "),
+        ("train", {"optimizer": {"M": 2}}, "optimizer: need M >= d + 1"),
+        ("train", {"optimizer": {"s": 1.5}}, "optimizer: need smoothness s > 1 + d/2"),
+        ("train", {"optimizer": {"kind": "randomsearch", "budget": 0}}, "optimizer.budget: "),
+        ("sweep bias", {"sweeps": {"bias": {"n_pairs": "x"}}}, "sweeps.bias.n_pairs: "),
+        ("sweep nprocess", {"sweeps": {"nprocess": {"seeds": "x"}}}, "sweeps.nprocess.seeds: "),
+        ("generate", {"domain": {"n_train": True}}, "domain.n_train: "),
+    ],
+    ids=["M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "n_pairs-x", "seeds-x", "n_train-true"],
+)
+def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, patch, key):
+    # each of these exited 1 with a traceback, or ran on a wrong value
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", write_cfg(tmp_path, TOY), "--out", out]) == 0
+    doc = {k: dict(TOY.get(k, {}), **v) for k, v in patch.items()}
+    cfg_path = write_cfg(tmp_path, dict(TOY, **doc), name="bad.yaml")
+    capsys.readouterr()
+    assert main([*command.split(), "--config", cfg_path, "--out", out]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_config_roundtrip(tmp_path):
@@ -215,6 +265,33 @@ def test_train_evaluation_equals_single_w_calls(trained_run):
     for name, report in (("risk_train.json", train_report), ("risk_test.json", test_report)):
         text = json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
         assert open(os.path.join(out, name)).read() == text
+
+
+@pytest.mark.parametrize(
+    "optimizer, budgets",
+    [
+        # no M: kSoS samples the default 96 points, and so does its match
+        ({"kind": "ksos", "budget": 5}, [96]),
+        ({"kind": "randomsearch", "M": 50, "budget": 20}, [20, 20]),
+    ],
+    ids=["ksos", "randomsearch"],
+)
+def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch, optimizer, budgets):
+    from perturbopt.harness import cli
+
+    cfg_path = write_cfg(tmp_path, dict(TOY, optimizer=optimizer))
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg_path, "--out", out]) == 0
+    seen = []
+    real = cli.baseline_minimize
+
+    def recording(surface, space, method, budget, seed=0):
+        seen.append(budget)
+        return real(surface, space, method, budget, seed=seed)
+
+    monkeypatch.setattr(cli, "baseline_minimize", recording)
+    assert main(["train", "--config", cfg_path, "--out", out]) in (0, 3)
+    assert seen == budgets
 
 
 def test_train_requires_dataset(tmp_path):
@@ -384,6 +461,7 @@ def test_seed_override_changes_dataset(tmp_path):
     d1 = file_digest(os.path.join(out1, "instances_train.jsonl"))
     d2 = file_digest(os.path.join(out2, "instances_train.jsonl"))
     assert d1 != d2
+    assert load_manifest(out2)["config"]["master_seed"] == 99
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

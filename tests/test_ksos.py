@@ -400,11 +400,6 @@ def test_glm_estimates_rank_deficient_fallback():
     space = ParamSpace.symmetric(2)
     with pytest.raises(ValueError):
         glm_smoothness_estimates(model, [x], 1.0, 2.5, 2, 1.0, space)
-    with pytest.warns(UserWarning):
-        out = glm_smoothness_estimates(
-            model, [x], 1.0, 2.5, 2, 1.0, space, fallback=(3.0, 4.0)
-        )
-    assert out == (3.0, 4.0)
 
 
 def test_abs_hermite_l1_runs_quad_once_per_order(monkeypatch):

@@ -445,7 +445,7 @@ def test_batch_rejects_a_bad_row_before_any_oracle_call(mode, lam):
     with pytest.raises(ValueError, match=re.escape("parameter has shape (3,), want (2,)")) as got:
         regularized_risk(wide, instances, oracle, model, space, spec, mode=mode)
     assert got.type is ValueError
-    surface = crn_risk_surface(instances, oracle, model, space, spec, mode=mode)
+    surface = crn_risk_surface(instances, oracle, model, space, spec)
     with pytest.raises(ParamOutsideBox):
         surface(outside[-1])
     assert oracle.calls == 0
