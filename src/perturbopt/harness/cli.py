@@ -3,8 +3,9 @@
 Subcommands: generate, train, sweep (bias|nprocess|ksos), check.
 Exit codes: 0 ok, 1 check/assert failure, 2 config error, 3 solver
 failure.  ``config.SCHEMA`` is the reference for the config keys and their
-defaults; every value outside a key's type, bound or choices, and every
-kSoS setting ``KsosConfig.validate`` rejects, exits 2 before any solve.
+defaults; every value outside a key's type, bounds or choices, every
+kSoS setting ``KsosConfig.validate`` rejects and every conflict
+``ExperimentConfig.check_sweep`` finds exits 2 before any solve.
 The default output root comes from $PERTURBOPT_OUT.
 """
 
@@ -220,6 +221,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, out_dir = _load(args)
+    cfg.check_sweep(args.kind)
     threads = args.threads if args.threads is not None else cfg.get("threads")
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     runner = {

@@ -1,19 +1,21 @@
 """Experiment configuration: one YAML file drives a whole experiment.
 
 ``SCHEMA`` is the reference for the config format: every key the program
-reads, by dotted path, with its default, its type and its lower bound or
+reads, by dotted path, with its default, its type and its bounds or
 allowed values.  ``ExperimentConfig.get(path)`` returns the typed value or
 the default.  Validation reports every offending key path, so every value
-of the wrong type, below its bound or outside its choices fails loudly
-(CLI exit code 2) before any computation starts.  An integer key takes a
-YAML integer only; a number key takes anything ``float()`` parses except a
-bool.  Keys the schema does not list are ignored.
+of the wrong type, outside its bounds or outside its choices fails loudly
+(CLI exit code 2) before any computation starts, and so does a sweep whose
+settings conflict (``check_sweep``).  An integer key takes a YAML integer
+only; a number key takes anything ``float()`` parses except a bool.  Keys
+the schema does not list are ignored.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import operator
 import os
 from dataclasses import dataclass
 
@@ -35,13 +37,14 @@ NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a mapping
 @dataclass(frozen=True)
 class Key:
     """One config key.  A list key with an ``item`` type is a grid: a
-    nonempty sorted list of those.  A ``low`` bound is inclusive unless
-    ``strict``.  A default of None means the reader derives the value, and
-    null is then accepted too."""
+    nonempty sorted list of those.  The ``low`` and ``high`` bounds are
+    inclusive unless ``strict``.  A default of None means the reader
+    derives the value, and null is then accepted too."""
 
     default: object
     kind: type
     low: float | None = None
+    high: float | None = None
     strict: bool = False
     choices: tuple = ()
     item: type | None = None
@@ -62,11 +65,17 @@ class Key:
                     val = float(val)
             ok = isinstance(val, float) if self.kind is float else _is(self.kind, val)
             need = NOUNS[self.kind]
-            if ok and self.low is not None and not (val > self.low if self.strict else val >= self.low):
-                ok, need = False, f"{'>' if self.strict else '>='} {self.low}"
+            if ok and not self._within(val):
+                ops = (">", "<") if self.strict else (">=", "<=")
+                bounds = [f"{op} {b}" for op, b in zip(ops, (self.low, self.high)) if b is not None]
+                ok, need = False, " and ".join(bounds)
         if not ok:
             raise ValueError(f"must be {need}, got {val!r}")
         return copy.deepcopy(val)
+
+    def _within(self, val) -> bool:
+        above = operator.gt if self.strict else operator.ge
+        return (self.low is None or above(val, self.low)) and (self.high is None or above(self.high, val))
 
 
 def _is(kind: type, val) -> bool:
@@ -92,7 +101,7 @@ SCHEMA = {
     "optimizer.M": Key(96, int, low=1),
     "optimizer.s": Key(2.5, float),
     "optimizer.lambda_phi": Key(None, float),  # None: lambda_phi_schedule(M, s, d, delta, cbar)
-    "optimizer.delta": Key(0.1, float, low=0.0, strict=True),
+    "optimizer.delta": Key(0.1, float, low=0.0, high=1.0, strict=True),  # a confidence level
     "optimizer.cbar": Key(1.0, float, low=0.0),
     "optimizer.length_scale": Key(None, float, low=0.0, strict=True),  # None: diam(W) / 4
     "optimizer.budget": Key(96, int, low=1),
@@ -105,7 +114,7 @@ SCHEMA = {
     "sweeps.nprocess.d_context": Key(2, int, low=1),
     "sweeps.nprocess.w_grid": Key(128, int, low=1),
     "sweeps.nprocess.pool": Key(100_000, int, low=1),
-    "sweeps.nprocess.delta": Key(0.1, float, low=0.0, strict=True),
+    "sweeps.nprocess.delta": Key(0.1, float, low=0.0, high=1.0, strict=True),  # a confidence level
     "sweeps.nprocess.dudley_constant": Key(24.0, float, low=0.0),
     "sweeps.ksos.m_grid": Key([32, 64, 128, 256], list, item=int),
     "sweeps.ksos.seeds": Key(10, int, low=1),
@@ -151,6 +160,24 @@ class ExperimentConfig:
             return copy.deepcopy(SCHEMA[path].default) if default is _UNSET else default
         return SCHEMA[path].convert(val)
 
+    def check_sweep(self, kind: str) -> None:
+        """Raise ConfigError where the settings ``sweep kind`` reads
+        conflict, so that it exits 2 before any work: the bias grid, set or
+        default, must stay at or above perturb.epsilon0, and the nprocess
+        reference pool must hold at least 10x the largest n."""
+        problems = []
+        if kind == "bias":
+            problems = _grid_problems(self, self.get("sweeps.bias.lambda_grid"))
+        elif kind == "nprocess":
+            pool, n_max = self.get("sweeps.nprocess.pool"), max(self.get("sweeps.nprocess.n_grid"))
+            if pool < 10 * n_max:
+                problems.append(
+                    f"sweeps.nprocess.pool: must be at least 10x the largest "
+                    f"sweeps.nprocess.n_grid value {n_max}, got {pool}"
+                )
+        if problems:
+            raise ConfigError(problems)
+
     def resolve_output_dir(self, override: str | None = None) -> str:
         return override or self.get("output_dir") or os.environ.get(OUTPUT_ENV_VAR, "out")
 
@@ -164,6 +191,14 @@ class ExperimentConfig:
             "domain": self.doc.get("domain", {"name": self.get("domain.name")}),
             **{k: self.doc.get(k, {}) for k in ("model", "perturb", "optimizer", "sweeps", "check")},
         }
+
+
+def _grid_problems(cfg: ExperimentConfig, lambda_grid) -> list[str]:
+    eps0 = cfg.get("perturb.epsilon0")
+    return [
+        f"sweeps.bias.lambda_grid: value {lam} below epsilon0 {eps0}"
+        for lam in lambda_grid if lam < eps0
+    ]
 
 
 def config_from_doc(doc: dict) -> ExperimentConfig:
@@ -183,13 +218,11 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     cfg = ExperimentConfig(doc)
-    eps0 = cfg.get("perturb.epsilon0")
-    if cfg.get("perturb.lambda") < eps0:
+    if cfg.get("perturb.lambda") < cfg.get("perturb.epsilon0"):
         problems.append("perturb.lambda: must be >= perturb.epsilon0")
-    # only a grid the document sets: a run that sweeps nothing keeps any epsilon0
-    for lam in cfg.get("sweeps.bias.lambda_grid", []):
-        if lam < eps0:
-            problems.append(f"sweeps.bias.lambda_grid: value {lam} below epsilon0 {eps0}")
+    # only a grid the document sets: a run that sweeps nothing keeps any
+    # epsilon0, and check_sweep checks the default grid when a sweep runs
+    problems += _grid_problems(cfg, cfg.get("sweeps.bias.lambda_grid", []))
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -261,6 +261,16 @@ def _sos_model_argmin(points, B, s, d, ell, space: ParamSpace) -> np.ndarray:
     return space.project(res.x)
 
 
+def _surface_values(risk_surface, points: np.ndarray) -> np.ndarray:
+    """The surface at every row of points: one ``risk_surface.values``
+    call where the surface has it (see perturb.crn_risk_surface), else one
+    call per row, in order."""
+    batch = getattr(risk_surface, "values", None)
+    if batch is not None:
+        return batch(points)
+    return np.array([risk_surface(p) for p in points])
+
+
 def ksos_minimize(
     risk_surface,
     space: ParamSpace,
@@ -269,8 +279,10 @@ def ksos_minimize(
     """Globally minimize a deterministic surface over the box.
 
     ``risk_surface`` must be a fixed function of w (common random numbers
-    for Monte Carlo surfaces); it is evaluated once at each of the M
-    sampled points, in order.
+    for Monte Carlo surfaces).  The M sampled points are scored in one
+    ``risk_surface.values(points)`` call where the surface has it, else
+    one call per point, in order; the surrogate argmin is then scored by
+    one more single call.
 
     The candidate minimizer is the argmin of the fitted SoS surrogate.
     """
@@ -279,7 +291,7 @@ def ksos_minimize(
     ell = cfg.length_scale if cfg.length_scale is not None else space.diameter() / 4.0
     rng = substream(cfg.seed, "ksos/sample")
     points = space.sample(rng, cfg.M)
-    values = np.array([risk_surface(p) for p in points])
+    values = _surface_values(risk_surface, points)
 
     K = gram_matrix(points, cfg.s, ell)
     jitter = 1e-9 * float(np.trace(K)) / cfg.M
@@ -483,14 +495,16 @@ def baseline_minimize(
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Best-of-budget random search or restarted Nelder-Mead, clipped to
-    the box."""
+    the box.  Random search scores its whole sample the way kSoS does: one
+    ``risk_surface.values`` call where the surface has it, else one call
+    per point.  Nelder-Mead calls the surface one point at a time."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     method = method.lower()
     rng = substream(seed, f"baseline/{method}")
     if method == "randomsearch":
         points = space.sample(rng, budget)
-        values = np.array([risk_surface(p) for p in points])
+        values = _surface_values(risk_surface, points)
         best = int(np.argmin(values))
         return points[best].copy(), float(values[best])
     if method == "neldermead":

@@ -304,18 +304,33 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     are bit-identical; suitable as the kernel-SoS objective.  The values
     are those of the montecarlo regularized_risk, summed left to right over
     the instances.
+
+    The returned function carries ``values(W)``: W of shape (M, d) in, the
+    M surface values out, from one pass over the instances (each noise
+    block perturbs every row in one oracle batch).  Entry m equals the
+    single call at W[m] bit for bit, because both fold the same per-row
+    terms left to right; the single call is ``values(w[None])[0]``.
+    ``values`` is a function attribute rather than a method of a class, so
+    that a ``functools.wraps`` wrapper of the surface, which copies
+    ``__dict__``, still carries it.
     """
     mode = _validated_mode(instances, "montecarlo")
     blocks = None
     if spec.lam > 0.0:
         blocks = [perturbation_block(spec, x.index, x.dim) for x in instances]
 
-    def surface(w) -> float:
-        total = 0.0
-        for values, _, _ in _risk_terms(w, instances, oracle, model, space, spec, mode, blocks):
-            total += float(values[0])
+    def values(W) -> np.ndarray:
+        if np.ndim(W) != 2:
+            raise ValueError(f"values takes W of shape (M, d), got shape {np.shape(W)}")
+        total = np.zeros(len(W))
+        for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec, mode, blocks):
+            total += vals
         return total / len(instances)
 
+    def surface(w) -> float:
+        return float(values(np.asarray(w)[None])[0])
+
+    surface.values = values
     return surface
 
 

@@ -101,6 +101,33 @@ def test_config_validation_messages():
         assert any(p.startswith(key) for p in err.value.problems), err.value.problems
 
 
+@pytest.mark.parametrize("path", ["optimizer.delta", "sweeps.nprocess.delta"])
+def test_confidence_level_lies_in_the_open_unit_interval(path):
+    assert config_from_doc(doc_with(path, 0.5)).get(path) == 0.5
+    for value in (0.0, 1.0, -0.1, 200.0):
+        with pytest.raises(ConfigError) as err:
+            config_from_doc(doc_with(path, value))
+        assert err.value.problems == [f"{path}: must be > 0.0 and < 1.0, got {value!r}"]
+
+
+def test_sweep_conflicts_are_checked_only_for_the_sweep_that_runs():
+    # epsilon0 above the default bias grid is fine until sweep bias runs
+    cfg = config_from_doc({"perturb": {"lambda": 0.1, "epsilon0": 0.05}})
+    for kind in ("nprocess", "ksos"):
+        cfg.check_sweep(kind)
+    with pytest.raises(ConfigError) as err:
+        cfg.check_sweep("bias")
+    assert err.value.problems == [
+        "sweeps.bias.lambda_grid: value 0.01 below epsilon0 0.05",
+        "sweeps.bias.lambda_grid: value 0.03 below epsilon0 0.05",
+    ]
+    cfg = config_from_doc({"sweeps": {"nprocess": {"pool": 2560, "n_grid": [64, 256]}}})
+    cfg.check_sweep("nprocess")
+    cfg = config_from_doc({"sweeps": {"nprocess": {"pool": 2559, "n_grid": [64, 256]}}})
+    with pytest.raises(ConfigError, match="sweeps.nprocess.pool"):
+        cfg.check_sweep("nprocess")
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     bad = dict(TOY, perturb=dict(TOY["perturb"], **{"lambda": "abc"}))
     cfg_path = write_cfg(tmp_path, bad)
@@ -119,8 +146,20 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
         ("sweep bias", {"sweeps": {"bias": {"n_pairs": "x"}}}, "sweeps.bias.n_pairs: "),
         ("sweep nprocess", {"sweeps": {"nprocess": {"seeds": "x"}}}, "sweeps.nprocess.seeds: "),
         ("generate", {"domain": {"n_train": True}}, "domain.n_train: "),
+        # a confidence level outside (0, 1) made lambda_phi_schedule complex
+        ("train", {"optimizer": {"delta": 200.0, "M": 16}}, "optimizer.delta: must be > 0.0 and < 1.0"),
+        # cross-field conflicts the sweep itself would only find mid-run
+        (
+            "sweep nprocess",
+            {"sweeps": {"nprocess": {"pool": 1000, "n_grid": [64, 256]}}},
+            "sweeps.nprocess.pool: must be at least 10x",
+        ),
+        ("sweep bias", {"perturb": {"epsilon0": 0.05}}, "sweeps.bias.lambda_grid: value 0.01 below"),
     ],
-    ids=["M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "n_pairs-x", "seeds-x", "n_train-true"],
+    ids=[
+        "M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "n_pairs-x", "seeds-x", "n_train-true",
+        "delta-200", "pool-below-10n", "default-grid-below-eps0",
+    ],
 )
 def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, patch, key):
     # each of these exited 1 with a traceback, or ran on a wrong value

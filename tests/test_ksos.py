@@ -22,8 +22,9 @@ from perturbopt.ksos import (
     _abs_hermite_l1,
     _matmul,
 )
-from perturbopt.model import GeneralizedLinearModel, ParamSpace
-from perturbopt.problems import generate_instances
+from perturbopt.model import GeneralizedLinearModel, ParamSpace, model_for_instances
+from perturbopt.perturb import PerturbationSpec, crn_risk_surface
+from perturbopt.problems import default_cost_oracle, generate_instances
 from perturbopt.rngs import substream
 
 QUAD_1D = KsosConfig(M=64, s=2.0, lambda_phi=1e-6, seed=0)
@@ -465,3 +466,47 @@ def test_baseline_edge_cases():
         baseline_minimize(quad1, space, "randomsearch", 0, seed=6)
     with pytest.raises(ValueError):
         baseline_minimize(quad1, space, "bogus", 10, seed=6)
+
+
+class CountingSurface:
+    """A surface that records its batch sizes and counts its single calls."""
+
+    def __init__(self, surface):
+        self.surface = surface
+        self.batches = []
+        self.singles = 0
+
+    def __call__(self, w):
+        self.singles += 1
+        return self.surface(w)
+
+    def values(self, W):
+        self.batches.append(len(W))
+        return self.surface.values(W)
+
+
+def test_samples_are_scored_in_one_batch_equal_to_point_calls():
+    instances = generate_instances("scheduling", 6, seed=23, jobs=[4])
+    space = ParamSpace.symmetric(2)
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.0, mc_samples=16, master_seed=4)
+    surface = crn_risk_surface(
+        instances, default_cost_oracle("scheduling"), model_for_instances(instances, d=2), space, spec
+    )
+    cfg = KsosConfig(M=12, s=2.5, lambda_phi=lambda_phi_schedule(12, 2.5, 2), seed=3)
+    counted = CountingSurface(surface)
+    batched = ksos_minimize(counted, space, cfg)
+    assert counted.batches == [12] and counted.singles == 1  # the surrogate argmin
+    counted = CountingSurface(surface)
+    batched_rs = baseline_minimize(counted, space, "randomsearch", 10, seed=5)
+    assert counted.batches == [10] and counted.singles == 0
+
+    # a plain callable takes the point-by-point path, with the same bits
+    plain = lambda w: surface(w)
+    single = ksos_minimize(plain, space, cfg)
+    assert single.sampled_values.tobytes() == batched.sampled_values.tobytes()
+    assert single.w_hat.tobytes() == batched.w_hat.tobytes()
+    assert json.dumps(single.to_doc()) == json.dumps(batched.to_doc())
+    assert single.newton_trace == batched.newton_trace
+    single_w, single_v = baseline_minimize(plain, space, "randomsearch", 10, seed=5)
+    assert single_w.tobytes() == batched_rs[0].tobytes()
+    assert single_v.hex() == batched_rs[1].hex()

@@ -324,6 +324,8 @@ def test_crn_surface_pinned_on_w_grid(case):
     surface = crn_risk_surface(train, default_cost_oracle(domain), model, space, spec)
     got = [surface(np.array(w[:d])).hex() for w in SURFACE_GRID]
     assert got == SURFACE_PINS[case]
+    batch = surface.values(np.array(SURFACE_GRID)[:, :d])
+    assert [float(v).hex() for v in batch] == SURFACE_PINS[case]
 
 
 # regularized_risk (value, mc_std_error) on the benchmark's test sets (data
@@ -409,6 +411,29 @@ def test_batch_reports_equal_single_calls_bitwise(batch, mode, lam):
         single = regularized_risk(w, instances, oracle, model, space, spec, mode=mode)
         assert report_bits(rep) == report_bits(single)
         assert rep.to_doc() == single.to_doc()
+
+
+@given(batch=batches(), lam=st.sampled_from([0.0, 0.1]))
+@settings(max_examples=40, deadline=None)
+def test_surface_values_rows_equal_single_rows_bitwise(batch, lam):
+    name, W = batch
+    instances, model, space, oracle = batch_setup(name)
+    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    surface = crn_risk_surface(instances, oracle, model, space, spec)
+    got = surface.values(W)
+    assert got.shape == (len(W),) and got.dtype == np.float64
+    for m, w in enumerate(W):
+        assert got[m].hex() == surface.values(W[m : m + 1])[0].hex() == surface(w).hex()
+
+
+def test_surface_values_takes_a_matrix_only():
+    instances, model, space, oracle = batch_setup("ctx")
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.0, mc_samples=16, master_seed=4)
+    surface = crn_risk_surface(instances, oracle, model, space, spec)
+    with pytest.raises(ValueError, match=re.escape("values takes W of shape (M, d), got shape (2,)")):
+        surface.values(np.zeros(2))
+    # functools.wraps copies __dict__, so a wrapped surface keeps its batch
+    assert functools.wraps(surface)(lambda w: surface(w)).values is surface.values
 
 
 class CountingOracle:
