@@ -126,12 +126,12 @@ def cmd_train(args) -> int:
     ks_cfg = _ksos_config(cfg) if kind == "ksos" else None
     # the matched random search gets the budget of the optimizer that runs
     budget = ks_cfg.M if ks_cfg is not None else cfg.get("optimizer.budget")
-    train_path = os.path.join(out_dir, TRAIN_FILE)
-    if not os.path.exists(train_path):
-        print(f"error: dataset {train_path} not found; run generate first", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    train = load_instances(train_path)
-    test = load_instances(os.path.join(out_dir, TEST_FILE))
+    paths = [os.path.join(out_dir, name) for name in (TRAIN_FILE, TEST_FILE)]
+    for path in paths:
+        if not os.path.exists(path):
+            print(f"error: dataset {path} not found; run generate first", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+    train, test = (load_instances(path) for path in paths)
 
     model = model_for_instances(train, d=d)
     space = ParamSpace.symmetric(d)

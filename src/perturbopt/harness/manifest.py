@@ -9,6 +9,7 @@ metadata and may vary.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -43,19 +44,14 @@ class ManifestWriter:
         self.timings: dict[str, float] = {}
         self.files: list[str] = []
 
+    @contextlib.contextmanager
     def time(self, name: str):
-        writer = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                writer.timings[name] = time.perf_counter() - self.t0
-                return False
-
-        return _Timer()
+        """Time the block into timings[name], also when it raises."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
     def add_file(self, path: str) -> str:
         self.files.append(path)

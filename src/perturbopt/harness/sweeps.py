@@ -46,7 +46,7 @@ def _parallel_map(fn, items, threads: int):
 # Bias sweep
 
 
-def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
+def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
     """Bias bounds over a lambda grid at random w.  Runs on contextual
     instances with d_context = model.d whatever the configured domain,
     until the sweep follows domain.name (ROADMAP 5)."""
@@ -130,7 +130,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str
 # Empirical process sweep
 
 
-def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
+def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
     lam = cfg.get("sweeps.nprocess.lambda")
     d_context = cfg.get("sweeps.nprocess.d_context")
     result = check_empirical_process(
@@ -204,7 +204,7 @@ def quadratic_certificate_bounds(
     return 2.0 * trace_bound, 2.0
 
 
-def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> str:
+def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
     m_grid, d = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d")
     s = cfg.get("sweeps.ksos.s", cfg.get("optimizer.s", 2.0 if d == 1 else 2.5))
     cbar, delta = cfg.get("optimizer.cbar"), cfg.get("optimizer.delta")

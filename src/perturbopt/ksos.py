@@ -18,7 +18,9 @@ dual
 solved by damped Newton (the dual Hessian is mu T*T with T = G W^-1 G,
 elementwise square).  At the optimum B = mu (G W^-1 G scaled back), the
 equality constraints hold exactly and alpha are their multipliers; the
-candidate minimizer is the argmin of the fitted SoS surrogate.
+candidate minimizer is the argmin of the fitted SoS surrogate.  mu runs
+from MU0 down to MU_MIN by factors SHRINK in at most MAX_OUTER steps; an
+inner solve stops at half-decrement INNER_TOL or after MAX_INNER steps.
 
 The Newton loop forms its matrix products with scipy's BLAS, the library
 that already runs its Cholesky calls: numpy and scipy may each bundle
@@ -49,14 +51,13 @@ class GramSingular(RuntimeError):
     length-scale or fewer sample points."""
 
 
-@dataclass
-class NewtonConfig:
-    mu0: float = 1.0
-    shrink: float = 0.2
-    max_outer: int = 50
-    mu_min: float = 1e-16
-    inner_tol: float = 1e-9
-    max_inner: int = 60
+MU0 = 1.0
+SHRINK = 0.2
+MAX_OUTER = 50
+MU_MIN = 1e-16
+INNER_TOL = 1e-9
+MAX_INNER = 60
+SOBOLEV_NODES = 48
 
 
 @dataclass
@@ -66,7 +67,6 @@ class KsosConfig:
     lambda_phi: float
     length_scale: float | None = None  # default diam(W) / 4
     seed: int = 0
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def validate(self, d: int) -> None:
         if not self.s > 1 + d / 2:
@@ -162,7 +162,7 @@ def _matmul(A, B):
     return dgemm(1.0, b, a, trans_a=trans_b, trans_b=trans_a).T
 
 
-def _newton_inner(R_scaled, G, lam_phi, alpha, cfg: NewtonConfig):
+def _newton_inner(R_scaled, G, lam_phi, alpha):
     """Minimize alpha.R_scaled - logdet(lam_phi I + G diag(alpha) G)
     over sum(alpha) = 1, damped Newton.  Returns (alpha, T, ok, counts)
     with T = G W^-1 G at the returned alpha and counts the Newton
@@ -190,7 +190,7 @@ def _newton_inner(R_scaled, G, lam_phi, alpha, cfg: NewtonConfig):
     T = build_T(cf)
     fval = float(alpha @ R_scaled) - logdet
     ok = False
-    for _ in range(cfg.max_inner):
+    for _ in range(MAX_INNER):
         counts["newton_iters"] += 1
         grad = R_scaled - np.diag(T)
         H = T * T
@@ -206,7 +206,7 @@ def _newton_inner(R_scaled, G, lam_phi, alpha, cfg: NewtonConfig):
             break
         step = sol[:M]
         decrement = float(-grad @ step)
-        if decrement / 2.0 <= cfg.inner_tol:
+        if decrement / 2.0 <= INNER_TOL:
             ok = True
             break
         t = 1.0
@@ -225,7 +225,7 @@ def _newton_inner(R_scaled, G, lam_phi, alpha, cfg: NewtonConfig):
                     break
             t *= 0.5
         if not accepted:
-            ok = decrement / 2.0 <= math.sqrt(cfg.inner_tol)
+            ok = decrement / 2.0 <= math.sqrt(INNER_TOL)
             break
     return alpha, T, ok, counts
 
@@ -305,26 +305,23 @@ def ksos_minimize(
     G = (evecs * np.sqrt(evals)) @ evecs.T
     G_inv = (evecs / np.sqrt(evals)) @ evecs.T
 
-    newton = cfg.newton
     alpha = np.full(cfg.M, 1.0 / cfg.M)
-    mu = newton.mu0
+    mu = MU0
     trace_log = []
     # Path-follow mu downward, keeping the last state whose inner Newton
     # converged: past float precision the dual stalls and its c estimate
     # drifts, so a failed inner step ends the path.
     good = None
-    for _ in range(newton.max_outer):
-        alpha_new, T_new, ok, counts = _newton_inner(
-            values / mu, G, cfg.lambda_phi, alpha, newton
-        )
+    for _ in range(MAX_OUTER):
+        alpha_new, T_new, ok, counts = _newton_inner(values / mu, G, cfg.lambda_phi, alpha)
         trace_log.append({"mu": mu, "inner_converged": ok, **counts})
         if not ok and good is not None:
             break
         alpha = alpha_new
         good = (alpha_new, T_new, mu, ok)
-        if mu <= newton.mu_min:
+        if mu <= MU_MIN:
             break
-        mu = max(mu * newton.shrink, newton.mu_min)
+        mu = max(mu * SHRINK, MU_MIN)
     alpha, T, mu, converged = good
 
     t_diag = np.diag(T)
@@ -420,14 +417,14 @@ def _gaussian_derivative_l1(sigmas: np.ndarray, order: int) -> float:
     return best
 
 
-def _sqrt_density_sobolev_sq(sigmas: np.ndarray, s: float, n_nodes: int = 48) -> float:
+def _sqrt_density_sobolev_sq(sigmas: np.ndarray, s: float) -> float:
     """integral over xi of (1 + |xi|^2)^s |M_hat(xi)|^2 for M = sqrt of the
     Gaussian density with stddevs sigmas (Fourier characterization of the
-    squared Sobolev norm), by Gauss-Hermite quadrature per axis."""
+    squared Sobolev norm), by SOBOLEV_NODES-point Gauss-Hermite quadrature per axis."""
     d = len(sigmas)
     det_sigma = float(np.prod(sigmas**2))
     c_sq = (2.0 * math.pi) ** (-d / 2.0) * (4.0 * math.pi) ** d * math.sqrt(det_sigma)
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(SOBOLEV_NODES)
     # weight exp(-x^2) with x_j = sqrt(2) sigma_j xi_j
     axes = [nodes / (math.sqrt(2.0) * sig) for sig in sigmas]
     scale = float(np.prod([1.0 / (math.sqrt(2.0) * sig) for sig in sigmas]))

@@ -34,8 +34,8 @@ class ParamSpace:
         object.__setattr__(self, "upper", hi)
 
     @classmethod
-    def symmetric(cls, d: int, half_width: float = 1.0) -> "ParamSpace":
-        return cls(-half_width * np.ones(d), half_width * np.ones(d))
+    def symmetric(cls, d: int) -> "ParamSpace":  # the box [-1, 1]^d
+        return cls(-np.ones(d), np.ones(d))
 
     @property
     def d(self) -> int:

@@ -71,12 +71,11 @@ class RiskReport:
         }
 
 
-def sample_perturbation(d: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw Z with sqrt(d) Z ~ N(0, Id), i.e. i.i.d. N(0, 1/d) coordinates."""
+def sample_perturbation(d: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw size rows Z with sqrt(d) Z ~ N(0, Id): i.i.d. N(0, 1/d) entries."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    shape = (d,) if size is None else (size, d)
-    return rng.standard_normal(shape) / np.sqrt(d)
+    return rng.standard_normal((size, d)) / np.sqrt(d)
 
 
 def perturbation_block(spec: PerturbationSpec, instance_index: int, d: int) -> np.ndarray:
@@ -109,28 +108,13 @@ def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
 def exact_policy_distribution(
     polytope: SolutionPolytope, theta: np.ndarray, lam: float
 ) -> np.ndarray | None:
-    """Closed-form p_lambda over the enumerated vertices, where available.
-
-    Covered: any two-vertex polytope in R^1 (Phi(theta/lam) up to vertex
-    order) and Permutahedron(2); lam = 0 falls back to the winner/tie
-    split.  Returns None when no closed form applies.
+    """Closed-form p_lambda over the enumerated vertices for lam > 0, where
+    available: any two-vertex polytope in R^1 (Phi(theta/lam) up to vertex
+    order) and Permutahedron(2).  Returns None when no closed form applies.
+    The lam = 0 measure, ties included, is polytopes.p0.
     """
     verts = polytope.vertices()
     theta = np.asarray(theta, dtype=np.float64)
-    if lam == 0.0:
-        scores = verts @ theta
-        top = np.max(scores)
-        winners = np.flatnonzero(scores >= top - 1e-12)
-        if len(winners) == 1:
-            probs = np.zeros(len(verts))
-            probs[winners[0]] = 1.0
-            return probs
-        if len(winners) == 2 and (polytope.dim == 1 or isinstance(polytope, Permutahedron)):
-            # two cones split the boundary hyperplane evenly
-            probs = np.zeros(len(verts))
-            probs[winners] = 0.5
-            return probs
-        return None
     if polytope.dim == 1 and len(verts) == 2:
         gap = float(verts[1, 0] - verts[0, 0])
         p_hi = float(ndtr(np.sign(gap) * theta[0] / lam))
@@ -171,20 +155,15 @@ def _policy_cost_unperturbed(
     oracle, x: Instance, theta: np.ndarray, master_seed: int
 ) -> tuple[float, bool]:
     """Cost of the unperturbed policy with the measure-valued tie
-    convention: on ties, average the cost under the tie-split measure,
-    estimated from the instance's "p0/<index>" substream where no closed
-    form applies."""
+    convention: off a tie, the cost of the oracle solution; on a tie, the
+    mean cost under p0's tie-split measure, whose Monte Carlo draws (where
+    no exact split applies) come from the instance's "p0/<index>"
+    substream."""
     res = linear_oracle(x.polytope, theta)
     if not res.tie:
         return float(oracle.eval(res.y, x)), False
-    probs = exact_policy_distribution(x.polytope, theta, 0.0)
-    verts = x.polytope.vertices()
-    if probs is None:
-        measure = p0(x.polytope, theta, rng=substream(master_seed, f"p0/{x.index}"))
-        value = sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)
-        return float(value), True
-    costs = oracle.eval_vertices(x, verts)
-    return float(probs @ costs), True
+    measure = p0(x.polytope, theta, rng=substream(master_seed, f"p0/{x.index}"))
+    return float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)), True
 
 
 def _validated_mode(instances, mode: str) -> str:

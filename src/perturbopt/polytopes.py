@@ -320,18 +320,16 @@ P0_SAMPLES = 100_000
 
 
 def p0(
-    polytope: SolutionPolytope,
-    theta,
-    rng: np.random.Generator | None = None,
-    n_samples: int = P0_SAMPLES,
+    polytope: SolutionPolytope, theta, rng: np.random.Generator | None = None
 ) -> SurrogateMeasure:
-    """The unperturbed policy measure at theta.
+    """The unperturbed policy measure at theta; the one place a tie is split.
 
-    Generic directions give a Dirac at the oracle output.  On cone
-    boundaries the cone proportions are estimated by Monte Carlo over a
-    uniform ball of infinitesimal radius around theta, drawn from rng;
-    a tie without rng raises ValueError, since every draw must come from
-    a labeled substream.
+    Off a tie, a Dirac at the oracle output.  On a tie, the measure lives on
+    the vertex-table winners (scores within TIE_TOL of the top): one winner
+    is a Dirac; two on a 1-D polytope or a permutahedron get exact halves;
+    any other tie gets the cone proportions, estimated by Monte Carlo over a
+    tiny ball around theta drawn from rng, which a tie requires (every draw
+    comes from a labeled substream).
     """
     theta = _check_theta(polytope, theta)
     result = polytope.argmax(theta)
@@ -340,12 +338,18 @@ def p0(
     if rng is None:
         raise ValueError("p0 needs an rng to split a tie")
     verts = polytope.vertices()
+    scores = verts @ theta
+    winners = np.flatnonzero(scores >= np.max(scores) - TIE_TOL)
+    if len(winners) == 1:
+        return SurrogateMeasure(atoms=[(verts[winners[0]], 1.0)], is_dirac=True)
+    if len(winners) == 2 and (polytope.dim == 1 or isinstance(polytope, Permutahedron)):
+        # two cones split the boundary hyperplane evenly
+        return SurrogateMeasure(atoms=[(verts[i], 0.5) for i in winners], is_dirac=False)
     radius = P0_RADIUS_REL * (1.0 + float(np.linalg.norm(theta)))
-    probes = theta[None, :] + radius * _uniform_ball(rng, n_samples, polytope.dim)
+    probes = theta[None, :] + radius * _uniform_ball(rng, P0_SAMPLES, polytope.dim)
     winners = np.argmax(probes @ verts.T, axis=1)
     counts = np.bincount(winners, minlength=len(verts)).astype(np.float64)
-    probs = counts / n_samples
+    probs = counts / P0_SAMPLES
     keep = np.flatnonzero(probs > 0)
     atoms = [(verts[i], float(probs[i])) for i in keep]
     return SurrogateMeasure(atoms=atoms, is_dirac=False)
-

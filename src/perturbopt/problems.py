@@ -359,11 +359,11 @@ def _generate_contextual(count, seed, d_context=2, signal=0.0) -> list[Instance]
     return out
 
 
-def default_cost_oracle(domain: str, **params):
+def default_cost_oracle(domain: str):
     if domain == "scheduling":
         return SchedulingCompletionTime()
     if domain == "stovsp":
-        return StoVspDelayCost(**params)
+        return StoVspDelayCost()
     if domain == "contextual":
         return ContextualWrapper()
     raise ValueError(f"unknown domain {domain!r}")

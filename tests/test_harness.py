@@ -11,7 +11,12 @@ import yaml
 import perturbopt
 from perturbopt.harness.cli import main
 from perturbopt.harness.config import SCHEMA, ConfigError, config_from_doc, load_config
-from perturbopt.harness.manifest import file_digest, load_manifest, verify_manifest
+from perturbopt.harness.manifest import (
+    ManifestWriter,
+    file_digest,
+    load_manifest,
+    verify_manifest,
+)
 from perturbopt.problems import load_instances
 
 TOY = {
@@ -338,6 +343,16 @@ def test_train_requires_dataset(tmp_path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "empty")]) == 2
 
 
+@pytest.mark.parametrize("missing", ["instances_train.jsonl", "instances_test.jsonl"])
+def test_train_with_a_dataset_file_missing_exits_2_naming_it(tmp_path, capsys, missing):
+    cfg_path = write_cfg(tmp_path, TOY)
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg_path, "--out", out]) == 0
+    os.remove(os.path.join(out, missing))
+    assert main(["train", "--config", cfg_path, "--out", out]) == 2
+    assert f"{missing} not found" in capsys.readouterr().err
+
+
 def test_train_takes_no_threads_flag(tmp_path, capsys):
     # train, generate and check are serial; only sweep has worker threads
     cfg_path = write_cfg(tmp_path, TOY)
@@ -481,6 +496,17 @@ def test_manifest_detects_tampering(tmp_path):
     ok, bad = verify_manifest(out)
     assert not ok
     assert any("instances_train" in b for b in bad)
+
+
+def test_manifest_times_a_block_that_raises(tmp_path):
+    manifest = ManifestWriter(str(tmp_path), {})
+    with manifest.time("ok"):
+        pass
+    with pytest.raises(RuntimeError):
+        with manifest.time("failed"):
+            raise RuntimeError("solver gave up")
+    assert sorted(manifest.timings) == ["failed", "ok"]
+    assert all(t >= 0.0 for t in manifest.timings.values())
 
 
 def test_manifest_records_artifact_version(tmp_path):

@@ -12,7 +12,6 @@ from scipy.linalg import cho_factor, cho_solve
 from perturbopt import ksos
 from perturbopt.ksos import (
     KsosConfig,
-    NewtonConfig,
     baseline_minimize,
     certificate,
     glm_smoothness_estimates,
@@ -168,7 +167,7 @@ def test_error_decreases_with_more_samples():
 # Newton solver arithmetic
 
 
-def _reference_newton_inner(R_scaled, G, lam_phi, alpha, cfg):
+def _reference_newton_inner(R_scaled, G, lam_phi, alpha):
     """The Newton inner solve as first written: numpy products, and T built
     at every line-search point.  Counts accepted steps instead of T builds."""
     M = len(alpha)
@@ -189,7 +188,7 @@ def _reference_newton_inner(R_scaled, G, lam_phi, alpha, cfg):
     _, T, logdet = state
     fval = float(alpha @ R_scaled) - logdet
     ok = False
-    for _ in range(cfg.max_inner):
+    for _ in range(ksos.MAX_INNER):
         counts["newton_iters"] += 1
         grad = R_scaled - np.diag(T)
         H = T * T
@@ -205,7 +204,7 @@ def _reference_newton_inner(R_scaled, G, lam_phi, alpha, cfg):
             break
         step = sol[:M]
         decrement = float(-grad @ step)
-        if decrement / 2.0 <= cfg.inner_tol:
+        if decrement / 2.0 <= ksos.INNER_TOL:
             ok = True
             break
         t = 1.0
@@ -224,7 +223,7 @@ def _reference_newton_inner(R_scaled, G, lam_phi, alpha, cfg):
                     break
             t *= 0.5
         if not accepted:
-            ok = decrement / 2.0 <= math.sqrt(cfg.inner_tol)
+            ok = decrement / 2.0 <= math.sqrt(ksos.INNER_TOL)
             break
     return alpha, T, ok, counts
 
@@ -234,27 +233,26 @@ def _quad2(w):
 
 
 NEWTON_CASES = {
+    # name: (surface, d, config, outer steps or None for ksos.MAX_OUTER)
     # the case that a plain column-major dgemm port changed
-    "1d_m32_zero_penalty": (quad1, 1, KsosConfig(M=32, s=2.0, lambda_phi=0.0, seed=3)),
-    "quad_1d": (quad1, 1, QUAD_1D),
+    "1d_m32_zero_penalty": (quad1, 1, KsosConfig(M=32, s=2.0, lambda_phi=0.0, seed=3), None),
+    "quad_1d": (quad1, 1, QUAD_1D, None),
     # M=96 runs OpenBLAS's threaded dgemm; a short path keeps the reference fast
     "2d_m96_planted": (
         _quad2,
         2,
         KsosConfig(
-            M=96,
-            s=2.5,
-            lambda_phi=lambda_phi_schedule(96, 2.5, 2),
-            length_scale=0.35,
-            seed=2,
-            newton=NewtonConfig(max_outer=4),
+            M=96, s=2.5, lambda_phi=lambda_phi_schedule(96, 2.5, 2), length_scale=0.35, seed=2
         ),
+        4,
     ),
 }
 
 
 def _solve_both(monkeypatch, case):
-    f, d, cfg = NEWTON_CASES[case]
+    f, d, cfg, max_outer = NEWTON_CASES[case]
+    if max_outer is not None:
+        monkeypatch.setattr(ksos, "MAX_OUTER", max_outer)
     space = ParamSpace.symmetric(d)
     fast = ksos_minimize(f, space, cfg)
     with monkeypatch.context() as m:

@@ -19,7 +19,12 @@ from perturbopt.perturb import (
     tail_mass_V,
 )
 from perturbopt.polytopes import Permutahedron, VspFlow, p0
-from perturbopt.problems import ContextualWrapper, default_cost_oracle, generate_instances
+from perturbopt.problems import (
+    ContextualWrapper,
+    default_cost_oracle,
+    feature_matrix,
+    generate_instances,
+)
 from perturbopt.rngs import spawn_seed, substream
 
 
@@ -218,6 +223,27 @@ def test_zero_lambda_tie_without_closed_form_uses_labeled_substream():
         measure = p0(x.polytope, theta, rng=substream(1, f"p0/{x.index}"))
         values.append(float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)))
     assert first.value.hex() == float(np.mean(values)).hex()
+
+
+def _tie_first_two_coordinates(x):
+    phi = feature_matrix(x, d_model=2)
+    phi[0] = phi[1]  # theta_0 = theta_1 at every w
+    return phi
+
+
+@pytest.mark.parametrize("jobs, want", [(3, "0x1.885e9dc56e2fcp+2"), (2, "0x1.68a6d9ec73597p+1")])
+def test_zero_lambda_tie_is_split_in_exact_halves_through_the_risk(jobs, want):
+    # two tied orders: p0 splits the cost half and half, whatever the seed
+    instances = generate_instances("scheduling", 6, seed=4, jobs=[jobs])
+    model = model_for_instances(instances, d=2, builder=_tie_first_two_coordinates)
+    oracle = default_cost_oracle("scheduling")
+    for seed in (0, 1):
+        spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=seed)
+        report = regularized_risk(
+            np.array([0.2, 0.7]), instances, oracle, model, ParamSpace.symmetric(2), spec
+        )
+        assert report.ties_encountered
+        assert report.value.hex() == want
 
 
 def test_risk_errors():

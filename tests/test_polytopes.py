@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -215,6 +216,20 @@ def test_p0_tie_needs_an_rng():
     with pytest.raises(ValueError):
         p0(one_d, np.array([0.0]))
     assert p0(one_d, np.array([-0.4])).is_dirac  # no tie, no draw
+
+
+def test_p0_tie_with_one_vertex_table_winner_is_a_dirac(monkeypatch):
+    # an oracle that flags a tie at a generic theta: the vertex table has a
+    # single winner within TIE_TOL, which takes the whole mass, no draw made
+    poly = Permutahedron(3)
+    theta = np.array([0.3, -1.2, 0.8])
+    real = Permutahedron.argmax
+    monkeypatch.setattr(
+        Permutahedron, "argmax", lambda self, t: dataclasses.replace(real(self, t), tie=True)
+    )
+    measure = p0(poly, theta, rng=np.random.default_rng(0))
+    assert measure.is_dirac
+    assert [(y.tolist(), p) for y, p in measure.atoms] == [([2.0, 1.0, 3.0], 1.0)]
 
 
 def test_p0_probabilities_sum_to_one():
