@@ -19,9 +19,10 @@ from .model import GeneralizedLinearModel, ParamSpace
 from .polytopes import (
     Permutahedron,
     SolutionPolytope,
+    _split_tie,
+    _vertex_argmax,
     internal_radius,
     linear_oracle,
-    p0,
 )
 from .problems import Instance
 from .rngs import substream
@@ -140,7 +141,7 @@ def sampled_policy_distribution(
     directions are generic, so the tie-free oracle applies."""
     verts = polytope.vertices()
     z = sample_perturbation(polytope.dim, rng, size=n_samples)
-    winners = np.argmax((theta[None, :] + lam * z) @ verts.T, axis=1)
+    winners = _vertex_argmax(theta[None, :] + lam * z, verts)
     counts = np.bincount(winners, minlength=len(verts)).astype(np.float64)
     probs = counts / n_samples
     ses = np.sqrt(probs * (1.0 - probs) / n_samples)
@@ -156,13 +157,14 @@ def _policy_cost_unperturbed(
 ) -> tuple[float, bool]:
     """Cost of the unperturbed policy with the measure-valued tie
     convention: off a tie, the cost of the oracle solution; on a tie, the
-    mean cost under p0's tie-split measure, whose Monte Carlo draws (where
-    no exact split applies) come from the instance's "p0/<index>"
-    substream."""
+    mean cost under polytopes.p0's tie-split measure, whose Monte Carlo
+    draws (where no exact split applies) come from the instance's
+    "p0/<index>" substream.  The split starts from this call's oracle
+    result, so the oracle is solved once per theta."""
     res = linear_oracle(x.polytope, theta)
     if not res.tie:
         return float(oracle.eval(res.y, x)), False
-    measure = p0(x.polytope, theta, rng=substream(master_seed, f"p0/{x.index}"))
+    measure = _split_tie(x.polytope, theta, res, substream(master_seed, f"p0/{x.index}"))
     return float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)), True
 
 

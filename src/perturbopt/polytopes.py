@@ -1,6 +1,6 @@
 """Solution polytopes, linear maximization oracles and normal-fan geometry.
 
-Two polytope kinds are supported, each with one exact oracle:
+Two polytope kinds are supported:
 
 - ``Permutahedron(n)``: vertices are the n! permutations of (1, ..., n);
   the oracle sorts the direction vector.
@@ -9,9 +9,17 @@ Two polytope kinds are supported, each with one exact oracle:
   max-weight bipartite matching from out-copies to in-copies of the
   tasks, solved as a rectangular assignment.
 
+A single direction always goes to the kind's own oracle, ``argmax``,
+which also flags ties exactly.  A batch of directions that tie with
+probability zero (perturbed or sampled directions) may instead be scored
+against the vertex table: ``_vertex_argmax`` takes the row-wise argmax
+of ``directions @ vertices.T`` in row blocks of bounded size.  Off a tie
+the maximizer is unique, so both give the same vertex.
+
 All geometric quantities (internal cone radius, tie-splitting measure)
 are computed exactly from vertex enumeration.  Enumeration is capped at
-ENUMERATION_CAP vertices; beyond the cap only the oracle is available.
+ENUMERATION_CAP vertices; beyond the cap only the oracle is available,
+and a polytope remembers that its enumeration failed.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ ENUMERATION_CAP = 10_000
 # from integer feature data dominate in practice; perturbed directions hit
 # ties with probability zero.
 TIE_TOL = 1e-12
+# Element budget of one block of direction-by-vertex scores (160 MB of
+# float64), shared by every vertex-table scan.
+_BLOCK_ELEMENTS = int(2e7)
 
 
 class EnumerationUnavailable(RuntimeError):
@@ -81,19 +92,21 @@ class SolutionPolytope:
 
     def vertices(self) -> np.ndarray:
         """All vertices, shape (N, dim), from one pass that stops one vertex
-        past the cap.  Cached after first call."""
+        past the cap.  The outcome is cached after the first call: the
+        vertex array, or the fact that the polytope is past the cap, which
+        later calls raise again without a second pass."""
         cached = getattr(self, "_vertices_cache", None)
         if cached is not None:
             return cached
-        verts = list(itertools.islice(self._iter_vertices(), ENUMERATION_CAP + 1))
-        if len(verts) > ENUMERATION_CAP:
-            raise EnumerationUnavailable(
-                f"{self!r} has more than {ENUMERATION_CAP} vertices"
-            )
-        verts = np.array(verts, dtype=np.float64)
-        verts.setflags(write=False)
-        setattr(self, "_vertices_cache", verts)
-        return verts
+        if not getattr(self, "_past_cap", False):
+            verts = list(itertools.islice(self._iter_vertices(), ENUMERATION_CAP + 1))
+            if len(verts) <= ENUMERATION_CAP:
+                verts = np.array(verts, dtype=np.float64)
+                verts.setflags(write=False)
+                setattr(self, "_vertices_cache", verts)
+                return verts
+            setattr(self, "_past_cap", True)
+        raise EnumerationUnavailable(f"{self!r} has more than {ENUMERATION_CAP} vertices")
 
     def _pairwise_distances(self) -> np.ndarray:
         cached = getattr(self, "_dist_cache", None)
@@ -285,24 +298,40 @@ def internal_radius(polytope: SolutionPolytope, theta) -> float:
     return float(internal_radius_batch(polytope, theta[None, :])[0])
 
 
+def _row_blocks(n_rows: int, n_verts: int):
+    """Slices of at most _BLOCK_ELEMENTS // n_verts rows (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // max(n_verts, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def _vertex_argmax(directions: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Row index into verts of the top-scoring vertex for each direction,
+    the first on a tie.  Scores are built one row block at a time, so
+    memory stays within _BLOCK_ELEMENTS scores whatever the batch size;
+    each row's scores, and so its winner, do not depend on the blocking."""
+    winners = np.empty(len(directions), dtype=np.intp)
+    for rows in _row_blocks(len(directions), len(verts)):
+        winners[rows] = np.argmax(directions[rows] @ verts.T, axis=1)
+    return winners
+
+
 def internal_radius_batch(polytope: SolutionPolytope, thetas: np.ndarray) -> np.ndarray:
     """Vectorized internal radius for a batch of directions, shape (B, d)."""
     verts = polytope.vertices()  # (N, d)
     dist = polytope._pairwise_distances()  # (N, N)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty(len(thetas))
-    block = max(1, int(2e7) // max(len(verts), 1))
-    for lo in range(0, len(thetas), block):
-        hi = min(lo + block, len(thetas))
-        scores = thetas[lo:hi] @ verts.T  # (B, N)
-        rows = np.arange(hi - lo)
+    for block in _row_blocks(len(thetas), len(verts)):
+        scores = thetas[block] @ verts.T  # (B, N)
+        rows = np.arange(len(scores))
         winner = np.argmax(scores, axis=1)
         gaps = scores[rows, winner][:, None] - scores
         denom = dist[winner]
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = gaps / denom
         ratio[rows, winner] = np.inf
-        out[lo:hi] = np.maximum(np.min(ratio, axis=1), 0.0)
+        out[block] = np.maximum(np.min(ratio, axis=1), 0.0)
     return out
 
 
@@ -319,9 +348,7 @@ P0_RADIUS_REL = 1e-9
 P0_SAMPLES = 100_000
 
 
-def p0(
-    polytope: SolutionPolytope, theta, rng: np.random.Generator | None = None
-) -> SurrogateMeasure:
+def p0(polytope: SolutionPolytope, theta, rng: np.random.Generator | None) -> SurrogateMeasure:
     """The unperturbed policy measure at theta; the one place a tie is split.
 
     Off a tie, a Dirac at the oracle output.  On a tie, the measure lives on
@@ -329,10 +356,20 @@ def p0(
     is a Dirac; two on a 1-D polytope or a permutahedron get exact halves;
     any other tie gets the cone proportions, estimated by Monte Carlo over a
     tiny ball around theta drawn from rng, which a tie requires (every draw
-    comes from a labeled substream).
+    comes from a labeled substream); off a tie rng may be None.
     """
     theta = _check_theta(polytope, theta)
-    result = polytope.argmax(theta)
+    return _split_tie(polytope, theta, polytope.argmax(theta), rng)
+
+
+def _split_tie(
+    polytope: SolutionPolytope,
+    theta: np.ndarray,
+    result: OracleResult,
+    rng: np.random.Generator | None,
+) -> SurrogateMeasure:
+    """p0's measure from the oracle result already solved at theta, so a
+    caller that holds the result does not solve the oracle again."""
     if not result.tie:
         return SurrogateMeasure(atoms=[(result.y, 1.0)], is_dirac=True)
     if rng is None:
@@ -347,7 +384,7 @@ def p0(
         return SurrogateMeasure(atoms=[(verts[i], 0.5) for i in winners], is_dirac=False)
     radius = P0_RADIUS_REL * (1.0 + float(np.linalg.norm(theta)))
     probes = theta[None, :] + radius * _uniform_ball(rng, P0_SAMPLES, polytope.dim)
-    winners = np.argmax(probes @ verts.T, axis=1)
+    winners = _vertex_argmax(probes, verts)
     counts = np.bincount(winners, minlength=len(verts)).astype(np.float64)
     probs = counts / P0_SAMPLES
     keep = np.flatnonzero(probs > 0)

@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .polytopes import Permutahedron, SolutionPolytope, VspFlow
+from .polytopes import (
+    EnumerationUnavailable,
+    Permutahedron,
+    SolutionPolytope,
+    VspFlow,
+    _vertex_argmax,
+)
 from .rngs import spawn_seed, substream
 
 FORMAT_NAME = "perturbopt-instances"
@@ -105,6 +111,11 @@ class StoVspDelayCost:
     carry = max(0, delay_prev - slack), delay = carry + intrinsic.
     The scenario table is frozen by the instance's scenario seed, making
     the cost a deterministic function of (y, x).
+
+    Every cost, whatever path found its solution, is ``_cost_of`` on a 0/1
+    arc vector: ``eval`` checks the vector first, ``eval_vertices`` costs
+    the enumerated vertices, and ``eval_theta_batch`` costs the oracle
+    solution of each direction (see there for its two oracle paths).
     """
 
     kind = "stovsp_delay_cost"
@@ -158,18 +169,28 @@ class StoVspDelayCost:
         return self.c_delay * mean_delay + self.c_vehicle * poly.n_paths(y)
 
     def eval_theta_batch(self, x: Instance, thetas: np.ndarray) -> np.ndarray:
+        """Cost of the oracle solution at each direction row.
+
+        The rows are perturbed directions, which tie with probability zero,
+        so each has one maximizing vertex.  Where the polytope's vertices
+        enumerate, the winners are the row-wise argmax of ``thetas @ V.T``
+        over the vertex table V, scored in blocks of bounded memory, and
+        each distinct winner is costed once.  Past the enumeration cap
+        each row is solved by its own assignment (``_min_cost_flow``), and
+        each distinct solution is costed once.  The two paths pick the
+        same vertex, and the vertex table holds the same 0/1 vectors the
+        assignment returns, so ``_cost_of`` gives both the same bits.
+        """
         poly: VspFlow = x.polytope
-        out = np.empty(len(thetas))
-        cache: dict[bytes, float] = {}
-        for k in range(len(thetas)):
-            y, _ = poly._min_cost_flow(thetas[k])
-            key = y.tobytes()
-            c = cache.get(key)
-            if c is None:
-                c = self._cost_of(y, x)
-                cache[key] = c
-            out[k] = c
-        return out
+        try:
+            verts = poly.vertices()
+        except EnumerationUnavailable:
+            solutions = [poly._min_cost_flow(theta)[0] for theta in thetas]
+            verts, picks = np.unique(solutions, axis=0, return_inverse=True)
+        else:
+            picks = _vertex_argmax(thetas, verts)
+        distinct, index = np.unique(picks, return_inverse=True)
+        return np.array([self._cost_of(verts[k], x) for k in distinct])[index.reshape(-1)]
 
     def eval_vertices(self, x: Instance, vertices: np.ndarray) -> np.ndarray:
         return np.array([self._cost_of(np.asarray(v), x) for v in vertices])
@@ -463,16 +484,26 @@ def instance_to_doc(x: Instance) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
+    return _instance_from_doc(doc, {})
+
+
+def _instance_from_doc(doc: dict, polytopes: dict[str, SolutionPolytope]) -> Instance:
+    """The instance a document describes.  Its polytope is looked up in
+    ``polytopes`` by the polytope document and added there when new, so
+    instances read through one dict share one polytope object per cell."""
     if doc.get("format") != FORMAT_NAME:
         raise ValueError("not a perturbopt instance document")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format version {doc.get('version')}")
+    key = json.dumps(doc["polytope"], sort_keys=True)
+    if key not in polytopes:
+        polytopes[key] = _polytope_from_doc(doc["polytope"])
     return Instance(
         domain=doc["domain"],
         partition_id=doc["partition_id"],
         index=doc["index"],
         features={k: np.array(v, dtype=np.float64) for k, v in doc["features"].items()},
-        polytope=_polytope_from_doc(doc["polytope"]),
+        polytope=polytopes[key],
         scenario_seed=doc["scenario_seed"],
         declared=doc.get("declared", {}),
     )
@@ -485,10 +516,15 @@ def save_instances(path, instances) -> None:
 
 
 def load_instances(path) -> list[Instance]:
+    """The instances of a file, one per line.  Instances with equal
+    polytope documents share one polytope object, as generated instances
+    of one partition cell do, so each cell enumerates its vertices and
+    fills its caches once."""
     out = []
+    polytopes: dict[str, SolutionPolytope] = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
-                out.append(instance_from_doc(json.loads(line)))
+                out.append(_instance_from_doc(json.loads(line), polytopes))
     return out

@@ -225,6 +225,29 @@ def test_zero_lambda_tie_without_closed_form_uses_labeled_substream():
     assert first.value.hex() == float(np.mean(values)).hex()
 
 
+@pytest.mark.parametrize("domain, params", [("scheduling", {"jobs": [4]}), ("stovsp", {"tasks": [5]})])
+def test_zero_lambda_tie_solves_the_oracle_once(monkeypatch, domain, params):
+    # w = 0 ties every vertex: the tie split reuses the flagged oracle result
+    instances = generate_instances(domain, 3, seed=5, **params)
+    model = model_for_instances(instances, d=2)
+    kind = type(instances[0].polytope)
+    calls = []
+    real = kind.argmax
+
+    def counting(self, theta):
+        calls.append(1)
+        return real(self, theta)
+
+    monkeypatch.setattr(kind, "argmax", counting)
+    spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=1)
+    W = np.zeros((2, 2))
+    reports = regularized_risk(
+        W, instances, default_cost_oracle(domain), model, ParamSpace.symmetric(2), spec
+    )
+    assert all(r.ties_encountered for r in reports)
+    assert len(calls) == len(W) * len(instances)
+
+
 def _tie_first_two_coordinates(x):
     phi = feature_matrix(x, d_model=2)
     phi[0] = phi[1]  # theta_0 = theta_1 at every w

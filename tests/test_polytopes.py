@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from perturbopt import polytopes
 from perturbopt.polytopes import (
     EnumerationUnavailable,
     Permutahedron,
@@ -189,7 +190,7 @@ def test_internal_radius_batch_matches_scalar():
 
 def test_p0_dirac_on_interior_point():
     one_d = VspFlow(2, [(0, 1)])
-    measure = p0(one_d, np.array([0.7]))
+    measure = p0(one_d, np.array([0.7]), rng=None)
     assert measure.is_dirac
     assert measure.atoms[0][0].tolist() == [1.0]
     assert measure.atoms[0][1] == 1.0
@@ -214,8 +215,8 @@ def test_p0_permutahedron_facet_split():
 def test_p0_tie_needs_an_rng():
     one_d = VspFlow(2, [(0, 1)])
     with pytest.raises(ValueError):
-        p0(one_d, np.array([0.0]))
-    assert p0(one_d, np.array([-0.4])).is_dirac  # no tie, no draw
+        p0(one_d, np.array([0.0]), rng=None)
+    assert p0(one_d, np.array([-0.4]), rng=None).is_dirac  # no tie, no draw
 
 
 def test_p0_tie_with_one_vertex_table_winner_is_a_dirac(monkeypatch):
@@ -302,6 +303,38 @@ def test_enumeration_cap():
     # the oracle still works above the cap
     res = linear_oracle(big, np.arange(8.0))
     assert res.y.tolist() == [float(i) for i in range(1, 9)]
+
+
+def test_failed_enumeration_is_remembered():
+    # one walk to one vertex past the cap; later calls raise at once
+    big = Permutahedron(8)
+    walks = []
+    real = big._iter_vertices
+
+    def counting():
+        walks.append(1)
+        return real()
+
+    big._iter_vertices = counting
+    for _ in range(3):
+        with pytest.raises(EnumerationUnavailable):
+            big.vertices()
+    assert walks == [1]
+
+
+def test_blocked_vertex_argmax_equals_unblocked(monkeypatch):
+    rng = np.random.default_rng(31)
+    for poly in sample_polytopes():
+        verts = poly.vertices()
+        directions = rng.standard_normal((257, poly.dim))
+        whole = np.argmax(directions @ verts.T, axis=1)
+        # 7 rows per block: 36 full blocks and a last one of 5 rows
+        monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", 7 * len(verts) + 1)
+        assert np.array_equal(polytopes._vertex_argmax(directions, verts), whole)
+        # below one row's worth, a block is still one row
+        monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", 1)
+        assert np.array_equal(polytopes._vertex_argmax(directions, verts), whole)
+        monkeypatch.undo()
 
 
 def test_vsp_enumeration_stops_at_cap_on_dense_dag():

@@ -157,13 +157,52 @@ def stovsp_crn_directions(n=16, k=64):
             yield x, theta[None, :] + lam * perturbation_block(spec, x.index, x.dim)
 
 
-def test_stovsp_batch_matches_vertex_table():
+def assignment_reference(oracle, x, thetas):
+    """One assignment solve per direction, costed by _cost_of: the
+    reference both batch paths must match bit for bit."""
+    return np.array([oracle._cost_of(x.polytope._min_cost_flow(t)[0], x) for t in thetas])
+
+
+def count_flow_solves(monkeypatch):
+    calls = []
+    real = VspFlow._min_cost_flow
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(VspFlow, "_min_cost_flow", counting)
+    return calls
+
+
+def test_stovsp_batch_matches_vertex_table(monkeypatch):
     oracle = StoVspDelayCost()
     for x, thetas in stovsp_crn_directions():
         verts = x.polytope.vertices()
         table = oracle.eval_vertices(x, verts)[np.argmax(thetas @ verts.T, axis=1)]
+        reference = assignment_reference(oracle, x, thetas)
+        calls = count_flow_solves(monkeypatch)
         batch = oracle.eval_theta_batch(x, thetas)
+        monkeypatch.undo()
+        assert calls == []  # enumerable: the vertex table, no assignment
         assert np.array_equal(batch, table)  # bitwise
+        assert np.array_equal(batch, reference)  # bitwise
+
+
+def test_stovsp_batch_past_the_cap_solves_assignments(monkeypatch):
+    # the complete 14-task DAG has Bell(14) vertices, far past the cap
+    n = 14
+    poly = VspFlow(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    rng = np.random.default_rng(29)
+    x = Instance("stovsp", "dense", 0, {"slack": rng.random(poly.dim)}, poly, scenario_seed=3)
+    thetas = rng.standard_normal((6, poly.dim))
+    thetas = np.concatenate([thetas, thetas[:2]])  # repeated solutions are costed once
+    oracle = StoVspDelayCost()
+    reference = assignment_reference(oracle, x, thetas)
+    calls = count_flow_solves(monkeypatch)
+    batch = oracle.eval_theta_batch(x, thetas)
+    assert len(calls) == len(thetas)
+    assert np.array_equal(batch, reference)  # bitwise
 
 
 def test_stovsp_banned_and_forced_solves_match_brute_force():
@@ -307,6 +346,23 @@ def test_instance_roundtrip(tmp_path):
         path2 = tmp_path / f"{domain}2.jsonl"
         save_instances(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_shares_one_polytope_per_partition_cell(tmp_path):
+    instances = generate_instances("stovsp", 24, seed=7, tasks=[4, 5, 6])
+    path = tmp_path / "stovsp.jsonl"
+    save_instances(path, instances)
+    loaded = load_instances(path)
+    cells = {}
+    for x in loaded:
+        cells.setdefault(x.partition_id, set()).add(id(x.polytope))
+    assert len(cells) > 1
+    assert all(len(ids) == 1 for ids in cells.values())
+    assert len({id(x.polytope) for x in loaded}) == len(cells)
+    assert [instance_to_doc(x) for x in loaded] == [instance_to_doc(x) for x in instances]
+    # a second load builds its own polytopes, and so does a single document
+    assert load_instances(path)[0].polytope is not loaded[0].polytope
+    assert instance_from_doc(instance_to_doc(loaded[0])).polytope is not loaded[0].polytope
 
 
 def test_format_versioning():
