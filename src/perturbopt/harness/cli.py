@@ -7,6 +7,16 @@ defaults; every value outside a key's type, bounds or choices, every
 kSoS setting ``KsosConfig.validate`` rejects and every conflict
 ``ExperimentConfig.check_sweep`` finds exits 2 before any solve.
 The default output root comes from $PERTURBOPT_OUT.
+
+Most of a short command's wall time is import, so each command imports
+the layers it runs in its own body, once its config has loaded.  The
+module itself loads only argparse, ``config`` (yaml) and ``manifest``,
+so ``--help``, an argparse error and a config error start without numpy
+or scipy.  ``generate`` loads ``problems`` and ``rngs``: numpy, and
+scipy not at all.  ``train`` adds ``model``, ``perturb`` (scipy.special)
+and ``ksos``, whose surrogate argmin calls scipy.optimize.  ``sweep``
+loads ``sweeps`` and ``check`` loads ``checks``; both bring in
+``theory``, and only ``sweep ksos`` loads ``ksos``.
 """
 
 from __future__ import annotations
@@ -15,18 +25,13 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ..ksos import GramSingular, KsosConfig, certificate, glm_smoothness_estimates, ksos_minimize, lambda_phi_schedule, baseline_minimize
-from ..model import ParamSpace, model_for_instances
-from ..perturb import PerturbationSpec, crn_risk_surface, regularized_risk
-from ..problems import default_cost_oracle, generate_instances, load_instances, save_instances
-from ..rngs import spawn_seed, substream
-from .checks import run_checks
 from .config import ConfigError, ExperimentConfig, load_config
 from .manifest import ManifestWriter
-from .sweeps import run_bias_sweep, run_ksos_sweep, run_nprocess_sweep
+
+if TYPE_CHECKING:
+    from ..ksos import KsosConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,11 +81,21 @@ def _write_json(path: str, doc: dict) -> str:
 
 def cmd_generate(args) -> int:
     cfg, out_dir = _load(args)
+    from ..problems import generate_instances, generator_params, save_instances
+    from ..rngs import spawn_seed
+
+    name, params, seed = cfg.get("domain.name"), cfg.get("domain.params"), cfg.get("master_seed")
+    allowed = generator_params(name)
+    unknown = [key for key in params if key not in allowed]
+    if unknown:
+        raise ConfigError([
+            f"domain.params.{key}: unknown key; the {name} generator takes {', '.join(allowed)}"
+            for key in unknown
+        ])
     manifest = ManifestWriter(
         out_dir, cfg.to_doc(),
         seed_labels={"train": "dataset/train", "test": "dataset/test"},
     )
-    name, params, seed = cfg.get("domain.name"), cfg.get("domain.params"), cfg.get("master_seed")
     with manifest.time("generate"):
         train = generate_instances(
             name, cfg.get("domain.n_train"), spawn_seed(seed, "dataset/train"), **params
@@ -103,6 +118,9 @@ def cmd_generate(args) -> int:
 def _ksos_config(cfg: ExperimentConfig) -> KsosConfig:
     """The kSoS settings of cfg; a setting KsosConfig rejects is a config
     problem under optimizer."""
+    from ..ksos import KsosConfig, lambda_phi_schedule
+    from ..rngs import spawn_seed
+
     m, s, d = cfg.get("optimizer.M"), cfg.get("optimizer.s"), cfg.get("model.d")
     lam_phi = cfg.get("optimizer.lambda_phi")
     if lam_phi is None:
@@ -122,6 +140,14 @@ def _ksos_config(cfg: ExperimentConfig) -> KsosConfig:
 
 def cmd_train(args) -> int:
     cfg, out_dir = _load(args)
+    import numpy as np
+
+    from ..ksos import GramSingular, baseline_minimize, certificate, glm_smoothness_estimates, ksos_minimize
+    from ..model import ParamSpace, model_for_instances
+    from ..perturb import PerturbationSpec, crn_risk_surface, regularized_risk
+    from ..problems import default_cost_oracle, load_instances
+    from ..rngs import spawn_seed, substream
+
     kind, d, seed = cfg.get("optimizer.kind"), cfg.get("model.d"), cfg.get("master_seed")
     ks_cfg = _ksos_config(cfg) if kind == "ksos" else None
     # the matched random search gets the budget of the optimizer that runs
@@ -222,6 +248,8 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, out_dir = _load(args)
     cfg.check_sweep(args.kind)
+    from .sweeps import run_bias_sweep, run_ksos_sweep, run_nprocess_sweep
+
     threads = args.threads if args.threads is not None else cfg.get("threads")
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     runner = {
@@ -243,6 +271,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     cfg, out_dir = _load(args)
+    from .checks import run_checks
+
     results = run_checks(cfg)
     report = [
         {"name": name, "passed": passed, "detail": detail}

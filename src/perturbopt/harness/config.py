@@ -7,8 +7,11 @@ the default.  Validation reports every offending key path, so every value
 of the wrong type, outside its bounds or outside its choices fails loudly
 (CLI exit code 2) before any computation starts, and so does a sweep whose
 settings conflict (``check_sweep``).  An integer key takes a YAML integer
-only; a number key takes anything ``float()`` parses except a bool.  Keys
-the schema does not list are ignored.
+only; a number key takes anything ``float()`` parses except a bool.  A
+key the schema does not list, such as a misspelt ``optimizer.m``, is an
+error too; only ``version`` and the keys inside ``domain.params`` are
+outside the schema, and ``generate`` checks the latter against the
+domain generator's keyword arguments.
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ SCHEMA = {
     "check.inject_fault": Key(None, str),
 }
 
+# the dotted paths that hold a mapping of keys, such as "sweeps.bias"
+_SECTIONS = frozenset(path.rsplit(".", i)[0] for path in SCHEMA for i in range(1, path.count(".") + 1))
 _UNSET = object()
 
 
@@ -201,6 +206,18 @@ def _grid_problems(cfg: ExperimentConfig, lambda_grid) -> list[str]:
     ]
 
 
+def _unknown_keys(node: dict, prefix: str = ""):
+    """Dotted paths of the keys under node that neither SCHEMA nor version
+    lists; a section that is no mapping is reported by _raw instead."""
+    for name, val in node.items():
+        path = f"{prefix}{name}"
+        if path in _SECTIONS:
+            if isinstance(val, dict):
+                yield from _unknown_keys(val, path + ".")
+        elif path not in SCHEMA and path != "version":
+            yield path
+
+
 def config_from_doc(doc: dict) -> ExperimentConfig:
     """doc checked against SCHEMA, then across fields; ConfigError lists
     every problem."""
@@ -208,6 +225,7 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
         raise ConfigError(["top level: must be a mapping"])
     version = doc.get("version", CONFIG_VERSION)
     problems = [] if version == CONFIG_VERSION else [f"version: unsupported value {version!r}"]
+    problems += [f"{path}: unknown key" for path in _unknown_keys(doc)]
     for path, key in SCHEMA.items():
         val = _raw(doc, path, problems)
         if val is not _UNSET and (val is not None or key.default is not None):

@@ -16,7 +16,6 @@ import os
 import time
 
 from .. import __version__
-from ..kernels import backend
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -31,6 +30,10 @@ def file_digest(path: str) -> str:
 
 
 def artifact_version() -> str:
+    # looked up here, not at import: the kernels module loads numpy, which
+    # a CLI process that fails before writing a manifest never needs
+    from ..kernels import backend
+
     return f"perturbopt-{__version__}+{backend()}"
 
 

@@ -1,4 +1,10 @@
-"""Experiment sweeps writing stable, versioned CSV artifacts."""
+"""Experiment sweeps writing stable, versioned CSV artifacts.
+
+Only the kSoS sweep solves with kSoS, so ``ksos`` (and scipy.integrate,
+scipy.linalg and scipy.optimize under it) is imported inside the two
+functions that call it, and ``sweep bias`` and ``sweep nprocess`` start
+without it.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..ksos import (
-    KsosConfig,
-    certificate,
-    gram_matrix,
-    ksos_minimize,
-    lambda_phi_schedule,
-)
 from ..model import ParamSpace, model_for_instances
 from ..perturb import PerturbationSpec
 from ..problems import default_cost_oracle, generate_instances
@@ -192,6 +191,8 @@ def quadratic_certificate_bounds(
     sum_j |w_j - target_j|^2_H, estimated by the kernel-interpolant norm on
     a dense grid (increasing in refinement) with a factor-2 margin.
     """
+    from ..ksos import gram_matrix
+
     d = space.d
     rng = substream(9, "certificate/grid")
     grid = space.sample(rng, 400)
@@ -205,6 +206,8 @@ def quadratic_certificate_bounds(
 
 
 def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
+    from ..ksos import KsosConfig, certificate, ksos_minimize, lambda_phi_schedule
+
     m_grid, d = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d")
     s = cfg.get("sweeps.ksos.s", cfg.get("optimizer.s", 2.0 if d == 1 else 2.5))
     cbar, delta = cfg.get("optimizer.cbar"), cfg.get("optimizer.delta")

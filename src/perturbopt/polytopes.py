@@ -20,6 +20,11 @@ All geometric quantities (internal cone radius, tie-splitting measure)
 are computed exactly from vertex enumeration.  Enumeration is capped at
 ENUMERATION_CAP vertices; beyond the cap only the oracle is available,
 and a polytope remembers that its enumeration failed.
+
+scipy is imported only on the assignment path, inside
+``VspFlow._min_cost_flow``: building instances, enumerating vertices and
+every vertex-table scan need numpy alone, so ``generate`` starts without
+scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 ENUMERATION_CAP = 10_000
 # Absolute tolerance on <y, theta> gaps when declaring a tie.  Exact ties
@@ -246,6 +250,8 @@ class VspFlow(SolutionPolytope):
         if forced >= 0:
             big = 10.0 * (float(np.sum(np.abs(theta))) + 1.0)
             cost[self._tails[forced], self._heads[forced]] = -big
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         matched = cols < n
         used = np.sort(self._arc_at[rows[matched], cols[matched]])
@@ -317,19 +323,30 @@ def _vertex_argmax(directions: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 def internal_radius_batch(polytope: SolutionPolytope, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized internal radius for a batch of directions, shape (B, d)."""
+    """Vectorized internal radius for a batch of directions, shape (B, d).
+
+    Each row block is worked in two block-sized buffers: the scores, which
+    become the gaps to the top score and then the ratios in place, and the
+    distances from each row's winner.  Memory so stays within twice
+    _BLOCK_ELEMENTS floats whatever the batch size."""
     verts = polytope.vertices()  # (N, d)
     dist = polytope._pairwise_distances()  # (N, N)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty(len(thetas))
+    buffers = None
     for block in _row_blocks(len(thetas), len(verts)):
-        scores = thetas[block] @ verts.T  # (B, N)
-        rows = np.arange(len(scores))
-        winner = np.argmax(scores, axis=1)
-        gaps = scores[rows, winner][:, None] - scores
-        denom = dist[winner]
+        n = block.stop - block.start
+        if buffers is None:  # the first block is the largest
+            buffers = np.empty((2, n, len(verts)))
+        ratio, denom = buffers[0, :n], buffers[1, :n]
+        np.matmul(thetas[block], verts.T, out=ratio)  # the scores
+        rows = np.arange(n)
+        winner = np.argmax(ratio, axis=1)
+        np.subtract(ratio[rows, winner][:, None], ratio, out=ratio)  # the gaps
+        # every index is valid, and mode "raise" would buffer a block-sized copy
+        np.take(dist, winner, axis=0, out=denom, mode="clip")
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = gaps / denom
+            np.divide(ratio, denom, out=ratio)
         ratio[rows, winner] = np.inf
         out[block] = np.maximum(np.min(ratio, axis=1), 0.0)
     return out

@@ -19,6 +19,7 @@ a scenario table frozen by the instance's scenario seed.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -378,6 +379,17 @@ def _generate_contextual(count, seed, d_context=2, signal=0.0) -> list[Instance]
             )
         )
     return out
+
+
+def generator_params(domain: str) -> list[str]:
+    """The keyword arguments of the domain's instance generator, which are
+    the keys a config's ``domain.params`` may set."""
+    generator = {
+        "scheduling": _generate_scheduling,
+        "stovsp": _generate_stovsp,
+        "contextual": _generate_contextual,
+    }[domain]
+    return list(inspect.signature(generator).parameters)[2:]  # after count, seed
 
 
 def default_cost_oracle(domain: str):

@@ -106,6 +106,47 @@ def test_config_validation_messages():
         assert any(p.startswith(key) for p in err.value.problems), err.value.problems
 
 
+def test_unknown_keys_are_config_errors_naming_each():
+    # a misspelt key used to be ignored: optimizer.m ran with the default M
+    doc = {
+        "version": 1,
+        "optimizer": {"m": 20, "M": 20},
+        "sweep": {"bias": {}},
+        "sweeps": {"bias": {"n_pair": 3}, "ksos": {"seeds": 2}},
+        "domain": {"params": {"anything": 1}},  # checked by generate instead
+    }
+    with pytest.raises(ConfigError) as err:
+        config_from_doc(doc)
+    assert err.value.problems == [
+        "optimizer.m: unknown key", "sweep: unknown key", "sweeps.bias.n_pair: unknown key",
+    ]
+
+
+def test_generate_rejects_unknown_domain_params(tmp_path, capsys):
+    # an unknown generator argument exited 1 with a TypeError traceback
+    bad = dict(TOY, domain=dict(TOY["domain"], params={"jobs": [4], "job": [5], "p_mx": 2.0}))
+    out = tmp_path / "x"
+    assert main(["generate", "--config", write_cfg(tmp_path, bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    takes = "the scheduling generator takes jobs, r_max, p_min, p_max"
+    assert f"domain.params.job: unknown key; {takes}" in err
+    assert f"domain.params.p_mx: unknown key; {takes}" in err
+    assert not (out / "instances_train.jsonl").exists()
+
+
+def test_benchmark_workload_configs_use_only_known_keys(monkeypatch):
+    from perturbopt.problems import generator_params
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        for quick in (False, True):
+            cfg = config_from_doc(workload.config(7, quick))
+            assert set(cfg.get("domain.params")) <= set(generator_params(cfg.get("domain.name")))
+
+
 @pytest.mark.parametrize("path", ["optimizer.delta", "sweeps.nprocess.delta"])
 def test_confidence_level_lies_in_the_open_unit_interval(path):
     assert config_from_doc(doc_with(path, 0.5)).get(path) == 0.5
@@ -321,19 +362,19 @@ def test_train_evaluation_equals_single_w_calls(trained_run):
     ids=["ksos", "randomsearch"],
 )
 def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch, optimizer, budgets):
-    from perturbopt.harness import cli
+    from perturbopt import ksos
 
     cfg_path = write_cfg(tmp_path, dict(TOY, optimizer=optimizer))
     out = str(tmp_path / "run")
     assert main(["generate", "--config", cfg_path, "--out", out]) == 0
     seen = []
-    real = cli.baseline_minimize
+    real = ksos.baseline_minimize
 
     def recording(surface, space, method, budget, seed=0):
         seen.append(budget)
         return real(surface, space, method, budget, seed=seed)
 
-    monkeypatch.setattr(cli, "baseline_minimize", recording)
+    monkeypatch.setattr(ksos, "baseline_minimize", recording)
     assert main(["train", "--config", cfg_path, "--out", out]) in (0, 3)
     assert seen == budgets
 
@@ -529,17 +570,67 @@ def test_seed_override_changes_dataset(tmp_path):
     assert load_manifest(out2)["config"]["master_seed"] == 99
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # importing scipy.stats is a large share of every CLI process's start-up;
-    # the package calls the scipy.special ufuncs underneath it instead
+# A CLI process imports only the layers its command runs (module docstring
+# of harness/cli.py); scipy.stats, a large share of start-up, never loads:
+# the package calls the scipy.special ufuncs underneath it instead.
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+from perturbopt.harness.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+IMPORT_TOY = dict(
+    TOY, perturb=dict(TOY["perturb"], samples=16), optimizer={"kind": "ksos", "M": 8},
+    sweeps={"bias": {"lambda_grid": [0.1, 1.0], "n_pairs": 2, "n_instances": 5}},
+)
+
+
+def _domain(name, **params):
+    return {"domain": dict(TOY["domain"], name=name, params=params)}
+
+
+def _loaded_modules(tmp_path, argv):
     src = os.path.dirname(os.path.dirname(perturbopt.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, perturbopt.harness.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    doc = json.loads(out.stdout.strip().splitlines()[-1])
+    return doc["code"], doc["modules"]
+
+
+@pytest.mark.parametrize(
+    "words, patch, code, unloaded",
+    [
+        pytest.param(["--help"], {}, 0, ("numpy", "scipy"), id="help"),
+        pytest.param(
+            ["generate"], {"domain": dict(TOY["domain"], n_train=0)}, 2, ("numpy", "scipy"),
+            id="config-error",
+        ),
+        pytest.param(["generate"], _domain("scheduling", jobs=[4]), 0, ("scipy",), id="generate-scheduling"),
+        pytest.param(["generate"], _domain("stovsp", tasks=[4]), 0, ("scipy",), id="generate-stovsp"),
+        pytest.param(["generate"], _domain("contextual", d_context=2), 0, ("scipy",), id="generate-contextual"),
+        pytest.param(
+            ["train"], {}, 0,
+            ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy.stats"),
+            id="train",
+        ),
+        pytest.param(
+            ["sweep", "bias"], {}, 0, ("perturbopt.ksos", "scipy.integrate", "scipy.stats"), id="sweep-bias"
+        ),
+    ],
+)
+def test_cli_command_import_budget(tmp_path, words, patch, code, unloaded):
+    cfg_path = write_cfg(tmp_path, dict(IMPORT_TOY, **patch))
+    out = str(tmp_path / "run")
+    if words[0] == "train":
+        assert main(["generate", "--config", cfg_path, "--out", out]) == 0
+    argv = words if words[0] == "--help" else [*words, "--config", cfg_path, "--out", out]
+    got, modules = _loaded_modules(tmp_path, argv)
+    assert got == code
+    assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unloaded)] == []

@@ -184,6 +184,53 @@ def test_internal_radius_batch_matches_scalar():
         assert batch[k] == pytest.approx(internal_radius(poly, thetas[k]), abs=1e-14)
 
 
+def _radius_reference(poly, thetas):
+    """internal_radius_batch's formula in one unblocked pass, with fresh
+    arrays for the scores, gaps, distances and ratios."""
+    verts = poly.vertices()
+    scores = thetas @ verts.T
+    rows = np.arange(len(scores))
+    winner = np.argmax(scores, axis=1)
+    gaps = scores[rows, winner][:, None] - scores
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = gaps / poly._pairwise_distances()[winner]
+    ratio[rows, winner] = np.inf
+    return np.maximum(np.min(ratio, axis=1), 0.0)
+
+
+def test_internal_radius_batch_is_bitwise_the_reference_formula(monkeypatch):
+    rng = np.random.default_rng(12)
+    for poly in sample_polytopes():
+        thetas = rng.standard_normal((257, poly.dim))
+        thetas[:20] = np.round(thetas[:20])  # integer directions: ties, radius 0
+        want = _radius_reference(poly, thetas)
+        assert np.array_equal(internal_radius_batch(poly, thetas), want)
+        # 7 rows per block, so the last block is shorter than the buffers
+        monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", 7 * len(poly.vertices()))
+        assert np.array_equal(internal_radius_batch(poly, thetas), want)
+        monkeypatch.undo()
+
+
+def test_internal_radius_batch_memory_stays_within_two_blocks(monkeypatch):
+    import tracemalloc
+
+    poly = Permutahedron(6)  # 720 vertices
+    n_verts = len(poly.vertices())
+    poly._pairwise_distances()  # cached before the measurement
+    block_rows = 200
+    monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", block_rows * n_verts)
+    thetas = np.random.default_rng(5).standard_normal((5 * block_rows, 6))
+    tracemalloc.start()
+    try:
+        internal_radius_batch(poly, thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = block_rows * n_verts * 8
+    # the two block buffers plus per-row vectors
+    assert peak < 2.25 * block_bytes
+
+
 # ---------------------------------------------------------------------------
 # p0
 
