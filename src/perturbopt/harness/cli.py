@@ -4,7 +4,8 @@ Subcommands: generate, train, sweep (bias|nprocess|ksos), check.
 Exit codes: 0 ok, 1 check/assert failure, 2 config error, 3 solver
 failure.  ``config.SCHEMA`` is the reference for the config keys and their
 defaults; every value outside a key's type, bounds or choices, every
-kSoS setting ``KsosConfig.validate`` rejects and every conflict
+``domain.params`` value the instance generator rejects, every kSoS
+setting ``KsosConfig.validate`` rejects and every conflict
 ``ExperimentConfig.check_sweep`` finds exits 2 before any solve.
 The default output root comes from $PERTURBOPT_OUT.
 
@@ -97,12 +98,15 @@ def cmd_generate(args) -> int:
         seed_labels={"train": "dataset/train", "test": "dataset/test"},
     )
     with manifest.time("generate"):
-        train = generate_instances(
-            name, cfg.get("domain.n_train"), spawn_seed(seed, "dataset/train"), **params
-        )
-        test = generate_instances(
-            name, cfg.get("domain.n_test"), spawn_seed(seed, "dataset/test"), **params
-        )
+        try:
+            train = generate_instances(
+                name, cfg.get("domain.n_train"), spawn_seed(seed, "dataset/train"), **params
+            )
+            test = generate_instances(
+                name, cfg.get("domain.n_test"), spawn_seed(seed, "dataset/test"), **params
+            )
+        except (ValueError, TypeError) as exc:  # a known key with a value it cannot use
+            raise ConfigError([f"domain.params: the {name} generator rejects {params}: {exc}"])
         train_path = os.path.join(out_dir, TRAIN_FILE)
         test_path = os.path.join(out_dir, TEST_FILE)
         save_instances(train_path, train)

@@ -1,10 +1,15 @@
 """Gaussian perturbation, smoothed policy probabilities and risks.
 
 The perturbation Z lives in R^{d(G)} with sqrt(d) Z standard normal, so
-|Z| sqrt(d) follows a chi distribution with d degrees of freedom.  Risks
-are estimated with common random numbers: the noise block of instance i
-depends only on (master_seed, i), never on the parameter w, so the map
-w -> empirical regularized risk is a fixed deterministic surface.
+|Z| sqrt(d) follows a chi distribution with d degrees of freedom.
+
+One rule picks the risk estimator, per instance, from its polytope alone:
+at lam = 0 the unperturbed policy; for lam > 0 the closed form where
+p_lambda has one (a one-dimensional two-vertex polytope, Permutahedron(2)),
+and otherwise the Monte Carlo mean over common random numbers: the noise
+block of instance i depends only on (master_seed, i), never on the
+parameter w, so the map w -> empirical regularized risk is a fixed
+deterministic surface either way.
 """
 
 from __future__ import annotations
@@ -107,27 +112,28 @@ def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
 
 
 def exact_policy_distribution(
-    polytope: SolutionPolytope, theta: np.ndarray, lam: float
+    polytope: SolutionPolytope, thetas: np.ndarray, lam: float
 ) -> np.ndarray | None:
-    """Closed-form p_lambda over the enumerated vertices for lam > 0, where
-    available: any two-vertex polytope in R^1 (Phi(theta/lam) up to vertex
-    order) and Permutahedron(2).  Returns None when no closed form applies.
-    The lam = 0 measure, ties included, is polytopes.p0.
+    """Closed-form p_lambda over the enumerated vertices for lam > 0 at each
+    row of thetas (B, d): shape (B, N), row b the law at thetas[b].  The
+    closed forms are Permutahedron(2) and any other polytope in R^1 with
+    two vertices (Phi(theta/lam) up to vertex order).  Returns None when no
+    closed form applies, which the polytope's kind and dimension decide
+    without enumerating its vertices.  The lam = 0 measure, ties included,
+    is polytopes.p0.
     """
-    verts = polytope.vertices()
-    theta = np.asarray(theta, dtype=np.float64)
-    if polytope.dim == 1 and len(verts) == 2:
-        gap = float(verts[1, 0] - verts[0, 0])
-        p_hi = float(ndtr(np.sign(gap) * theta[0] / lam))
-        return np.array([1.0 - p_hi, p_hi])
-    if isinstance(polytope, Permutahedron) and polytope.n == 2:
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if isinstance(polytope, Permutahedron):
+        if polytope.n != 2:
+            return None
         # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
-        p_21 = float(ndtr((theta[0] - theta[1]) / lam))
-        probs = np.empty(2)
-        for i, v in enumerate(verts):
-            probs[i] = p_21 if v[0] == 2.0 else 1.0 - p_21
-        return probs
-    return None
+        p_21 = ndtr((thetas[:, 0] - thetas[:, 1]) / lam)[:, None]
+        return np.where(polytope.vertices()[:, 0] == 2.0, p_21, 1.0 - p_21)
+    if polytope.dim != 1 or len(verts := polytope.vertices()) != 2:
+        return None
+    gap = float(verts[1, 0] - verts[0, 0])
+    p_hi = ndtr(np.sign(gap) * thetas[:, 0] / lam)
+    return np.column_stack([1.0 - p_hi, p_hi])
 
 
 def sampled_policy_distribution(
@@ -168,15 +174,6 @@ def _policy_cost_unperturbed(
     return float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)), True
 
 
-def _validated_mode(instances, mode: str) -> str:
-    if len(instances) == 0:
-        raise ValueError("empty instance list")
-    mode = mode.lower()
-    if mode not in ("montecarlo", "exactenum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return mode
-
-
 def _param_rows(W, model, space) -> np.ndarray:
     """W as a C-contiguous (M, d) float64 array; a single w is one row.
     Every row passes model.check_param, so a bad row raises what
@@ -187,39 +184,36 @@ def _param_rows(W, model, space) -> np.ndarray:
     return np.ascontiguousarray(W.reshape(-1, model.d))
 
 
-def _risk_terms(W, instances, oracle, model, space, spec, mode, blocks=None):
+def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
     """The one risk estimator, for a batch W of M parameters (a single w is
     M = 1).  Yields (values, costs, ties) per instance: the risk term of
-    each w, the (M, K) Monte Carlo cost samples behind them (None for exact
-    terms) and whether each row's lam = 0 policy hit a tie.
+    each w, the (M, K) Monte Carlo cost samples behind them (None for
+    terms that drew no noise) and whether each row's lam = 0 policy hit a
+    tie.
 
     Every row of W is checked once, before any oracle call.  Per instance,
-    the feature matrix is built once and theta = phi @ w per row, which is
-    model.predict(w, x) bit for bit.  At lam = 0 each row takes the
-    unperturbed policy; exactenum with a closed-form p_lambda sums over the
-    vertices row by row; otherwise the instance's CRN noise block
-    (blocks[i], or drawn here once for all rows) perturbs every theta in one
+    the feature matrix is built once and the thetas of all rows come from
+    one stacked matmul, one gemv per row as in model.predict(w, x), bit for
+    bit.  At lam = 0 each row takes the unperturbed policy.  Otherwise,
+    where exact_policy_distribution has a closed form, each row's term is
+    its probabilities dotted with the vertex costs (one dot per row, as
+    ``p @ costs``); elsewhere the instance's CRN noise block (blocks[i], or
+    drawn here once for all rows) perturbs every theta in one
     eval_theta_batch call, and the mean over the K samples of each row
     equals np.mean of that row's costs bit for bit."""
     W = _param_rows(W, model, space)
     lam = spec.lam
     no_ties = np.zeros(len(W), dtype=bool)
     for i, x in enumerate(instances):
-        phi = model.feature_matrix(x)
-        thetas = np.empty((len(W), x.dim))
-        for m, w in enumerate(W):
-            thetas[m] = phi @ w
+        thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
         if lam == 0.0:
             terms = [_policy_cost_unperturbed(oracle, x, t, spec.master_seed) for t in thetas]
             yield np.array([v for v, _ in terms]), None, np.array([t for _, t in terms])
             continue
-        if mode == "exactenum":
-            first = exact_policy_distribution(x.polytope, thetas[0], lam)
-            if first is not None:
-                rest = [exact_policy_distribution(x.polytope, t, lam) for t in thetas[1:]]
-                costs = oracle.eval_vertices(x, x.polytope.vertices())
-                yield np.array([float(p @ costs) for p in [first, *rest]]), None, no_ties
-                continue
+        probs = exact_policy_distribution(x.polytope, thetas, lam)
+        if probs is not None:
+            yield np.vecdot(probs, oracle.eval_vertices(x, x.polytope.vertices())), None, no_ties
+            continue
         z = perturbation_block(spec, x.index, x.dim) if blocks is None else blocks[i]
         dirs = (thetas[:, None, :] + lam * z).reshape(-1, x.dim)
         costs = oracle.eval_theta_batch(x, dirs).reshape(len(W), -1)
@@ -233,28 +227,30 @@ def regularized_risk(
     model: GeneralizedLinearModel,
     space: ParamSpace,
     spec: PerturbationSpec,
-    mode: str = "montecarlo",
 ) -> RiskReport | list[RiskReport]:
-    """Empirical regularized risk of the policy at parameter w.
-
-    montecarlo: common-random-number average of the oracle-solution cost
-    over spec.mc_samples perturbed directions per instance.
-    exactenum: sum over enumerated vertices of the closed-form p_lambda
-    times cost where one exists (std error 0); elsewhere the montecarlo
-    estimate, bit for bit.  At lam = 0 both give the unperturbed policy.
+    """Empirical regularized risk of the policy at parameter w, each
+    instance scored by the module's rule: the unperturbed policy at
+    lam = 0, the closed-form p_lambda times the vertex costs where one
+    exists (std error 0), and elsewhere the common-random-number average of
+    the oracle-solution cost over spec.mc_samples perturbed directions.
+    The report's mode is "exactenum" when no instance drew noise and
+    "montecarlo" otherwise.
 
     w may be one parameter of shape (d,), which returns one report, or a
     batch of shape (M, d), which returns a list of M reports from one pass
     over the instances: each noise block is drawn once for all rows, and
-    report m equals the single call at W[m] bit for bit (value, std error
-    and ties).
+    report m equals the single call at W[m] bit for bit (value, std error,
+    mode and ties).
     """
-    mode = _validated_mode(instances, mode)
     n = len(instances)
+    if n == 0:
+        raise ValueError("empty instance list")
     values, variances, ties = [], [], []
-    for value, costs, tie in _risk_terms(w, instances, oracle, model, space, spec, mode):
+    sampled = False
+    for value, costs, tie in _risk_terms(w, instances, oracle, model, space, spec):
         values.append(value)
         ties.append(tie)
+        sampled = sampled or costs is not None
         k = 0 if costs is None else costs.shape[1]
         variances.append(np.var(costs, axis=1, ddof=1) / k if k > 1 else np.zeros(len(value)))
     # one contiguous row of n per-instance terms per w, folded as np.mean folds it
@@ -270,7 +266,7 @@ def regularized_risk(
             lam=spec.lam,
             epsilon0=spec.epsilon0,
             seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
-            mode=mode,
+            mode="montecarlo" if sampled else "exactenum",
             ties_encountered=bool(np.any(t)),
         )
         for v, s, t in zip(values, variances, ties)
@@ -279,12 +275,14 @@ def regularized_risk(
 
 
 def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
-    """The fixed deterministic map w -> empirical regularized risk.
+    """The fixed deterministic map w -> empirical regularized risk, each
+    instance scored by the module's rule (closed form where p_lambda has
+    one, the CRN Monte Carlo mean elsewhere); the name keeps the CRN of
+    its Monte Carlo terms.  The values are those of regularized_risk,
+    summed left to right over the instances.
 
     Noise blocks are drawn once and reused for every w, so repeated calls
-    are bit-identical; suitable as the kernel-SoS objective.  The values
-    are those of the montecarlo regularized_risk, summed left to right over
-    the instances.
+    are bit-identical; suitable as the kernel-SoS objective.
 
     The returned function carries ``values(W)``: W of shape (M, d) in, the
     M surface values out, from one pass over the instances (each noise
@@ -295,7 +293,8 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     that a ``functools.wraps`` wrapper of the surface, which copies
     ``__dict__``, still carries it.
     """
-    mode = _validated_mode(instances, "montecarlo")
+    if len(instances) == 0:
+        raise ValueError("empty instance list")
     blocks = None
     if spec.lam > 0.0:
         blocks = [perturbation_block(spec, x.index, x.dim) for x in instances]
@@ -304,7 +303,7 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
         if np.ndim(W) != 2:
             raise ValueError(f"values takes W of shape (M, d), got shape {np.shape(W)}")
         total = np.zeros(len(W))
-        for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec, mode, blocks):
+        for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec, blocks):
             total += vals
         return total / len(instances)
 

@@ -157,13 +157,12 @@ class StoVspDelayCost:
         poly: VspFlow = x.polytope
         intrinsic = self.scenario_delays(x)  # (S, n)
         slack = x.features["slack"]
-        arc_index = {(i, j): idx for idx, (i, j) in enumerate(poly.arcs)}
         total = np.zeros(intrinsic.shape[0])
         for path in poly.paths(y):
             delay = intrinsic[:, path[0]].copy()
             total += delay
             for prev, cur in zip(path[:-1], path[1:]):
-                s = slack[arc_index[(prev, cur)]]
+                s = slack[poly._arc_at[prev, cur]]
                 delay = np.maximum(0.0, delay - s) + intrinsic[:, cur]
                 total += delay
         mean_delay = float(np.mean(total))

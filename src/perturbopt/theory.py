@@ -181,25 +181,21 @@ def check_bias_bound(
 ) -> tuple[list[BoundCheck], ScalingFit]:
     """Both risk-perturbation inequalities on a lambda grid, plus the
     log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
-    ``oracle`` of the instances, with exactenum risks."""
+    ``oracle`` of the instances.  Each risk follows regularized_risk's
+    rule: exact where p_lambda has a closed form, CRN Monte Carlo
+    elsewhere, and the unperturbed policy at lambda = 0."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
     osc = osc_bound(oracle, instances)
-    base = regularized_risk(
-        w, instances, oracle, model, space, spec.with_lambda(0.0, 0.0), mode="exactenum"
-    )
-    r_eps = regularized_risk(
-        w, instances, oracle, model, space, spec.with_lambda(epsilon0, 0.0), mode="exactenum"
-    )
+    base = regularized_risk(w, instances, oracle, model, space, spec.with_lambda(0.0, 0.0))
+    r_eps = regularized_risk(w, instances, oracle, model, space, spec.with_lambda(epsilon0, 0.0))
     v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []
     gaps = []
     v_prev = -np.inf
     for lam, v in zip(lambda_grid, v_grid):
-        r_lam = regularized_risk(
-            w, instances, oracle, model, space, spec.with_lambda(lam, 0.0), mode="exactenum"
-        )
+        r_lam = regularized_risk(w, instances, oracle, model, space, spec.with_lambda(lam, 0.0))
         v_lam = float(v)
         se = r_lam.mc_std_error + base.mc_std_error
         checks.append(
@@ -344,10 +340,10 @@ def check_empirical_process(
 
 
 def _plambda_exact(polytope, theta, lam):
-    probs = exact_policy_distribution(polytope, theta, lam)
+    probs = exact_policy_distribution(polytope, theta[None], lam)
     if probs is None:
         raise ValueError("lipschitz probes need a closed-form policy distribution")
-    return probs
+    return probs[0]
 
 
 def _max_theta_slope(instances, lam, trials, master_seed) -> float:

@@ -134,6 +134,20 @@ def test_generate_rejects_unknown_domain_params(tmp_path, capsys):
     assert not (out / "instances_train.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "jobs, why",
+    [([0], "job counts must be >= 1"), (5, "'int' object is not iterable")],
+)
+def test_generate_rejects_a_domain_param_value_the_generator_cannot_use(tmp_path, capsys, jobs, why):
+    # the generator's ValueError or TypeError exited 1 with a traceback
+    bad = dict(TOY, domain=dict(TOY["domain"], params={"jobs": jobs}))
+    out = tmp_path / "x"
+    assert main(["generate", "--config", write_cfg(tmp_path, bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"domain.params: the scheduling generator rejects {{'jobs': {jobs}}}: {why}" in err
+    assert not (out / "instances_train.jsonl").exists()
+
+
 def test_benchmark_workload_configs_use_only_known_keys(monkeypatch):
     from perturbopt.problems import generator_params
 

@@ -1,5 +1,6 @@
 import functools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi, norm
 
+from perturbopt import perturb
 from perturbopt.model import ParamOutsideBox, ParamSpace, model_for_instances
 from perturbopt.perturb import (
     PerturbationSpec,
@@ -92,7 +94,7 @@ def test_perturbation_block_is_crn():
 def test_p_lambda_gaussian_cdf_closed_form():
     instances, _, _ = contextual_setup()
     x = instances[0]
-    probs = exact_policy_distribution(x.polytope, np.array([0.3]), 1.0)
+    probs = exact_policy_distribution(x.polytope, np.array([[0.3]]), 1.0)[0]
     p = probs[x.polytope.vertices()[:, 0].tolist().index(1.0)]
     assert p == pytest.approx(norm.cdf(0.3))
     assert p == pytest.approx(0.61791, abs=1e-5)
@@ -102,10 +104,11 @@ def test_p_lambda_normalization_and_symmetry():
     instances, _, _ = contextual_setup()
     x = instances[0]
     for lam in (0.3, 1.0, 2.5):
-        probs = exact_policy_distribution(x.polytope, np.array([0.4]), lam)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    probs0 = exact_policy_distribution(x.polytope, np.array([0.0]), 1.0)
-    assert probs0.tolist() == [0.5, 0.5]
+        probs = exact_policy_distribution(x.polytope, np.array([[0.4], [-2.0]]), lam)
+        assert probs.shape == (2, 2)
+        assert probs.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+    probs0 = exact_policy_distribution(x.polytope, np.array([[0.0]]), 1.0)
+    assert probs0.tolist() == [[0.5, 0.5]]
 
 
 def test_p_lambda_permutahedron2_closed_form():
@@ -114,7 +117,7 @@ def test_p_lambda_permutahedron2_closed_form():
     perm2 = Permutahedron(2)
     theta = np.array([0.9, 0.2])
     for lam in (0.5, 1.0):
-        probs = exact_policy_distribution(perm2, theta, lam)
+        probs = exact_policy_distribution(perm2, theta[None], lam)[0]
         verts = perm2.vertices()
         expected_21 = norm.cdf((theta[0] - theta[1]) / lam)
         for v, p in zip(verts, probs):
@@ -131,44 +134,57 @@ def test_p_lambda_monte_carlo_agrees_with_exact():
     probs, ses = sampled_policy_distribution(
         perm2, theta, 0.8, 20_000, substream(5, "mc")
     )
-    exact = exact_policy_distribution(perm2, theta, 0.8)
+    exact = exact_policy_distribution(perm2, theta[None], 0.8)[0]
     assert np.all(np.abs(probs - exact) <= 3.0 * ses + 1e-9)
 
 
 def test_exact_policy_distribution_is_norm_cdf_bitwise():
-    # the closed forms call scipy.special.ndtr, which is what norm.cdf evaluates
+    # the closed forms call scipy.special.ndtr, which is what norm.cdf
+    # evaluates; row b of a batch is the scalar formula at thetas[b]
     one_d = VspFlow(2, [(0, 1)])
     perm2 = Permutahedron(2)
     rng = substream(6, "ndtr")
-    thetas = [0.0, -0.0, 1e-300, -3.7, 0.3, 40.0, np.inf, -np.inf]
-    thetas += list(rng.standard_normal(40) * 3.0)
-    for t in thetas:
-        for lam in (1e-3, 0.37, 1.0, 5.0):
-            probs = exact_policy_distribution(one_d, np.array([t]), lam)
+    ts = [0.0, -0.0, 1e-300, -3.7, 0.3, 40.0, np.inf, -np.inf]
+    ts += list(rng.standard_normal(40) * 3.0)
+    for lam in (1e-3, 0.37, 1.0, 5.0):
+        probs = exact_policy_distribution(one_d, np.array(ts)[:, None], lam)
+        assert probs.shape == (len(ts), 2)
+        thetas = np.column_stack([ts, np.full(len(ts), 0.25)])
+        perm_probs = exact_policy_distribution(perm2, thetas, lam)
+        assert perm_probs.shape == (len(ts), 2)
+        for t, row, theta, perm_row in zip(ts, probs, thetas, perm_probs):
             p_hi = float(norm.cdf(t / lam))
-            assert probs.tolist() == [1.0 - p_hi, p_hi]
-            theta = np.array([t, 0.25])
-            probs = exact_policy_distribution(perm2, theta, lam)
+            assert row.tolist() == [1.0 - p_hi, p_hi]
             p_21 = float(norm.cdf((theta[0] - theta[1]) / lam))
             want = [p_21 if v[0] == 2.0 else 1.0 - p_21 for v in perm2.vertices()]
-            assert probs.tolist() == want
+            assert perm_row.tolist() == want
+
+
+@pytest.mark.parametrize("polytope", [Permutahedron(1), Permutahedron(3), VspFlow(3, [(0, 1), (1, 2)])])
+def test_no_closed_form_is_decided_without_enumerating(polytope):
+    assert exact_policy_distribution(polytope, np.zeros((2, polytope.dim)), 0.5) is None
+    assert not hasattr(polytope, "_vertices_cache") and not hasattr(polytope, "_past_cap")
 
 
 # ---------------------------------------------------------------------------
 # regularized risk
 
 
-def test_risk_closed_form_example():
+def test_risk_closed_form_example(monkeypatch):
     # f(0) = 5, f(1) = 2, theta = 0.3, lam = 1 -> 5 - 3 Phi(0.3)
     instances, model, space = contextual_setup(costs=[5.0, 2.0], context=[0.3, 0.0])
     # widen the cost box: this hand example leaves [0, 1]
     oracle = ContextualWrapper()
     spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=8192, master_seed=1)
     w = np.array([1.0, 0.0])
-    report = regularized_risk(w, instances, oracle, model, space, spec, mode="exactenum")
+    report = regularized_risk(w, instances, oracle, model, space, spec)
     assert report.value == pytest.approx(5.0 - 3.0 * norm.cdf(0.3), abs=1e-12)
     assert report.mc_std_error == 0.0
-    mc = regularized_risk(w, instances, oracle, model, space, spec, mode="montecarlo")
+    assert report.mode == "exactenum"
+    # without its closed form the instance takes the CRN Monte Carlo estimate
+    monkeypatch.setattr(perturb, "exact_policy_distribution", lambda *args: None)
+    mc = regularized_risk(w, instances, oracle, model, space, spec)
+    assert mc.mode == "montecarlo" and mc.mc_std_error > 0.0
     assert abs(mc.value - report.value) <= 4.0 * mc.mc_std_error + 1e-9
 
 
@@ -177,7 +193,7 @@ def test_risk_small_lambda_limit():
     oracle = ContextualWrapper()
     spec = PerturbationSpec(lam=1e-6, epsilon0=0.0, mc_samples=512, master_seed=1)
     w = np.array([1.0, 0.0])
-    report = regularized_risk(w, instances, oracle, model, space, spec, mode="exactenum")
+    report = regularized_risk(w, instances, oracle, model, space, spec)
     assert report.value == pytest.approx(2.0, abs=1e-9)  # interior cone: f(y_hat)
 
 
@@ -273,10 +289,10 @@ def test_risk_errors():
     instances, model, space = contextual_setup()
     oracle = ContextualWrapper()
     spec = PerturbationSpec(lam=0.5, epsilon0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty instance list"):
         regularized_risk(np.zeros(2), [], oracle, model, space, spec)
-    with pytest.raises(ValueError):
-        regularized_risk(np.zeros(2), instances, oracle, model, space, spec, mode="bogus")
+    with pytest.raises(ValueError, match="empty instance list"):
+        crn_risk_surface([], oracle, model, space, spec)
 
 
 def test_risk_within_cost_bounds():
@@ -308,24 +324,20 @@ def test_crn_reproducibility_bitwise():
     assert rep1.value == pytest.approx(v1, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "domain, params, d",
-    [("scheduling", {"jobs": [4]}, 2), ("stovsp", {"tasks": [5]}, 3)],
-    ids=["sched", "vsp"],
-)
-def test_exactenum_without_closed_form_is_montecarlo(domain, params, d):
-    # no closed-form p_lambda on these polytopes, so exactenum is the same
-    # CRN estimate, standard error included
-    instances = generate_instances(domain, 16, seed=3, **params)
-    model = model_for_instances(instances, d=d)
-    space = ParamSpace.symmetric(d)
-    oracle = default_cost_oracle(domain)
-    spec = PerturbationSpec(lam=0.3, epsilon0=0.0, mc_samples=256, master_seed=5)
-    w = np.full(d, 0.2)
-    exact = regularized_risk(w, instances, oracle, model, space, spec, mode="exactenum")
-    mc = regularized_risk(w, instances, oracle, model, space, spec, mode="montecarlo")
-    assert exact.value.hex() == mc.value.hex()
-    assert exact.mc_std_error.hex() == mc.mc_std_error.hex()
+def test_past_the_cap_the_risk_is_the_crn_estimate_without_enumerating():
+    # Permutahedron(8) has 8! vertices, past ENUMERATION_CAP: no closed form,
+    # decided from the kind alone, so the risk never reads the vertex table
+    instances = generate_instances("scheduling", 3, seed=1, jobs=[8])
+    model = model_for_instances(instances, d=2)
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.0, mc_samples=16, master_seed=1)
+    report = regularized_risk(
+        np.array([0.3, -0.2]), instances, default_cost_oracle("scheduling"), model,
+        ParamSpace.symmetric(2), spec,
+    )
+    assert report.value == 23.283741625108508
+    assert report.mode == "montecarlo"
+    polytope = instances[0].polytope
+    assert not hasattr(polytope, "_vertices_cache") and not hasattr(polytope, "_past_cap")
 
 
 # The CRN surface of the benchmark's sched, vsp and ctx train configs (data
@@ -353,12 +365,13 @@ SURFACE_PINS = {
         "0x1.bcfcd58c31fabp+2",
         "0x1.cdc7a0ff038e9p+2",
     ],
+    # the closed form on every instance: contextual_risk_matrix's mean to 1 ulp
     ("contextual", 256, (("d_context", 2), ("signal", 1.0)), 2, 256): [
-        "0x1.f31959aa7a996p-2",
-        "0x1.12e071271a93cp-2",
-        "0x1.51c557980b135p-1",
-        "0x1.4ff771fe1da93p-2",
-        "0x1.72ec38805c073p-1",
+        "0x1.f3f0c43ab2df5p-2",
+        "0x1.12ffee7e156bep-2",
+        "0x1.51c7d5ff7c6e7p-1",
+        "0x1.5095b8b6e498dp-2",
+        "0x1.72e7af5db64ecp-1",
     ],
 }
 
@@ -389,8 +402,8 @@ RISK_PINS = {
         ("0x1.347f2b48a00fep+2", "0x1.698d9a4b5f44fp-7"),
     ],
     ("contextual", 1024, (("d_context", 2), ("signal", 1.0)), 2, 256): [
-        ("0x1.24c3956a868bcp-2", "0x1.86d9e175ded43p-13"),
-        ("0x1.4faee9ad302a6p-1", "0x1.99b5e802a874ap-13"),
+        ("0x1.24bc8dc6a6cbep-2", "0x0.0p+0"),
+        ("0x1.4f92c1638de70p-1", "0x0.0p+0"),
     ],
 }
 
@@ -444,22 +457,86 @@ def batches(draw):
     return name, np.array(rows)
 
 
-@given(
-    batch=batches(),
-    mode=st.sampled_from(["montecarlo", "exactenum"]),
-    lam=st.sampled_from([0.0, 0.3]),
-)
+@given(batch=batches(), lam=st.sampled_from([0.0, 0.3]))
 @settings(max_examples=50, deadline=None)
-def test_batch_reports_equal_single_calls_bitwise(batch, mode, lam):
+def test_batch_reports_equal_single_calls_bitwise(batch, lam):
     name, W = batch
     instances, model, space, oracle = batch_setup(name)
     spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
-    reports = regularized_risk(W, instances, oracle, model, space, spec, mode=mode)
+    reports = regularized_risk(W, instances, oracle, model, space, spec)
     assert len(reports) == len(W)
     for w, rep in zip(W, reports):
-        single = regularized_risk(w, instances, oracle, model, space, spec, mode=mode)
+        single = regularized_risk(w, instances, oracle, model, space, spec)
         assert report_bits(rep) == report_bits(single)
         assert rep.to_doc() == single.to_doc()
+
+
+def _scaled_fortran_features(x):
+    # a builder feature map, column-major, so each gemv reads strided rows
+    return np.asfortranarray(1.5 * feature_matrix(x, d_model=2) - 0.25)
+
+
+@given(
+    name=st.sampled_from([*sorted(BATCH_DOMAINS), "builder"]),
+    W=st.integers(1, 9).flatmap(
+        lambda m: st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), min_size=m, max_size=m)
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_thetas_are_model_predict_bitwise(name, W):
+    # every row's theta in _risk_terms, as exact_policy_distribution sees it
+    instances, model, space, oracle = batch_setup("sched" if name == "builder" else name)
+    if name == "builder":
+        model = model_for_instances(instances, d=2, builder=_scaled_fortran_features)
+    W = np.array(W)[:, : model.d]
+    seen = []
+
+    def record(polytope, thetas, lam):
+        seen.append(thetas.copy())
+        return None  # then the Monte Carlo path runs on the same thetas
+
+    spec = PerturbationSpec(lam=0.3, epsilon0=0.0, mc_samples=2, master_seed=4)
+    with mock.patch.object(perturb, "exact_policy_distribution", record):
+        regularized_risk(W, instances, oracle, model, space, spec)
+    assert len(seen) == len(instances)
+    for x, thetas in zip(instances, seen):
+        assert thetas.shape == (len(W), x.dim)
+        for w, theta in zip(W, thetas):
+            assert theta.tobytes() == model.predict(w, x, space=space).tobytes()
+
+
+@given(
+    n_verts=st.sampled_from([1, 2, 3, 6, 24]),
+    m=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_vecdot_is_the_per_row_dot_bitwise(n_verts, m, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(n_verts), size=m)
+    costs = rng.uniform(-3.0, 40.0, n_verts)
+    got = np.vecdot(probs, costs)
+    assert got.shape == (m,) and got.dtype == np.float64
+    assert [float(v).hex() for v in got] == [float(p @ costs).hex() for p in probs]
+
+
+@pytest.mark.parametrize("name", ["ctx", "perm2"])
+def test_exact_terms_are_each_rows_law_dotted_with_the_vertex_costs(name):
+    if name == "ctx":
+        instances, model, space, oracle = batch_setup("ctx")
+    else:  # scheduling with two jobs: Permutahedron(2)
+        instances = generate_instances("scheduling", 5, seed=29, jobs=[2])
+        model = model_for_instances(instances, d=2)
+        space, oracle = ParamSpace.symmetric(2), default_cost_oracle("scheduling")
+    W = np.vstack([np.zeros(2), space.sample(substream(3, "exact-w"), 16)])
+    spec = PerturbationSpec(lam=0.2, epsilon0=0.0, mc_samples=16, master_seed=4)
+    terms = list(perturb._risk_terms(W, instances, oracle, model, space, spec))
+    for x, (values, costs, ties) in zip(instances, terms):
+        assert costs is None and not ties.any()
+        vertex_costs = oracle.eval_vertices(x, x.polytope.vertices())
+        for w, v in zip(W, values):
+            p = exact_policy_distribution(x.polytope, model.predict(w, x)[None], spec.lam)[0]
+            assert v.hex() == float(p @ vertex_costs).hex()
 
 
 @given(batch=batches(), lam=st.sampled_from([0.0, 0.1]))
@@ -505,26 +582,29 @@ class CountingOracle:
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 @pytest.mark.parametrize("mode", ["montecarlo", "exactenum"])
 def test_batch_rejects_a_bad_row_before_any_oracle_call(mode, lam):
-    instances, model, space, inner = batch_setup("sched")
+    # the scheduling instances take the Monte Carlo estimate, the contextual
+    # ones the closed form
+    instances, model, space, inner = batch_setup({"montecarlo": "sched", "exactenum": "ctx"}[mode])
     oracle = CountingOracle(inner)
     spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
     good = np.array([[0.2, -0.4], [0.5, 0.5]])
     outside = np.vstack([good, [[0.3, 1.5]]])
     with pytest.raises(ParamOutsideBox) as got:
-        regularized_risk(outside, instances, oracle, model, space, spec, mode=mode)
+        regularized_risk(outside, instances, oracle, model, space, spec)
     with pytest.raises(ParamOutsideBox) as want:
         model.predict(outside[-1], instances[0], space=space)
     assert str(got.value) == str(want.value)
     wide = np.hstack([good, np.zeros((2, 1))])
     with pytest.raises(ValueError, match=re.escape("parameter has shape (3,), want (2,)")) as got:
-        regularized_risk(wide, instances, oracle, model, space, spec, mode=mode)
+        regularized_risk(wide, instances, oracle, model, space, spec)
     assert got.type is ValueError
     surface = crn_risk_surface(instances, oracle, model, space, spec)
     with pytest.raises(ParamOutsideBox):
         surface(outside[-1])
     assert oracle.calls == 0
-    regularized_risk(good, instances, oracle, model, space, spec, mode=mode)
+    report = regularized_risk(good, instances, oracle, model, space, spec)[0]
     assert oracle.calls > 0
+    assert report.mode == ("exactenum" if lam == 0.0 else mode)
 
 
 def test_report_serializes():
@@ -534,7 +614,10 @@ def test_report_serializes():
     doc = rep.to_doc()
     assert doc["lambda"] == 0.5
     assert doc["epsilon0"] == 1e-3
-    assert doc["mode"] == "montecarlo"
+    assert doc["mode"] == "exactenum"  # the contextual p_lambda has a closed form
+    instances, model, space, oracle = batch_setup("sched")
+    rep = regularized_risk(np.zeros(2), instances, oracle, model, space, spec)
+    assert rep.to_doc()["mode"] == "montecarlo"
 
 
 # ---------------------------------------------------------------------------

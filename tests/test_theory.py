@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from perturbopt.model import ParamSpace, model_for_instances
-from perturbopt.perturb import PerturbationSpec, chi_tail
+from perturbopt.perturb import PerturbationSpec, _risk_terms, chi_tail
 from perturbopt.problems import ContextualWrapper, StoVspDelayCost, generate_instances, osc_bound
 from perturbopt.rngs import substream
 from perturbopt.theory import (
@@ -252,6 +252,27 @@ def test_contextual_risk_matrix_is_norm_cdf_formula_bitwise():
         want = costs[:, [0]] + (costs[:, [1]] - costs[:, [0]]) * p1
         got = contextual_risk_matrix(instances, w_grid, lam)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("signal", [0.0, 1.0])
+def test_contextual_risk_matrix_matches_the_risk_pipeline(signal):
+    # two exact paths to the contextual risk: the closed form in _risk_terms
+    # (one gemv per row, vertex costs dotted with p_lambda) and the gemm and
+    # formula of contextual_risk_matrix; they agree to rounding
+    instances = generate_instances("contextual", 40, seed=61, d_context=2, signal=signal)
+    model = model_for_instances(instances, d=2)
+    space = ParamSpace.symmetric(2)
+    w_grid = np.vstack([np.zeros(2), space.sample(substream(10, "wg"), 31), [[1.0, -1.0]]])
+    for lam in (1e-3, 0.05, 0.5, 3.0):
+        spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=4, master_seed=1)
+        terms = [
+            values
+            for values, costs, _ in _risk_terms(w_grid, instances, ContextualWrapper(), model, space, spec)
+            if costs is None
+        ]
+        assert len(terms) == len(instances)
+        gap = np.max(np.abs(np.array(terms) - contextual_risk_matrix(instances, w_grid, lam)))
+        assert gap <= 4.5e-16
 
 
 def test_zero_variance_domain_has_zero_deviation():
