@@ -206,7 +206,7 @@ def cmd_train(args) -> int:
     else:
         with manifest.time(kind):
             w_hat, value = baseline_minimize(
-                surface, space, kind, budget, seed=spawn_seed(seed, "train/baseline")
+                surface, space, budget, seed=spawn_seed(seed, "train/baseline")
             )
         result_doc.update({"w_hat": w_hat.tolist(), "value": value})
 
@@ -214,8 +214,7 @@ def cmd_train(args) -> int:
         train_report = regularized_risk(w_hat, train, oracle, model, space, spec)
         random_ws = space.sample(substream(seed, "train/random_policies"), 20)
         base_w, base_v = baseline_minimize(
-            surface, space, "randomsearch", budget,
-            seed=spawn_seed(seed, "train/baseline_matched"),
+            surface, space, budget, seed=spawn_seed(seed, "train/baseline_matched")
         )
         # one pass over the test set: each noise block is drawn once for all 22 w
         test_report, *random_reports, base_test = regularized_risk(
@@ -262,14 +261,12 @@ def cmd_sweep(args) -> int:
         "ksos": run_ksos_sweep,
     }[args.kind]
     with manifest.time(f"sweep/{args.kind}"):
-        path = runner(cfg, out_dir, threads=threads)
-    manifest.add_file(path)
-    summary = path.replace(".csv", "_summary.csv")
-    if os.path.exists(summary):
-        manifest.add_file(summary)
+        paths = runner(cfg, out_dir, threads=threads)
+    for path in paths:
+        manifest.add_file(path)
     manifest.write()
     if args.verbose:
-        print(f"sweep {args.kind}: wrote {path}")
+        print(f"sweep {args.kind}: wrote {', '.join(paths)}")
     return EXIT_OK
 
 

@@ -100,7 +100,7 @@ SCHEMA = {
     "perturb.lambda": Key(0.1, float, low=0.0),
     "perturb.epsilon0": Key(1e-3, float, low=0.0),
     "perturb.samples": Key(512, int, low=1),
-    "optimizer.kind": Key("ksos", str, choices=("ksos", "randomsearch", "neldermead")),
+    "optimizer.kind": Key("ksos", str, choices=("ksos", "randomsearch")),
     "optimizer.M": Key(96, int, low=1),
     "optimizer.s": Key(2.5, float),
     "optimizer.lambda_phi": Key(None, float),  # None: lambda_phi_schedule(M, s, d, delta, cbar)

@@ -45,10 +45,11 @@ def _parallel_map(fn, items, threads: int):
 # Bias sweep
 
 
-def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
+def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
     """Bias bounds over a lambda grid at random w.  Runs on contextual
     instances with d_context = model.d whatever the configured domain,
-    until the sweep follows domain.name (ROADMAP 5)."""
+    until the sweep follows domain.name (ROADMAP 7).  Returns the paths of
+    the CSV and its summary."""
     lambda_grid = cfg.get("sweeps.bias.lambda_grid")
     eps0, d, seed = cfg.get("perturb.epsilon0"), cfg.get("model.d"), cfg.get("master_seed")
     n_w = max(1, cfg.get("sweeps.bias.n_pairs") // len(lambda_grid))
@@ -117,19 +118,19 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
             "all_passed": int(all(r["passed"] for r in rows)),
         }
     ]
-    write_csv(
+    summary_path = write_csv(
         os.path.join(out_dir, "sweep_bias_summary.csv"),
         ["n_w", "n_rows", "fitted_slope_median", "all_passed"],
         summary,
     )
-    return path
+    return [path, summary_path]
 
 
 # ---------------------------------------------------------------------------
 # Empirical process sweep
 
 
-def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
+def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
     lam = cfg.get("sweeps.nprocess.lambda")
     d_context = cfg.get("sweeps.nprocess.d_context")
     result = check_empirical_process(
@@ -161,7 +162,7 @@ def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str
         rows,
     )
     lo, hi = result.fit.slope_ci
-    write_csv(
+    summary_path = write_csv(
         os.path.join(out_dir, "sweep_nprocess_summary.csv"),
         ["fitted_slope", "slope_ci_lo", "slope_ci_hi", "fraction_bounded", "lambda"],
         [
@@ -174,7 +175,7 @@ def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str
             }
         ],
     )
-    return path
+    return [path, summary_path]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def quadratic_certificate_bounds(
     return 2.0 * trace_bound, 2.0
 
 
-def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
+def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
     from ..ksos import KsosConfig, certificate, ksos_minimize, lambda_phi_schedule
 
     m_grid, d = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d")
@@ -259,9 +260,9 @@ def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> str:
     for m in m_grid:
         errs = [r["arg_error"] for r in rows if r["M"] == m]
         med_rows.append({"M": m, "median_arg_error": float(np.median(errs))})
-    write_csv(
+    summary_path = write_csv(
         os.path.join(out_dir, "sweep_ksos_summary.csv"),
         ["M", "median_arg_error"],
         med_rows,
     )
-    return path
+    return [path, summary_path]

@@ -487,38 +487,15 @@ def glm_smoothness_estimates(
 def baseline_minimize(
     risk_surface,
     space: ParamSpace,
-    method: str,
     budget: int,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """Best-of-budget random search or restarted Nelder-Mead, clipped to
-    the box.  Random search scores its whole sample the way kSoS does: one
-    ``risk_surface.values`` call where the surface has it, else one call
-    per point.  Nelder-Mead calls the surface one point at a time."""
+    """Random search: the best of budget uniform points in the box.  It
+    scores its whole sample the way kSoS does, one ``risk_surface.values``
+    call where the surface has it, else one call per point."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    method = method.lower()
-    rng = substream(seed, f"baseline/{method}")
-    if method == "randomsearch":
-        points = space.sample(rng, budget)
-        values = _surface_values(risk_surface, points)
-        best = int(np.argmin(values))
-        return points[best].copy(), float(values[best])
-    if method == "neldermead":
-        n_starts = min(5, budget)
-        per_start = max(1, budget // n_starts)
-        starts = space.sample(rng, n_starts)
-        best_w, best_v = None, np.inf
-        for w0 in starts:
-            res = minimize(
-                lambda w: float(risk_surface(space.project(w))),
-                w0,
-                method="Nelder-Mead",
-                options={"maxfev": per_start, "xatol": 1e-8, "fatol": 1e-10},
-            )
-            w = space.project(res.x)
-            v = float(risk_surface(w))
-            if v < best_v:
-                best_w, best_v = w, v
-        return best_w, best_v
-    raise ValueError(f"unknown baseline method {method!r}")
+    points = space.sample(substream(seed, "baseline/randomsearch"), budget)
+    values = _surface_values(risk_surface, points)
+    best = int(np.argmin(values))
+    return points[best].copy(), float(values[best])

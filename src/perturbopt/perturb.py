@@ -10,6 +10,11 @@ and otherwise the Monte Carlo mean over common random numbers: the noise
 block of instance i depends only on (master_seed, i), never on the
 parameter w, so the map w -> empirical regularized risk is a fixed
 deterministic surface either way.
+
+One fold turns the per-instance terms into a risk: each w's terms are
+summed left to right over the instances and divided by n.  The kSoS
+surface and every reported risk use it, so crn_risk_surface(...).values(W)
+equals the values of regularized_risk(W) bit for bit.
 """
 
 from __future__ import annotations
@@ -185,23 +190,21 @@ def _param_rows(W, model, space) -> np.ndarray:
 
 
 def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
-    """The one risk estimator, for a batch W of M parameters (a single w is
-    M = 1).  Yields (values, costs, ties) per instance: the risk term of
-    each w, the (M, K) Monte Carlo cost samples behind them (None for
-    terms that drew no noise) and whether each row's lam = 0 policy hit a
-    tie.
+    """The one risk estimator, for the rows of W, an (M, d) array from
+    _param_rows (a single w is M = 1).  Yields (values, costs, ties) per
+    instance: the risk term of each w, the (M, K) Monte Carlo cost samples
+    behind them (None for terms that drew no noise) and whether each row's
+    lam = 0 policy hit a tie.
 
-    Every row of W is checked once, before any oracle call.  Per instance,
-    the feature matrix is built once and the thetas of all rows come from
-    one stacked matmul, one gemv per row as in model.predict(w, x), bit for
-    bit.  At lam = 0 each row takes the unperturbed policy.  Otherwise,
+    Per instance, the feature matrix is built once and the thetas of all
+    rows come from one stacked matmul, one gemv per row as in
+    model.predict(w, x), bit for bit.  At lam = 0 each row takes the unperturbed policy.  Otherwise,
     where exact_policy_distribution has a closed form, each row's term is
     its probabilities dotted with the vertex costs (one dot per row, as
     ``p @ costs``); elsewhere the instance's CRN noise block (blocks[i], or
     drawn here once for all rows) perturbs every theta in one
     eval_theta_batch call, and the mean over the K samples of each row
     equals np.mean of that row's costs bit for bit."""
-    W = _param_rows(W, model, space)
     lam = spec.lam
     no_ties = np.zeros(len(W), dtype=bool)
     for i, x in enumerate(instances):
@@ -236,40 +239,44 @@ def regularized_risk(
     The report's mode is "exactenum" when no instance drew noise and
     "montecarlo" otherwise.
 
+    The value is the module's one fold of the per-instance terms, summed
+    left to right and divided by n, and so equals crn_risk_surface's value
+    at w bit for bit.  The std error is the square root of the
+    per-instance Monte Carlo variances of the mean, summed the same way,
+    divided by n.
+
     w may be one parameter of shape (d,), which returns one report, or a
     batch of shape (M, d), which returns a list of M reports from one pass
-    over the instances: each noise block is drawn once for all rows, and
-    report m equals the single call at W[m] bit for bit (value, std error,
-    mode and ties).
+    over the instances: every row is checked before any oracle call, each
+    noise block is drawn once for all rows, and report m equals the single
+    call at W[m] bit for bit (value, std error, mode and ties).
     """
     n = len(instances)
     if n == 0:
         raise ValueError("empty instance list")
-    values, variances, ties = [], [], []
+    W = _param_rows(w, model, space)
+    total, var_total, ties = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W), dtype=bool)
     sampled = False
-    for value, costs, tie in _risk_terms(w, instances, oracle, model, space, spec):
-        values.append(value)
-        ties.append(tie)
-        sampled = sampled or costs is not None
-        k = 0 if costs is None else costs.shape[1]
-        variances.append(np.var(costs, axis=1, ddof=1) / k if k > 1 else np.zeros(len(value)))
-    # one contiguous row of n per-instance terms per w, folded as np.mean folds it
-    values, variances, ties = (
-        np.ascontiguousarray(np.transpose(c)) for c in (values, variances, ties)
-    )
+    for value, costs, tie in _risk_terms(W, instances, oracle, model, space, spec):
+        total += value  # the surface's fold: left to right over the instances
+        ties |= tie
+        if costs is not None:
+            sampled = True
+            if costs.shape[1] > 1:
+                var_total += np.var(costs, axis=1, ddof=1) / costs.shape[1]
     reports = [
         RiskReport(
-            value=float(np.mean(v)),
-            mc_std_error=float(np.sqrt(np.sum(s)) / n),
+            value=float(v),
+            mc_std_error=float(se),
             n_instances=n,
             mc_samples=spec.mc_samples,
             lam=spec.lam,
             epsilon0=spec.epsilon0,
             seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
             mode="montecarlo" if sampled else "exactenum",
-            ties_encountered=bool(np.any(t)),
+            ties_encountered=bool(t),
         )
-        for v, s, t in zip(values, variances, ties)
+        for v, se, t in zip(total / n, np.sqrt(var_total) / n, ties)
     ]
     return reports if np.ndim(w) == 2 else reports[0]
 
@@ -278,8 +285,8 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     """The fixed deterministic map w -> empirical regularized risk, each
     instance scored by the module's rule (closed form where p_lambda has
     one, the CRN Monte Carlo mean elsewhere); the name keeps the CRN of
-    its Monte Carlo terms.  The values are those of regularized_risk,
-    summed left to right over the instances.
+    its Monte Carlo terms.  Its values are regularized_risk's, bit for
+    bit: both fold the per-instance terms with the module's one fold.
 
     Noise blocks are drawn once and reused for every w, so repeated calls
     are bit-identical; suitable as the kernel-SoS objective.
@@ -287,8 +294,8 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     The returned function carries ``values(W)``: W of shape (M, d) in, the
     M surface values out, from one pass over the instances (each noise
     block perturbs every row in one oracle batch).  Entry m equals the
-    single call at W[m] bit for bit, because both fold the same per-row
-    terms left to right; the single call is ``values(w[None])[0]``.
+    single call at W[m] and regularized_risk(W[m]).value bit for bit; the
+    single call is ``values(w[None])[0]``.
     ``values`` is a function attribute rather than a method of a class, so
     that a ``functools.wraps`` wrapper of the surface, which copies
     ``__dict__``, still carries it.
@@ -302,6 +309,7 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     def values(W) -> np.ndarray:
         if np.ndim(W) != 2:
             raise ValueError(f"values takes W of shape (M, d), got shape {np.shape(W)}")
+        W = _param_rows(W, model, space)
         total = np.zeros(len(W))
         for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec, blocks):
             total += vals

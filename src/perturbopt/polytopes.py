@@ -66,7 +66,6 @@ class SurrogateMeasure:
     a single atom of mass 1 off the cone boundaries."""
 
     atoms: list[tuple[np.ndarray, float]]
-    is_dirac: bool
 
 
 def _check_theta(polytope: "SolutionPolytope", theta: np.ndarray) -> np.ndarray:
@@ -388,17 +387,17 @@ def _split_tie(
     """p0's measure from the oracle result already solved at theta, so a
     caller that holds the result does not solve the oracle again."""
     if not result.tie:
-        return SurrogateMeasure(atoms=[(result.y, 1.0)], is_dirac=True)
+        return SurrogateMeasure(atoms=[(result.y, 1.0)])
     if rng is None:
         raise ValueError("p0 needs an rng to split a tie")
     verts = polytope.vertices()
     scores = verts @ theta
     winners = np.flatnonzero(scores >= np.max(scores) - TIE_TOL)
     if len(winners) == 1:
-        return SurrogateMeasure(atoms=[(verts[winners[0]], 1.0)], is_dirac=True)
+        return SurrogateMeasure(atoms=[(verts[winners[0]], 1.0)])
     if len(winners) == 2 and (polytope.dim == 1 or isinstance(polytope, Permutahedron)):
         # two cones split the boundary hyperplane evenly
-        return SurrogateMeasure(atoms=[(verts[i], 0.5) for i in winners], is_dirac=False)
+        return SurrogateMeasure(atoms=[(verts[i], 0.5) for i in winners])
     radius = P0_RADIUS_REL * (1.0 + float(np.linalg.norm(theta)))
     probes = theta[None, :] + radius * _uniform_ball(rng, P0_SAMPLES, polytope.dim)
     winners = _vertex_argmax(probes, verts)
@@ -406,4 +405,4 @@ def _split_tie(
     probs = counts / P0_SAMPLES
     keep = np.flatnonzero(probs > 0)
     atoms = [(verts[i], float(probs[i])) for i in keep]
-    return SurrogateMeasure(atoms=atoms, is_dirac=False)
+    return SurrogateMeasure(atoms=atoms)

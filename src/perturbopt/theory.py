@@ -50,11 +50,8 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    x_grid: np.ndarray
-    y_values: np.ndarray
     fitted_slope: float
     slope_ci: tuple[float, float]
-    per_seed_slopes: np.ndarray
 
 
 def fit_loglog(x, y) -> float:
@@ -78,13 +75,7 @@ def _scaling_fit(x_grid, per_seed_values) -> ScalingFit:
         ci = (float(np.quantile(slopes, 0.025)), float(np.quantile(slopes, 0.975)))
     else:
         ci = (float("nan"), float("nan"))
-    return ScalingFit(
-        x_grid=np.asarray(x_grid, dtype=np.float64),
-        y_values=med,
-        fitted_slope=fit_loglog(x_grid, med),
-        slope_ci=ci,
-        per_seed_slopes=slopes,
-    )
+    return ScalingFit(fitted_slope=fit_loglog(x_grid, med), slope_ci=ci)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +254,6 @@ class EmpiricalProcessResult:
     fit: ScalingFit
     checks: list[BoundCheck]
     deviations: np.ndarray  # (seeds, n_grid)
-    n_grid: np.ndarray
     fraction_bounded: float
 
 
@@ -332,7 +322,7 @@ def check_empirical_process(
             )
     fit = _scaling_fit(np.asarray(n_grid, dtype=float), deviations)
     frac = float(np.mean([c.passed for c in checks]))
-    return EmpiricalProcessResult(fit, checks, deviations, np.asarray(n_grid), frac)
+    return EmpiricalProcessResult(fit, checks, deviations, frac)
 
 
 # ---------------------------------------------------------------------------

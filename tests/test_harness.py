@@ -203,6 +203,7 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
         ("train", {"optimizer": {"M": 2}}, "optimizer: need M >= d + 1"),
         ("train", {"optimizer": {"s": 1.5}}, "optimizer: need smoothness s > 1 + d/2"),
         ("train", {"optimizer": {"kind": "randomsearch", "budget": 0}}, "optimizer.budget: "),
+        ("train", {"optimizer": {"kind": "neldermead"}}, "optimizer.kind: "),
         ("sweep bias", {"sweeps": {"bias": {"n_pairs": "x"}}}, "sweeps.bias.n_pairs: "),
         ("sweep nprocess", {"sweeps": {"nprocess": {"seeds": "x"}}}, "sweeps.nprocess.seeds: "),
         ("generate", {"domain": {"n_train": True}}, "domain.n_train: "),
@@ -217,8 +218,8 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
         ("sweep bias", {"perturb": {"epsilon0": 0.05}}, "sweeps.bias.lambda_grid: value 0.01 below"),
     ],
     ids=[
-        "M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "n_pairs-x", "seeds-x", "n_train-true",
-        "delta-200", "pool-below-10n", "default-grid-below-eps0",
+        "M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "kind-neldermead", "n_pairs-x",
+        "seeds-x", "n_train-true", "delta-200", "pool-below-10n", "default-grid-below-eps0",
     ],
 )
 def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, patch, key):
@@ -350,7 +351,7 @@ def test_train_evaluation_equals_single_w_calls(trained_run):
     random_risks = [risk(w, test).value for w in random_ws]
     surface = crn_risk_surface(train, oracle, model, space, spec)
     base_w, base_v = baseline_minimize(
-        surface, space, "randomsearch", 32, seed=spawn_seed(7, "train/baseline_matched")
+        surface, space, 32, seed=spawn_seed(7, "train/baseline_matched")
     )
     assert result["comparison"] == {
         "random_policy_test_risks": random_risks,
@@ -364,6 +365,26 @@ def test_train_evaluation_equals_single_w_calls(trained_run):
     for name, report in (("risk_train.json", train_report), ("risk_test.json", test_report)):
         text = json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
         assert open(os.path.join(out, name)).read() == text
+
+
+def test_train_risk_is_the_surface_ksos_scored(trained_run):
+    # the kSoS objective and the reported train risk are one function: the
+    # surface at w_hat, which kSoS scored for its gap, is risk_train.json's value
+    from perturbopt.model import ParamSpace, model_for_instances
+    from perturbopt.perturb import PerturbationSpec, crn_risk_surface
+    from perturbopt.problems import default_cost_oracle
+
+    out, _code = trained_run
+    train = load_instances(os.path.join(out, "instances_train.jsonl"))
+    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=128, master_seed=7)
+    surface = crn_risk_surface(
+        train, default_cost_oracle("scheduling"), model_for_instances(train, d=2),
+        ParamSpace.symmetric(2), spec,
+    )
+    result = json.load(open(os.path.join(out, "result.json")))
+    scored = surface(np.array(result["w_hat"]))
+    assert result["aposteriori_gap"] == scored - result["c_hat"]
+    assert json.load(open(os.path.join(out, "risk_train.json")))["value"] == scored
 
 
 @pytest.mark.parametrize(
@@ -384,9 +405,9 @@ def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch, 
     seen = []
     real = ksos.baseline_minimize
 
-    def recording(surface, space, method, budget, seed=0):
+    def recording(surface, space, budget, seed=0):
         seen.append(budget)
-        return real(surface, space, method, budget, seed=seed)
+        return real(surface, space, budget, seed=seed)
 
     monkeypatch.setattr(ksos, "baseline_minimize", recording)
     assert main(["train", "--config", cfg_path, "--out", out]) in (0, 3)
@@ -422,14 +443,27 @@ def test_train_takes_no_threads_flag(tmp_path, capsys):
 # sweeps
 
 
+def sweep_out(tmp_path):
+    # ".csv" inside the directory name: a summary path found by rewriting
+    # ".csv" in the CSV's path missed the summary file here
+    out = str(tmp_path / "runs.csv.d")
+    os.makedirs(out)
+    return out
+
+
+def assert_manifest_lists_csv_and_summary(out, kind):
+    assert sorted(load_manifest(out)["files"]) == [f"sweep_{kind}.csv", f"sweep_{kind}_summary.csv"]
+    ok, bad = verify_manifest(out)
+    assert ok, bad
+
+
 def test_bias_sweep_schema(tmp_path):
     doc = dict(
         TOY,
         sweeps={"bias": {"lambda_grid": [0.01, 0.1, 1.0], "n_pairs": 6, "n_instances": 12}},
     )
     cfg_path = write_cfg(tmp_path, doc)
-    out = str(tmp_path / "run")
-    os.makedirs(out)
+    out = sweep_out(tmp_path)
     assert main(["sweep", "bias", "--config", cfg_path, "--out", out]) == 0
     rows = read_csv_rows(os.path.join(out, "sweep_bias.csv"))
     assert {"schema_version", "lambda", "lhs", "rhs2osc", "rhs4osc", "passed"} <= set(
@@ -440,6 +474,7 @@ def test_bias_sweep_schema(tmp_path):
     assert len(rows) == 2 * 3  # n_w * len(grid)
     summary = read_csv_rows(os.path.join(out, "sweep_bias_summary.csv"))
     assert summary[0]["all_passed"] == "1"
+    assert_manifest_lists_csv_and_summary(out, "bias")
 
 
 def test_nprocess_sweep_schema(tmp_path):
@@ -456,26 +491,26 @@ def test_nprocess_sweep_schema(tmp_path):
         },
     )
     cfg_path = write_cfg(tmp_path, doc)
-    out = str(tmp_path / "run")
-    os.makedirs(out)
+    out = sweep_out(tmp_path)
     assert main(["sweep", "nprocess", "--config", cfg_path, "--out", out]) == 0
     rows = read_csv_rows(os.path.join(out, "sweep_nprocess.csv"))
     assert len(rows) == 6
     summary = read_csv_rows(os.path.join(out, "sweep_nprocess_summary.csv"))
     assert "fitted_slope" in summary[0]
     assert "slope_ci_lo" in summary[0]
+    assert_manifest_lists_csv_and_summary(out, "nprocess")
 
 
 def test_ksos_sweep_schema(tmp_path):
     doc = dict(TOY, sweeps={"ksos": {"m_grid": [16, 32], "seeds": 2, "d": 1}})
     cfg_path = write_cfg(tmp_path, doc)
-    out = str(tmp_path / "run")
-    os.makedirs(out)
+    out = sweep_out(tmp_path)
     assert main(["sweep", "ksos", "--config", cfg_path, "--out", out]) == 0
     rows = read_csv_rows(os.path.join(out, "sweep_ksos.csv"))
     assert len(rows) == 4
     assert {"M", "arg_error", "certificate_covers"} <= set(rows[0])
     assert all(r["certificate_covers"] == "1" for r in rows)
+    assert_manifest_lists_csv_and_summary(out, "ksos")
 
 
 def test_sweep_thread_invariance(tmp_path):

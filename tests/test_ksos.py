@@ -446,24 +446,16 @@ def test_glm_estimates_rank_deficient_message_names_the_rank():
 
 def test_random_search_quadratic():
     space = ParamSpace.symmetric(1)
-    w, v = baseline_minimize(quad1, space, "randomsearch", 10_000, seed=5)
+    w, v = baseline_minimize(quad1, space, 10_000, seed=5)
     assert v <= 1e-3
-
-
-def test_nelder_mead_quadratic():
-    space = ParamSpace.symmetric(1)
-    w, v = baseline_minimize(quad1, space, "neldermead", 500, seed=5)
-    assert abs(w[0] - 0.3) <= 1e-4
 
 
 def test_baseline_edge_cases():
     space = ParamSpace.symmetric(1)
-    w, v = baseline_minimize(lambda _: 3.3, space, "randomsearch", 1, seed=6)
+    w, v = baseline_minimize(lambda _: 3.3, space, 1, seed=6)
     assert v == 3.3
     with pytest.raises(ValueError):
-        baseline_minimize(quad1, space, "randomsearch", 0, seed=6)
-    with pytest.raises(ValueError):
-        baseline_minimize(quad1, space, "bogus", 10, seed=6)
+        baseline_minimize(quad1, space, 0, seed=6)
 
 
 class CountingSurface:
@@ -495,7 +487,7 @@ def test_samples_are_scored_in_one_batch_equal_to_point_calls():
     batched = ksos_minimize(counted, space, cfg)
     assert counted.batches == [12] and counted.singles == 1  # the surrogate argmin
     counted = CountingSurface(surface)
-    batched_rs = baseline_minimize(counted, space, "randomsearch", 10, seed=5)
+    batched_rs = baseline_minimize(counted, space, 10, seed=5)
     assert counted.batches == [10] and counted.singles == 0
 
     # a plain callable takes the point-by-point path, with the same bits
@@ -505,6 +497,6 @@ def test_samples_are_scored_in_one_batch_equal_to_point_calls():
     assert single.w_hat.tobytes() == batched.w_hat.tobytes()
     assert json.dumps(single.to_doc()) == json.dumps(batched.to_doc())
     assert single.newton_trace == batched.newton_trace
-    single_w, single_v = baseline_minimize(plain, space, "randomsearch", 10, seed=5)
+    single_w, single_v = baseline_minimize(plain, space, 10, seed=5)
     assert single_w.tobytes() == batched_rs[0].tobytes()
     assert single_v.hex() == batched_rs[1].hex()

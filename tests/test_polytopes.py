@@ -238,7 +238,7 @@ def test_internal_radius_batch_memory_stays_within_two_blocks(monkeypatch):
 def test_p0_dirac_on_interior_point():
     one_d = VspFlow(2, [(0, 1)])
     measure = p0(one_d, np.array([0.7]), rng=None)
-    assert measure.is_dirac
+    assert len(measure.atoms) == 1
     assert measure.atoms[0][0].tolist() == [1.0]
     assert measure.atoms[0][1] == 1.0
 
@@ -263,7 +263,7 @@ def test_p0_tie_needs_an_rng():
     one_d = VspFlow(2, [(0, 1)])
     with pytest.raises(ValueError):
         p0(one_d, np.array([0.0]), rng=None)
-    assert p0(one_d, np.array([-0.4]), rng=None).is_dirac  # no tie, no draw
+    assert len(p0(one_d, np.array([-0.4]), rng=None).atoms) == 1  # no tie, no draw
 
 
 def test_p0_tie_with_one_vertex_table_winner_is_a_dirac(monkeypatch):
@@ -276,7 +276,7 @@ def test_p0_tie_with_one_vertex_table_winner_is_a_dirac(monkeypatch):
         Permutahedron, "argmax", lambda self, t: dataclasses.replace(real(self, t), tie=True)
     )
     measure = p0(poly, theta, rng=np.random.default_rng(0))
-    assert measure.is_dirac
+    assert len(measure.atoms) == 1
     assert [(y.tolist(), p) for y, p in measure.atoms] == [([2.0, 1.0, 3.0], 1.0)]
 
 
@@ -287,7 +287,7 @@ def test_p0_probabilities_sum_to_one():
             theta = rng.integers(-1, 2, poly.dim).astype(float)
             measure = p0(poly, theta, rng=rng)
             total = sum(p for _, p in measure.atoms)
-            if measure.is_dirac:
+            if len(measure.atoms) == 1:
                 assert total == 1.0
             else:
                 assert total == pytest.approx(1.0, abs=1e-12)

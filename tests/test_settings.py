@@ -22,7 +22,7 @@ ALLOWED = {
     "problems.py:StoVspDelayCost.__init__.c_delay",
     "problems.py:StoVspDelayCost.__init__.c_vehicle",
     "problems.py:StoVspDelayCost.__init__.n_scenarios",
-    # ROADMAP 5 exposes the stovsp generator's arc cap in the config
+    # ROADMAP 7 exposes the stovsp generator's arc cap in the config
     "problems.py:_stovsp_shapes.arc_cap",
 }
 

@@ -157,24 +157,24 @@ def test_bias_closed_form_two_solution_example():
 BIAS_GRID = [0.02, 0.1, 0.5, 2.0]
 BIAS_PINS = {
     (0.4, -0.7): [
-        ("0x1.ee57880730a66p-6", "0x1.940ef3a361540p-8", "0x1.d5fbdaf297877p-5",
-         "0x1.8c69379138340p-8", "0x1.d5fbdaf297877p-4"),
-        ("0x1.1cdaf244df752p-4", "0x1.f8cbaa5538880p-8", "0x1.0ed1c145a2da5p-3",
-         "0x1.f125ee430f680p-8", "0x1.0ed1c145a2da5p-2"),
-        ("0x1.d97a4d067e98bp-2", "0x1.02e47c98b4500p-10", "0x1.c225cebc3f6acp-1",
-         "0x1.c89b18a01fa00p-11", "0x1.c225cebc3f6acp+0"),
+        ("0x1.ee57880730a66p-6", "0x1.940ef3a3614c0p-8", "0x1.d5fbdaf297877p-5",
+         "0x1.8c693791382c0p-8", "0x1.d5fbdaf297877p-4"),
+        ("0x1.1cdaf244df752p-4", "0x1.f8cbaa55387c0p-8", "0x1.0ed1c145a2da5p-3",
+         "0x1.f125ee430f5c0p-8", "0x1.0ed1c145a2da5p-2"),
+        ("0x1.d97a4d067e98bp-2", "0x1.02e47c98b4400p-10", "0x1.c225cebc3f6acp-1",
+         "0x1.c89b18a01f800p-11", "0x1.c225cebc3f6acp+0"),
         ("0x1.b073695c2a325p-1", "0x1.82d38e516eb00p-9", "0x1.9b246f845e5eep+0",
          "0x1.7388162d1c700p-9", "0x1.9b246f845e5eep+1"),
     ],
     (-0.9, 0.25): [
         ("0x1.cbdf443052acdp-6", "0x1.b2b14d2af9f00p-9", "0x1.b536653a69b2ep-5",
          "0x1.b2ab6c4f7b000p-9", "0x1.b536653a69b2ep-4"),
-        ("0x1.bbd052275f931p-4", "0x1.670af66c86440p-8", "0x1.a5f2030d0e363p-3",
-         "0x1.670de6da45bc0p-8", "0x1.a5f2030d0e363p-2"),
-        ("0x1.c594b25403fb2p-2", "0x1.65ae74a80eb80p-8", "0x1.af3b2f3f88f82p-1",
-         "0x1.65ab843a4f400p-8", "0x1.af3b2f3f88f82p+0"),
-        ("0x1.a7efbd1e230b9p-1", "0x1.b6bdcc73a6d00p-7", "0x1.930c29e02235bp+0",
-         "0x1.b6bc543cc7140p-7", "0x1.930c29e02235bp+1"),
+        ("0x1.bbd052275f931p-4", "0x1.670af66c86400p-8", "0x1.a5f2030d0e363p-3",
+         "0x1.670de6da45b80p-8", "0x1.a5f2030d0e363p-2"),
+        ("0x1.c594b25403fb2p-2", "0x1.65ae74a80ebc0p-8", "0x1.af3b2f3f88f82p-1",
+         "0x1.65ab843a4f440p-8", "0x1.af3b2f3f88f82p+0"),
+        ("0x1.a7efbd1e230b9p-1", "0x1.b6bdcc73a6d20p-7", "0x1.930c29e02235bp+0",
+         "0x1.b6bc543cc7160p-7", "0x1.930c29e02235bp+1"),
     ],
 }
 
