@@ -15,9 +15,10 @@ module itself loads only argparse, ``config`` (yaml) and ``manifest``,
 so ``--help``, an argparse error and a config error start without numpy
 or scipy.  ``generate`` loads ``problems`` and ``rngs``: numpy, and
 scipy not at all.  ``train`` adds ``model``, ``perturb`` (scipy.special)
-and ``ksos``, whose surrogate argmin calls scipy.optimize.  ``sweep``
-loads ``sweeps`` and ``check`` loads ``checks``; both bring in
-``theory``, and only ``sweep ksos`` loads ``ksos``.
+and ``ksos`` (scipy.linalg), but neither scipy.optimize nor
+scipy.integrate: the surrogate argmin and the smoothness estimates need
+numpy alone.  ``sweep`` loads ``sweeps`` and ``check`` loads ``checks``;
+both bring in ``theory``, and only ``sweep ksos`` loads ``ksos``.
 """
 
 from __future__ import annotations

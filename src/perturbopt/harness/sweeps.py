@@ -1,9 +1,10 @@
 """Experiment sweeps writing stable, versioned CSV artifacts.
 
-Only the kSoS sweep solves with kSoS, so ``ksos`` (and scipy.integrate,
-scipy.linalg and scipy.optimize under it) is imported inside the two
-functions that call it, and ``sweep bias`` and ``sweep nprocess`` start
-without it.
+Only the kSoS sweep solves with kSoS, so ``ksos`` (and scipy.linalg
+under it) is imported inside the two functions that call it, and
+``sweep bias`` and ``sweep nprocess`` start without it.  ``sweep bias``
+scores its lam = 0 risks against the contextual vertex table, so it
+solves no assignment and never loads scipy.optimize.
 """
 
 from __future__ import annotations

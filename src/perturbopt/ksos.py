@@ -26,6 +26,12 @@ The Newton loop forms its matrix products with scipy's BLAS, the library
 that already runs its Cholesky calls: numpy and scipy may each bundle
 their own threaded OpenBLAS, and alternating between the two thread pools
 costs far more than the arithmetic.
+
+The tail of the solve needs numpy alone: the surrogate argmin is a grid
+search and a batched compass refine on h(w) = k_w^T B k_w, and the
+Hermite norms of the smoothness estimates are in closed form.  So the
+module loads scipy.linalg and scipy.special, but not scipy.optimize or
+scipy.integrate.
 """
 
 from __future__ import annotations
@@ -35,10 +41,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.linalg.blas import dgemm
-from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
@@ -58,6 +62,7 @@ MU_MIN = 1e-16
 INNER_TOL = 1e-9
 MAX_INNER = 60
 SOBOLEV_NODES = 48
+REFINE_XTOL = 1e-10
 
 
 @dataclass
@@ -136,14 +141,18 @@ def _matern(r: np.ndarray, nu: float, ell: float) -> np.ndarray:
     return out
 
 
+def _sq_dists(wpts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(n, M) squared distances from each row of wpts to each sample point."""
+    diff = wpts[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def gram_matrix(points: np.ndarray, s: float, length_scale: float) -> np.ndarray:
     """Gram matrix of the reproducing kernel of H^s over R^d restricted to
     the box: a Matern kernel with smoothness nu = s - d/2, normalized to
     k(w, w) = 1."""
     d = points.shape[1]
-    diff = points[:, None, :] - points[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return _matern(r, s - d / 2, length_scale)
+    return _matern(np.sqrt(_sq_dists(points, points)), s - d / 2, length_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -230,35 +239,77 @@ def _newton_inner(R_scaled, G, lam_phi, alpha):
     return alpha, T, ok, counts
 
 
+def _surrogate(points, B, nu: float, ell: float):
+    """The fitted SoS surrogate h(w) = k_w^T B k_w, as a function of the
+    (n, M) squared distances of n points to the samples, in the
+    sum-of-squares form |L^T k_w|^2 with B = L L^T: one gemm ``kw @ L`` and
+    a row-wise dot with itself.  L comes from the eigendecomposition of B's
+    symmetric part, whose negative eigenvalues, rounding errors of a PSD
+    matrix, are clipped to zero.  The direct form ``kw @ B`` dotted with
+    kw cancels terms of size |k_w|^T |B| |k_w| down to h: on a 1-D solve at
+    M = 128 that is 1e7 down to 6e-5, so its rounding noise (1e-9) is as
+    large as h's rise within 5e-5 of the minimum, and the refine would
+    stop in a noise dip."""
+    evals, evecs = np.linalg.eigh((B + B.T) / 2.0)
+    L = evecs * np.sqrt(np.clip(evals, 0.0, None))
+
+    def h(sq: np.ndarray) -> np.ndarray:
+        kl = _matern(np.sqrt(sq), nu, ell) @ L
+        return np.einsum("ij,ij->i", kl, kl)
+
+    return h
+
+
+def _grid_start(h, points, space: ParamSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(start, step): the argmin of h over a grid of 2001, 101 or 41 points
+    per axis for d = 1, 2 or 3, and the grid spacing; for d > 3 the best
+    sample point, with the 41-point spacing.  The grid is a product of
+    axes, so its squared distances are sums of per-axis tables, built 4096
+    rows at a time to bound memory."""
+    d = space.d
+    n_axis = {1: 2001, 2: 101, 3: 41}.get(d, 41)
+    step = (space.upper - space.lower) / (n_axis - 1)
+    if d > 3:
+        return points[int(np.argmin(h(_sq_dists(points, points))))], step
+    axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(space.lower, space.upper)]
+    sq_axes = [(a[:, None] - points[None, :, k]) ** 2 for k, a in enumerate(axes)]
+    n = n_axis**d
+    vals = np.empty(n)
+    for lo in range(0, n, 4096):
+        idx = np.unravel_index(np.arange(lo, min(lo + 4096, n)), (n_axis,) * d)
+        vals[lo : lo + 4096] = h(sum(t[i] for t, i in zip(sq_axes, idx)))
+    best = np.unravel_index(int(np.argmin(vals)), (n_axis,) * d)
+    return np.array([a[i] for a, i in zip(axes, best)]), step
+
+
+def _compass_refine(h, points, start, step, space: ParamSpace) -> np.ndarray:
+    """Compass search from start: each round scores best and best +- step
+    along every axis, projected to the box, in one h call; it moves to the
+    lowest of them, or halves the step when best is lowest (the first of
+    equal values wins).  Every move lowers h, so it stops, at a step of at
+    most REFINE_XTOL on every axis."""
+    d = space.d
+    offsets = np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])
+    best, step = np.asarray(start, dtype=np.float64), np.asarray(step, dtype=np.float64)
+    while np.max(step) > REFINE_XTOL:
+        cand = space.project(best + offsets * step)
+        k = int(np.argmin(h(_sq_dists(cand, points))))
+        if k == 0:
+            step = step / 2.0
+        else:
+            best = cand[k]
+    return best
+
+
 def _sos_model_argmin(points, B, s, d, ell, space: ParamSpace) -> np.ndarray:
-    """Minimizer of the fitted SoS surrogate h(w) = k_w^T B k_w: coarse
-    grid then local simplex refinement.  Costs no surface evaluations."""
-
-    def h(wpts):
-        out = np.empty(len(wpts))
-        for lo in range(0, len(wpts), 4096):
-            hi = min(lo + 4096, len(wpts))
-            diff = wpts[lo:hi, None, :] - points[None, :, :]
-            r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            kw = _matern(r, s - d / 2, ell)
-            out[lo:hi] = np.einsum("ij,jk,ik->i", kw, B, kw)
-        return out
-
-    if d <= 3:
-        n_axis = {1: 2001, 2: 101, 3: 41}[d]
-        axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(space.lower, space.upper)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.column_stack([m.ravel() for m in mesh])
-    else:
-        grid = points
-    start = grid[int(np.argmin(h(grid)))]
-    res = minimize(
-        lambda w: float(h(space.project(w)[None, :])[0]),
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 200 * d},
-    )
-    return space.project(res.x)
+    """Minimizer of the fitted SoS surrogate h(w) = k_w^T B k_w: the grid
+    argmin of _grid_start, then _compass_refine.  Costs no surface
+    evaluations.  Like the Newton loop's products, ``kw @ L`` runs on
+    threaded BLAS, so the BLAS thread count can move the last bits of h,
+    and with them the refine's path."""
+    h = _surrogate(points, B, s - d / 2, ell)
+    start, step = _grid_start(h, points, space)
+    return _compass_refine(h, points, start, step, space)
 
 
 def _surface_values(risk_surface, points: np.ndarray) -> np.ndarray:
@@ -383,16 +434,19 @@ def certificate(
 
 @functools.cache
 def _abs_hermite_l1(order: int) -> float:
-    """integral of |He_k(t)| phi(t) dt (probabilists' Hermite); cached,
-    since it depends on the order alone."""
+    """integral of |He_k(t)| phi(t) dt (probabilists' Hermite), in closed
+    form: since d/dt (He_{k-1} phi) = -He_k phi, the integral of He_k phi
+    between consecutive roots r of He_k is a difference of He_{k-1}(r) phi(r),
+    whose signs alternate (the roots interlace), so the value is
+    2 sum_r |He_{k-1}(r)| phi(r).  Cached, since it depends on the order
+    alone."""
     if order == 0:
         return 1.0
-    coeffs = np.zeros(order + 1)
-    coeffs[order] = 1.0
-    herm = np.polynomial.hermite_e.HermiteE(coeffs)
-    phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    val, _ = quad(lambda t: abs(herm(t)) * phi(t), -12.0, 12.0, limit=400)
-    return float(val)
+    herm_e = np.polynomial.hermite_e
+    roots = herm_e.hermeroots(np.eye(order + 1)[order])
+    prev = herm_e.hermeval(roots, np.eye(order)[order - 1])
+    phi = np.exp(-0.5 * (roots * roots)) / math.sqrt(2.0 * math.pi)
+    return 2.0 * float(np.sum(np.abs(prev) * phi))
 
 
 def _gaussian_derivative_l1(sigmas: np.ndarray, order: int) -> float:

@@ -27,10 +27,14 @@ from scipy.special import gammaincc, ndtr
 
 from .model import GeneralizedLinearModel, ParamSpace
 from .polytopes import (
+    EnumerationUnavailable,
+    OracleResult,
     Permutahedron,
     SolutionPolytope,
+    VspFlow,
     _split_tie,
     _vertex_argmax,
+    _vertex_argmax_ties,
     internal_radius,
     linear_oracle,
 )
@@ -175,8 +179,41 @@ def _policy_cost_unperturbed(
     res = linear_oracle(x.polytope, theta)
     if not res.tie:
         return float(oracle.eval(res.y, x)), False
+    return _tie_cost(oracle, x, theta, res, master_seed), True
+
+
+def _tie_cost(oracle, x: Instance, theta: np.ndarray, res: OracleResult, master_seed: int) -> float:
+    """Mean cost under p0's split of the tie at theta (res.tie is set)."""
     measure = _split_tie(x.polytope, theta, res, substream(master_seed, f"p0/{x.index}"))
-    return float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)), True
+    return float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms))
+
+
+def _unperturbed_terms(oracle, x: Instance, thetas: np.ndarray, master_seed: int):
+    """(values, ties) of the unperturbed policy at each row of thetas, each
+    row equal to _policy_cost_unperturbed's bit for bit.  An enumerable
+    VspFlow scores the rows against its vertex table: the winner is the
+    first top-scoring vertex, a row ties when another vertex scores within
+    TIE_TOL of the top (what VspFlow.argmax's ban/force check decides), an
+    untied row's value is eval_vertices at its winner, and a tied row is
+    split as p0 splits it.  A permutahedron, whose sort oracle beats a
+    table of n! vertices, and a VspFlow past the enumeration cap solve
+    linear_oracle per row."""
+    verts = None
+    if isinstance(x.polytope, VspFlow):
+        try:
+            verts = x.polytope.vertices()
+        except EnumerationUnavailable:
+            pass
+    if verts is None:
+        terms = [_policy_cost_unperturbed(oracle, x, t, master_seed) for t in thetas]
+        return np.array([v for v, _ in terms]), np.array([t for _, t in terms])
+    winners, ties = _vertex_argmax_ties(thetas, verts)
+    distinct, index = np.unique(winners, return_inverse=True)
+    values = oracle.eval_vertices(x, verts[distinct])[index]
+    for m in np.flatnonzero(ties):
+        tied = OracleResult(verts[winners[m]], float(verts[winners[m]] @ thetas[m]), True)
+        values[m] = _tie_cost(oracle, x, thetas[m], tied, master_seed)
+    return values, ties
 
 
 def _param_rows(W, model, space) -> np.ndarray:
@@ -198,7 +235,8 @@ def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
 
     Per instance, the feature matrix is built once and the thetas of all
     rows come from one stacked matmul, one gemv per row as in
-    model.predict(w, x), bit for bit.  At lam = 0 each row takes the unperturbed policy.  Otherwise,
+    model.predict(w, x), bit for bit.  At lam = 0 each row takes the
+    unperturbed policy (_unperturbed_terms).  Otherwise,
     where exact_policy_distribution has a closed form, each row's term is
     its probabilities dotted with the vertex costs (one dot per row, as
     ``p @ costs``); elsewhere the instance's CRN noise block (blocks[i], or
@@ -210,8 +248,8 @@ def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
     for i, x in enumerate(instances):
         thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
         if lam == 0.0:
-            terms = [_policy_cost_unperturbed(oracle, x, t, spec.master_seed) for t in thetas]
-            yield np.array([v for v, _ in terms]), None, np.array([t for _, t in terms])
+            values, ties = _unperturbed_terms(oracle, x, thetas, spec.master_seed)
+            yield values, None, ties
             continue
         probs = exact_policy_distribution(x.polytope, thetas, lam)
         if probs is not None:

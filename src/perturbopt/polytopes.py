@@ -14,7 +14,10 @@ which also flags ties exactly.  A batch of directions that tie with
 probability zero (perturbed or sampled directions) may instead be scored
 against the vertex table: ``_vertex_argmax`` takes the row-wise argmax
 of ``directions @ vertices.T`` in row blocks of bounded size.  Off a tie
-the maximizer is unique, so both give the same vertex.
+the maximizer is unique, so both give the same vertex.  A batch that may
+tie (unperturbed directions) is scored by ``_vertex_argmax_ties``, which
+also flags a row whose runner-up scores within TIE_TOL of the top: the
+tie ``VspFlow.argmax`` flags.
 
 All geometric quantities (internal cone radius, tie-splitting measure)
 are computed exactly from vertex enumeration.  Enumeration is capped at
@@ -24,7 +27,11 @@ and a polytope remembers that its enumeration failed.
 scipy is imported only on the assignment path, inside
 ``VspFlow._min_cost_flow``: building instances, enumerating vertices and
 every vertex-table scan need numpy alone, so ``generate`` starts without
-scipy.
+scipy.  The assignment, and with it scipy.optimize, still loads wherever
+a single direction meets ``VspFlow.argmax`` (``linear_oracle``, ``p0``)
+and wherever a VspFlow past the enumeration cap scores a batch; the
+risk's perturbed and lam = 0 batches on an enumerable VspFlow read the
+vertex table instead.
 """
 
 from __future__ import annotations
@@ -319,6 +326,20 @@ def _vertex_argmax(directions: np.ndarray, verts: np.ndarray) -> np.ndarray:
     for rows in _row_blocks(len(directions), len(verts)):
         winners[rows] = np.argmax(directions[rows] @ verts.T, axis=1)
     return winners
+
+
+def _vertex_argmax_ties(directions: np.ndarray, verts: np.ndarray):
+    """(winners, ties): _vertex_argmax's winners, and per direction whether
+    another vertex scores within TIE_TOL of the top, which is the tie
+    VspFlow.argmax's ban/force check flags.  Blocked like _vertex_argmax."""
+    winners = np.empty(len(directions), dtype=np.intp)
+    ties = np.empty(len(directions), dtype=bool)
+    for rows in _row_blocks(len(directions), len(verts)):
+        scores = directions[rows] @ verts.T
+        winners[rows] = np.argmax(scores, axis=1)
+        top = np.take_along_axis(scores, winners[rows, None], axis=1)
+        ties[rows] = np.count_nonzero(scores >= top - TIE_TOL, axis=1) > 1
+    return winners, ties
 
 
 def internal_radius_batch(polytope: SolutionPolytope, thetas: np.ndarray) -> np.ndarray:

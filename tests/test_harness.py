@@ -621,7 +621,8 @@ def test_seed_override_changes_dataset(tmp_path):
 
 # A CLI process imports only the layers its command runs (module docstring
 # of harness/cli.py); scipy.stats, a large share of start-up, never loads:
-# the package calls the scipy.special ufuncs underneath it instead.
+# the package calls the scipy.special ufuncs underneath it instead.  Nor
+# do train and sweep bias load scipy.optimize, nor train scipy.integrate.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -666,11 +667,15 @@ def _loaded_modules(tmp_path, argv):
         pytest.param(["generate"], _domain("contextual", d_context=2), 0, ("scipy",), id="generate-contextual"),
         pytest.param(
             ["train"], {}, 0,
-            ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy.stats"),
+            (
+                "perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps",
+                "scipy.stats", "scipy.optimize", "scipy.integrate",
+            ),
             id="train",
         ),
         pytest.param(
-            ["sweep", "bias"], {}, 0, ("perturbopt.ksos", "scipy.integrate", "scipy.stats"), id="sweep-bias"
+            ["sweep", "bias"], {}, 0,
+            ("perturbopt.ksos", "scipy.integrate", "scipy.optimize", "scipy.stats"), id="sweep-bias",
         ),
     ],
 )

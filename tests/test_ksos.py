@@ -141,6 +141,40 @@ def test_interior_point_keeps_B_psd(monkeypatch):
     assert eigs.min() >= -1e-10
 
 
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_compass_refine_stays_in_the_box_and_matches_nelder_mead(monkeypatch, d):
+    # the surrogate of a solve whose minimum lies on the box boundary in
+    # some coordinates, on a box with unequal sides (so unequal steps)
+    from scipy.optimize import minimize
+
+    space = ParamSpace(-np.ones(d), np.array([1.0, 0.5, 2.0, 1.0])[:d])
+    target = np.array([1.3, -0.4, 0.5, -1.2])[:d]
+    f = lambda w: float(np.sum((np.asarray(w) - target) ** 2) + 0.3 * np.sin(3.0 * np.sum(w)))
+    s = 1.5 + d / 2
+    seen = []
+    original = ksos._sos_model_argmin
+
+    def recording_argmin(points, B, *args):
+        seen.append((points, B))
+        return original(points, B, *args)
+
+    monkeypatch.setattr(ksos, "_sos_model_argmin", recording_argmin)
+    res = ksos_minimize(f, space, KsosConfig(M=32, s=s, lambda_phi=lambda_phi_schedule(32, s, d), seed=d))
+    ((points, B),) = seen
+    ell = space.diameter() / 4.0
+    h = ksos._surrogate(points, B, s - d / 2, ell)
+    h_at = lambda w: float(h(ksos._sq_dists(space.project(w)[None, :], points))[0])
+    start, step = ksos._grid_start(h, points, space)
+    got = ksos._compass_refine(h, points, start, step, space)
+    assert got.tobytes() == res.w_hat.tobytes()
+    assert space.contains(got)
+    nm = minimize(
+        h_at, start, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 200 * d}
+    )
+    scale = float(np.max(np.abs(h(ksos._sq_dists(points, points)))))
+    assert h_at(got) <= h_at(nm.x) + 1e-12 * scale
+
+
 def test_degenerate_zero_penalty_matches_min_sample():
     space = ParamSpace.symmetric(1)
     cfg = KsosConfig(M=32, s=2.0, lambda_phi=0.0, seed=3)
@@ -401,9 +435,9 @@ def test_glm_estimates_rank_deficient_fallback():
         glm_smoothness_estimates(model, [x], 1.0, 2.5, 2, 1.0, space)
 
 
-def test_abs_hermite_l1_runs_quad_once_per_order(monkeypatch):
-    # the integral depends on the order alone, so the smoothness estimate
-    # over many instances integrates each order once, to the same bits
+def test_abs_hermite_l1_is_cached_per_order(monkeypatch):
+    # the norm depends on the order alone, so the smoothness estimate over
+    # many instances computes each order once, to the uncached bits
     instances = generate_instances("scheduling", 24, seed=3, jobs=[5])
     from perturbopt.model import model_for_instances
 
@@ -415,20 +449,32 @@ def test_abs_hermite_l1_runs_quad_once_per_order(monkeypatch):
     want = glm_smoothness_estimates(model, instances, 0.1, 3.5, 2, 1.0, space)
     monkeypatch.undo()
 
-    calls = []
-    real_quad = ksos.quad
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args)
-        return real_quad(*args, **kwargs)
-
-    monkeypatch.setattr(ksos, "quad", counting_quad)
     _abs_hermite_l1.cache_clear()
     got = glm_smoothness_estimates(model, instances, 0.1, 3.5, 2, 1.0, space)
     assert got == want
-    assert len(calls) == 3  # orders 1, 2 and 3; order 0 has no integral
+    info = _abs_hermite_l1.cache_info()
+    assert info.misses == 4 and info.hits > 0  # orders 0 to 3, each computed once
     assert [_abs_hermite_l1(k).hex() for k in range(6)] == want_l1
-    assert len(calls) == 5  # only orders 4 and 5 were new
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_abs_hermite_l1_closed_form_matches_quadrature(order):
+    from scipy.integrate import quad
+
+    herm = np.polynomial.hermite_e.HermiteE(np.eye(order + 1)[order])
+    phi = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
+    # |He_k| has a kink at each root, so the reference integrates between
+    # them; over [-12, 12] in one piece quad is itself off by 1e-8 at order 7
+    ref, _ = quad(
+        lambda t: abs(herm(t)) * phi(t), -12.0, 12.0,
+        points=herm.roots() if order else None, limit=400, epsabs=0.0, epsrel=1e-13,
+    )
+    assert _abs_hermite_l1(order) == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+def test_abs_hermite_l1_order_two_is_four_phi_one():
+    want = 4.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+    assert abs(_abs_hermite_l1(2) - want) <= math.ulp(want)
 
 
 def test_glm_estimates_rank_deficient_message_names_the_rank():

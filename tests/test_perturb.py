@@ -243,7 +243,8 @@ def test_zero_lambda_tie_without_closed_form_uses_labeled_substream():
 
 @pytest.mark.parametrize("domain, params", [("scheduling", {"jobs": [4]}), ("stovsp", {"tasks": [5]})])
 def test_zero_lambda_tie_solves_the_oracle_once(monkeypatch, domain, params):
-    # w = 0 ties every vertex: the tie split reuses the flagged oracle result
+    # w = 0 ties every vertex: the tie split reuses the flagged oracle result;
+    # an enumerable VspFlow reads its vertex table and solves no oracle
     instances = generate_instances(domain, 3, seed=5, **params)
     model = model_for_instances(instances, d=2)
     kind = type(instances[0].polytope)
@@ -261,7 +262,43 @@ def test_zero_lambda_tie_solves_the_oracle_once(monkeypatch, domain, params):
         W, instances, default_cost_oracle(domain), model, ParamSpace.symmetric(2), spec
     )
     assert all(r.ties_encountered for r in reports)
-    assert len(calls) == len(W) * len(instances)
+    per_row = 0 if kind is VspFlow else 1
+    assert len(calls) == per_row * len(W) * len(instances)
+
+
+def _unperturbed_cases():
+    stovsp = generate_instances("stovsp", 12, seed=5, tasks=[5])
+    ctx = generate_instances("contextual", 12, seed=5, d_context=2)
+    ctx[2].features["context"][:] = 0.0  # theta = 0 at every w: a tie row
+    return [("stovsp", stovsp, 3), ("contextual", ctx, 2)]
+
+
+@pytest.mark.parametrize("name, instances, d", _unperturbed_cases(), ids=["stovsp", "contextual"])
+def test_zero_lambda_vertex_table_equals_per_row_oracle_bitwise(monkeypatch, name, instances, d):
+    model = model_for_instances(instances, d=d)
+    oracle = default_cost_oracle(name)
+    W = np.random.default_rng(8).uniform(-1.0, 1.0, (40, d))
+    W[0] = 0.0  # a zero feature map ties every vertex
+    W[1, 1:] = 0.0
+    thetas = [np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0] for x in instances]
+    want = []
+    for x, th in zip(instances, thetas):
+        terms = [perturb._policy_cost_unperturbed(oracle, x, t, 9) for t in th]
+        want.append((np.array([v for v, _ in terms]).tobytes(), [t for _, t in terms]))
+
+    def no_assignment(*args, **kwargs):
+        raise AssertionError("the vertex-table path solved an assignment")
+
+    monkeypatch.setattr(VspFlow, "_min_cost_flow", no_assignment)
+    got = []
+    for x, th in zip(instances, thetas):
+        values, ties = perturb._unperturbed_terms(oracle, x, th, 9)
+        got.append((values.tobytes(), ties.tolist()))
+    assert got == want
+    ties = np.array([t for _, t in want])  # (instance, row)
+    assert ties[:, 0].all() and not ties.all()
+    if name == "contextual":
+        assert ties[2].all()
 
 
 def _tie_first_two_coordinates(x):
