@@ -1,8 +1,6 @@
 """Invariant suite behind the `check` subcommand.
 
-Each check returns (name, passed, detail).  The fault-injection hook
-deliberately corrupts the oracle comparison so tests can verify that the
-harness reports failures and exits nonzero.
+Each check returns (name, passed, detail).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from ..theory import check_bias_bound, check_gauss_tail, check_lipschitz_lemmas
 from .config import ExperimentConfig
 
 
-def _oracle_equivalence(cfg: ExperimentConfig, fault: str | None):
+def _oracle_equivalence(cfg: ExperimentConfig):
     rng = substream(cfg.get("master_seed"), "check/oracle")
     cases = [
         (Permutahedron(4), 300),
@@ -30,16 +28,13 @@ def _oracle_equivalence(cfg: ExperimentConfig, fault: str | None):
         for _ in range(n_dirs):
             theta = rng.standard_normal(poly.dim)
             res = linear_oracle(poly, theta)
-            probe = theta.copy()
-            if fault == "corrupt_oracle":
-                probe[0] += 0.37
-            best = float(np.max(verts @ probe))
+            best = float(np.max(verts @ theta))
             if abs(res.value - best) > 1e-9:
                 return False, f"{poly!r}: oracle value {res.value} != brute force {best}"
     return True, "oracle matches brute-force enumeration on all polytope kinds"
 
 
-def _plambda_closed_form(cfg: ExperimentConfig, fault: str | None):
+def _plambda_closed_form(cfg: ExperimentConfig):
     x = generate_instances("contextual", 1, cfg.get("master_seed"), d_context=1)[0]
     rng = substream(cfg.get("master_seed"), "check/plambda")
     worst = 0.0
@@ -57,7 +52,7 @@ def _plambda_closed_form(cfg: ExperimentConfig, fault: str | None):
     return True, f"Monte Carlo p_lambda within 3 std errors of the Gaussian CDF (max dev {worst:.2e})"
 
 
-def _lipschitz(cfg: ExperimentConfig, fault: str | None):
+def _lipschitz(cfg: ExperimentConfig):
     instances = generate_instances("contextual", 4, cfg.get("master_seed"), d_context=2)
     model = model_for_instances(instances, d=2)
     space = ParamSpace.symmetric(2)
@@ -71,7 +66,7 @@ def _lipschitz(cfg: ExperimentConfig, fault: str | None):
     return True, f"{len(checks)} Lipschitz slope checks hold"
 
 
-def _gauss_tail(cfg: ExperimentConfig, fault: str | None):
+def _gauss_tail(cfg: ExperimentConfig):
     checks = []
     for d, rho in ((1, 0.7), (3, 0.774), (3, 0.0)):
         checks += check_gauss_tail([0.1, 0.2, 0.5, 0.9], rho=rho, d=d, q=0.5)
@@ -82,7 +77,7 @@ def _gauss_tail(cfg: ExperimentConfig, fault: str | None):
     return True, f"{len(checks)} chi-tail bounds hold"
 
 
-def _bias_bounds(cfg: ExperimentConfig, fault: str | None):
+def _bias_bounds(cfg: ExperimentConfig):
     instances = generate_instances("contextual", 40, cfg.get("master_seed"), d_context=2)
     model = model_for_instances(instances, d=2)
     space = ParamSpace.symmetric(2)
@@ -113,5 +108,4 @@ CHECKS = {
 
 
 def run_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
-    fault = cfg.get("check.inject_fault")
-    return [(name, *CHECKS[name](cfg, fault)) for name in cfg.get("check.names", list(CHECKS))]
+    return [(name, *CHECKS[name](cfg)) for name in cfg.get("check.names", list(CHECKS))]

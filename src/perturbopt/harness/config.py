@@ -127,7 +127,6 @@ SCHEMA = {
         None, list,
         choices=("oracle_equivalence", "plambda_closed_form", "lipschitz", "gauss_tail", "bias_bounds"),
     ),
-    "check.inject_fault": Key(None, str),
 }
 
 # the dotted paths that hold a mapping of keys, such as "sweeps.bias"

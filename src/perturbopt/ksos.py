@@ -120,24 +120,23 @@ class KsosResult:
 
 
 def _matern(r: np.ndarray, nu: float, ell: float) -> np.ndarray:
+    """The Matern correlation at distances r.  The closed forms (nu = 0.5,
+    1.5, 2.5) run on the whole array: at r = 0 each gives exactly 1.  The
+    Bessel form is masked near 0, where kv(nu, 0) is infinite."""
     r = np.asarray(r, dtype=np.float64)
     scaled = np.sqrt(2.0 * nu) * r / ell
-    out = np.empty_like(scaled)
-    zero = scaled < 1e-14
-    out[zero] = 1.0
-    x = scaled[~zero]
     if abs(nu - 0.5) < 1e-12:
-        val = np.exp(-x)
-    elif abs(nu - 1.5) < 1e-12:
-        val = (1.0 + x) * np.exp(-x)
-    elif abs(nu - 2.5) < 1e-12:
-        val = (1.0 + x + x * x / 3.0) * np.exp(-x)
-    else:
-        with np.errstate(over="ignore"):
-            val = (2.0 ** (1.0 - nu) / gamma_fn(nu)) * (x**nu) * kv(nu, x)
-        val = np.nan_to_num(val, nan=0.0, posinf=1.0)
-        val = np.clip(val, 0.0, 1.0)
-    out[~zero] = val
+        return np.exp(-scaled)
+    if abs(nu - 1.5) < 1e-12:
+        return (1.0 + scaled) * np.exp(-scaled)
+    if abs(nu - 2.5) < 1e-12:
+        return (1.0 + scaled + scaled * scaled / 3.0) * np.exp(-scaled)
+    out = np.ones_like(scaled)
+    far = scaled >= 1e-14
+    x = scaled[far]
+    with np.errstate(over="ignore"):
+        val = (2.0 ** (1.0 - nu) / gamma_fn(nu)) * (x**nu) * kv(nu, x)
+    out[far] = np.clip(np.nan_to_num(val, nan=0.0, posinf=1.0), 0.0, 1.0)
     return out
 
 

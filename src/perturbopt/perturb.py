@@ -28,10 +28,8 @@ from scipy.special import gammaincc, ndtr
 from .model import GeneralizedLinearModel, ParamSpace
 from .polytopes import (
     EnumerationUnavailable,
-    OracleResult,
     Permutahedron,
     SolutionPolytope,
-    VspFlow,
     _split_tie,
     _vertex_argmax,
     _vertex_argmax_ties,
@@ -170,49 +168,46 @@ def sampled_policy_distribution(
 def _policy_cost_unperturbed(
     oracle, x: Instance, theta: np.ndarray, master_seed: int
 ) -> tuple[float, bool]:
-    """Cost of the unperturbed policy with the measure-valued tie
-    convention: off a tie, the cost of the oracle solution; on a tie, the
-    mean cost under polytopes.p0's tie-split measure, whose Monte Carlo
-    draws (where no exact split applies) come from the instance's
-    "p0/<index>" substream.  The split starts from this call's oracle
-    result, so the oracle is solved once per theta."""
+    """Cost of the unperturbed policy at one theta, from the polytope's own
+    oracle, with the measure-valued tie convention: off a tie, the cost of
+    the oracle solution; on a tie, _tie_cost.  This is the lam = 0 path of
+    a polytope past the enumeration cap, and the per-row reference of
+    _unperturbed_terms."""
     res = linear_oracle(x.polytope, theta)
     if not res.tie:
-        return float(oracle.eval(res.y, x)), False
-    return _tie_cost(oracle, x, theta, res, master_seed), True
+        return float(oracle.eval_vertices(x, res.y[None])[0]), False
+    return _tie_cost(oracle, x, theta, master_seed), True
 
 
-def _tie_cost(oracle, x: Instance, theta: np.ndarray, res: OracleResult, master_seed: int) -> float:
-    """Mean cost under p0's split of the tie at theta (res.tie is set)."""
-    measure = _split_tie(x.polytope, theta, res, substream(master_seed, f"p0/{x.index}"))
-    return float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms))
+def _tie_cost(oracle, x: Instance, theta: np.ndarray, master_seed: int) -> float:
+    """Mean cost under polytopes.p0's split of the tie at theta, whose Monte
+    Carlo draws (where no exact split applies) come from the instance's
+    "p0/<index>" substream.  The split needs the vertex table, so a tie
+    past the enumeration cap raises EnumerationUnavailable."""
+    measure = _split_tie(x.polytope, theta, substream(master_seed, f"p0/{x.index}"))
+    costs = oracle.eval_vertices(x, np.array([v for v, _ in measure.atoms]))
+    return float(sum(p * float(c) for (_, p), c in zip(measure.atoms, costs)))
 
 
 def _unperturbed_terms(oracle, x: Instance, thetas: np.ndarray, master_seed: int):
     """(values, ties) of the unperturbed policy at each row of thetas, each
-    row equal to _policy_cost_unperturbed's bit for bit.  An enumerable
-    VspFlow scores the rows against its vertex table: the winner is the
-    first top-scoring vertex, a row ties when another vertex scores within
-    TIE_TOL of the top (what VspFlow.argmax's ban/force check decides), an
-    untied row's value is eval_vertices at its winner, and a tied row is
-    split as p0 splits it.  A permutahedron, whose sort oracle beats a
-    table of n! vertices, and a VspFlow past the enumeration cap solve
-    linear_oracle per row."""
-    verts = None
-    if isinstance(x.polytope, VspFlow):
-        try:
-            verts = x.polytope.vertices()
-        except EnumerationUnavailable:
-            pass
-    if verts is None:
+    row equal to _policy_cost_unperturbed's bit for bit.  A polytope whose
+    vertices enumerate, permutahedron or VspFlow, scores the rows against
+    its vertex table: the winner is the first top-scoring vertex, a row
+    ties when another vertex scores within TIE_TOL of the top (what each
+    kind's argmax flags), an untied row's value is eval_vertices at its
+    winner, and a tied row is split as p0 splits it.  Only a polytope past
+    the enumeration cap solves its oracle per row."""
+    try:
+        verts = x.polytope.vertices()
+    except EnumerationUnavailable:
         terms = [_policy_cost_unperturbed(oracle, x, t, master_seed) for t in thetas]
         return np.array([v for v, _ in terms]), np.array([t for _, t in terms])
     winners, ties = _vertex_argmax_ties(thetas, verts)
     distinct, index = np.unique(winners, return_inverse=True)
     values = oracle.eval_vertices(x, verts[distinct])[index]
     for m in np.flatnonzero(ties):
-        tied = OracleResult(verts[winners[m]], float(verts[winners[m]] @ thetas[m]), True)
-        values[m] = _tie_cost(oracle, x, thetas[m], tied, master_seed)
+        values[m] = _tie_cost(oracle, x, thetas[m], master_seed)
     return values, ties
 
 

@@ -9,15 +9,18 @@ Two polytope kinds are supported:
   max-weight bipartite matching from out-copies to in-copies of the
   tasks, solved as a rectangular assignment.
 
-A single direction always goes to the kind's own oracle, ``argmax``,
-which also flags ties exactly.  A batch of directions that tie with
-probability zero (perturbed or sampled directions) may instead be scored
-against the vertex table: ``_vertex_argmax`` takes the row-wise argmax
-of ``directions @ vertices.T`` in row blocks of bounded size.  Off a tie
-the maximizer is unique, so both give the same vertex.  A batch that may
-tie (unperturbed directions) is scored by ``_vertex_argmax_ties``, which
-also flags a row whose runner-up scores within TIE_TOL of the top: the
-tie ``VspFlow.argmax`` flags.
+A single direction goes to the kind's own oracle, ``argmax``, which also
+flags ties exactly: ``linear_oracle``, ``p0``, and the risk's lam = 0
+rows on a polytope past the enumeration cap.  A batch of directions that
+tie with probability zero (perturbed or sampled directions) may instead
+be scored against the vertex table: ``_vertex_argmax`` takes the
+row-wise argmax of ``directions @ vertices.T`` in row blocks of bounded
+size.  Off a tie the maximizer is unique, so both give the same vertex.
+A batch that may tie, the risk's lam = 0 rows on every polytope whose
+vertices enumerate, is scored by ``_vertex_argmax_ties``, which also
+flags a row whose runner-up scores within TIE_TOL of the top: the tie
+each kind's ``argmax`` flags.  A tie is split from theta and the vertex
+table alone (``_split_tie``).
 
 All geometric quantities (internal cone radius, tie-splitting measure)
 are computed exactly from vertex enumeration.  Enumeration is capped at
@@ -29,9 +32,9 @@ scipy is imported only on the assignment path, inside
 every vertex-table scan need numpy alone, so ``generate`` starts without
 scipy.  The assignment, and with it scipy.optimize, still loads wherever
 a single direction meets ``VspFlow.argmax`` (``linear_oracle``, ``p0``)
-and wherever a VspFlow past the enumeration cap scores a batch; the
-risk's perturbed and lam = 0 batches on an enumerable VspFlow read the
-vertex table instead.
+and wherever a VspFlow past the enumeration cap scores a batch or a
+lam = 0 row; the risk's perturbed and lam = 0 batches on an enumerable
+VspFlow read the vertex table instead.
 """
 
 from __future__ import annotations
@@ -396,19 +399,18 @@ def p0(polytope: SolutionPolytope, theta, rng: np.random.Generator | None) -> Su
     comes from a labeled substream); off a tie rng may be None.
     """
     theta = _check_theta(polytope, theta)
-    return _split_tie(polytope, theta, polytope.argmax(theta), rng)
+    result = polytope.argmax(theta)
+    if not result.tie:
+        return SurrogateMeasure(atoms=[(result.y, 1.0)])
+    return _split_tie(polytope, theta, rng)
 
 
 def _split_tie(
-    polytope: SolutionPolytope,
-    theta: np.ndarray,
-    result: OracleResult,
-    rng: np.random.Generator | None,
+    polytope: SolutionPolytope, theta: np.ndarray, rng: np.random.Generator | None
 ) -> SurrogateMeasure:
-    """p0's measure from the oracle result already solved at theta, so a
-    caller that holds the result does not solve the oracle again."""
-    if not result.tie:
-        return SurrogateMeasure(atoms=[(result.y, 1.0)])
+    """p0's measure at a theta already known to tie, from the vertex table
+    and theta alone, so a caller that found the tie does not solve the
+    oracle again."""
     if rng is None:
         raise ValueError("p0 needs an rng to split a tie")
     verts = polytope.vertices()

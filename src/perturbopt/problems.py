@@ -15,6 +15,13 @@ Three domains are provided:
 Instances within a partition cell share the polytope and dimensions; the
 cost oracles are deterministic functions of (y, x) — stochastic costs use
 a scenario table frozen by the instance's scenario seed.
+
+A cost oracle scores batches only: ``eval_theta_batch(x, thetas)`` costs
+the oracle solution of each direction row, ``eval_vertices(x, vertices)``
+costs each solution row, and ``bounds(x)`` gives the declared cost range.
+One solution is costed as a batch of one, ``eval_vertices(x, y[None])[0]``.
+Neither checks feasibility: every solution it is given comes from a
+polytope's oracle or vertex table, and the polytope tests check those.
 """
 
 from __future__ import annotations
@@ -39,10 +46,6 @@ FORMAT_NAME = "perturbopt-instances"
 FORMAT_VERSION = 1
 
 
-class InfeasibleSolution(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Instance:
     domain: str
@@ -62,27 +65,9 @@ class Instance:
 # Cost oracles
 
 
-def _check_permutation(y: np.ndarray, n: int):
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (n,) or sorted(y.tolist()) != list(range(1, n + 1)):
-        raise InfeasibleSolution(f"not a permutation vector of 1..{n}: {y}")
-    return y
-
-
 class SchedulingCompletionTime:
     """Sum of job completion times; jobs run in decreasing priority-rank
     order, C = max(C_prev, r_j) + p_j."""
-
-    kind = "scheduling_completion_time"
-
-    def eval(self, y, x: Instance) -> float:
-        y = _check_permutation(y, x.dim)
-        theta = np.asarray(y, dtype=np.float64)[None, :]
-        return float(
-            kernels.scheduling_total_completion(
-                theta, x.features["release"], x.features["processing"]
-            )[0]
-        )
 
     def eval_theta_batch(self, x: Instance, thetas: np.ndarray) -> np.ndarray:
         """Cost of the oracle solution at each direction row (fused path)."""
@@ -114,12 +99,10 @@ class StoVspDelayCost:
     the cost a deterministic function of (y, x).
 
     Every cost, whatever path found its solution, is ``_cost_of`` on a 0/1
-    arc vector: ``eval`` checks the vector first, ``eval_vertices`` costs
-    the enumerated vertices, and ``eval_theta_batch`` costs the oracle
-    solution of each direction (see there for its two oracle paths).
+    arc vector: ``eval_vertices`` costs the given solutions, and
+    ``eval_theta_batch`` costs the oracle solution of each direction (see
+    there for its two oracle paths).
     """
-
-    kind = "stovsp_delay_cost"
 
     def __init__(self, c_delay: float = 1.0, c_vehicle: float = 1.0, n_scenarios: int = 100):
         self.c_delay = float(c_delay)
@@ -137,21 +120,6 @@ class StoVspDelayCost:
             table = rng.random((self.n_scenarios, x.polytope.n_tasks)) * delay_max
             self._scenario_cache[key] = table
         return table
-
-    def eval(self, y, x: Instance) -> float:
-        poly: VspFlow = x.polytope
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (poly.dim,) or not np.all((y == 0.0) | (y == 1.0)):
-            raise InfeasibleSolution("solution must be a 0/1 arc indicator")
-        out_deg = np.zeros(poly.n_tasks)
-        in_deg = np.zeros(poly.n_tasks)
-        for idx, (i, j) in enumerate(poly.arcs):
-            if y[idx] == 1.0:
-                out_deg[i] += 1
-                in_deg[j] += 1
-        if np.any(out_deg > 1) or np.any(in_deg > 1):
-            raise InfeasibleSolution("arc set violates path-partition degree bounds")
-        return self._cost_of(y, x)
 
     def _cost_of(self, y: np.ndarray, x: Instance) -> float:
         poly: VspFlow = x.polytope
@@ -207,14 +175,6 @@ class StoVspDelayCost:
 class ContextualWrapper:
     """Contextual stochastic cost: the instance bundles context and noise,
     f(y, x) returns the realized scenario cost of decision y."""
-
-    kind = "contextual"
-
-    def eval(self, y, x: Instance) -> float:
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (1,) or y[0] not in (0.0, 1.0):
-            raise InfeasibleSolution("solution must be 0 or 1 in R^1")
-        return float(x.features["costs"][int(y[0])])
 
     def eval_theta_batch(self, x: Instance, thetas: np.ndarray) -> np.ndarray:
         c0, c1 = x.features["costs"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -550,15 +551,22 @@ def test_check_passes_and_exit_zero(tmp_path):
     assert all(c["passed"] for c in report["checks"])
 
 
-def test_check_fault_injection_fails(tmp_path, capsys):
-    doc = dict(
-        TOY, check={"names": ["oracle_equivalence"], "inject_fault": "corrupt_oracle"}
-    )
+def test_check_fault_injection_fails(tmp_path, capsys, monkeypatch):
+    from perturbopt.harness import checks
+
+    real = checks.linear_oracle
+
+    def corrupt_oracle(polytope, theta):
+        res = real(polytope, theta)
+        return dataclasses.replace(res, value=res.value + 0.37)
+
+    monkeypatch.setattr(checks, "linear_oracle", corrupt_oracle)
+    doc = dict(TOY, check={"names": ["oracle_equivalence"]})
     cfg_path = write_cfg(tmp_path, doc)
     out = str(tmp_path / "run")
     os.makedirs(out)
     assert main(["check", "--config", cfg_path, "--out", out]) == 1
-    assert "oracle_equivalence" in capsys.readouterr().out
+    assert "[FAIL] oracle_equivalence:" in capsys.readouterr().out
 
 
 def test_check_empty_list_warns(tmp_path, capsys):

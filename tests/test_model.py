@@ -66,7 +66,7 @@ def test_spt_rule_via_weights():
     for x in instances:
         theta = model.predict(np.array([0.0, -1.0]), x, space=space)
         y = linear_oracle(x.polytope, theta).y
-        cost = oracle.eval(y, x)
+        cost = oracle.eval_vertices(x, y[None])[0]
         best = float(np.min(oracle.eval_vertices(x, x.polytope.vertices())))
         # SPT is optimal for zero release times
         assert cost == pytest.approx(best)

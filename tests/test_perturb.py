@@ -20,7 +20,13 @@ from perturbopt.perturb import (
     sample_perturbation,
     tail_mass_V,
 )
-from perturbopt.polytopes import Permutahedron, VspFlow, p0
+from perturbopt.polytopes import (
+    EnumerationUnavailable,
+    Permutahedron,
+    VspFlow,
+    linear_oracle,
+    p0,
+)
 from perturbopt.problems import (
     ContextualWrapper,
     default_cost_oracle,
@@ -237,14 +243,16 @@ def test_zero_lambda_tie_without_closed_form_uses_labeled_substream():
     for x in instances:
         theta = model.predict(w, x, space=space)
         measure = p0(x.polytope, theta, rng=substream(1, f"p0/{x.index}"))
-        values.append(float(sum(p * float(oracle.eval(v, x)) for v, p in measure.atoms)))
+        costs = (float(oracle.eval_vertices(x, v[None])[0]) for v, _ in measure.atoms)
+        values.append(float(sum(p * c for (_, p), c in zip(measure.atoms, costs))))
     assert first.value.hex() == float(np.mean(values)).hex()
 
 
 @pytest.mark.parametrize("domain, params", [("scheduling", {"jobs": [4]}), ("stovsp", {"tasks": [5]})])
 def test_zero_lambda_tie_solves_the_oracle_once(monkeypatch, domain, params):
-    # w = 0 ties every vertex: the tie split reuses the flagged oracle result;
-    # an enumerable VspFlow reads its vertex table and solves no oracle
+    # w = 0 ties every vertex: an enumerable polytope, permutahedron or
+    # VspFlow, finds and splits the tie from its vertex table without
+    # solving its oracle
     instances = generate_instances(domain, 3, seed=5, **params)
     model = model_for_instances(instances, d=2)
     kind = type(instances[0].polytope)
@@ -262,18 +270,25 @@ def test_zero_lambda_tie_solves_the_oracle_once(monkeypatch, domain, params):
         W, instances, default_cost_oracle(domain), model, ParamSpace.symmetric(2), spec
     )
     assert all(r.ties_encountered for r in reports)
-    per_row = 0 if kind is VspFlow else 1
-    assert len(calls) == per_row * len(W) * len(instances)
+    assert calls == []
 
 
 def _unperturbed_cases():
     stovsp = generate_instances("stovsp", 12, seed=5, tasks=[5])
     ctx = generate_instances("contextual", 12, seed=5, d_context=2)
     ctx[2].features["context"][:] = 0.0  # theta = 0 at every w: a tie row
-    return [("stovsp", stovsp, 3), ("contextual", ctx, 2)]
+    cases = [("stovsp", stovsp, 3), ("contextual", ctx, 2)]
+    for jobs in (4, 5):
+        sched = generate_instances("scheduling", 6, seed=5, jobs=[jobs])
+        for feature in sched[2].features.values():
+            feature[1] = feature[0]  # theta_0 = theta_1 at every w: a tie row
+        cases.append(("scheduling", sched, 2))
+    return cases
 
 
-@pytest.mark.parametrize("name, instances, d", _unperturbed_cases(), ids=["stovsp", "contextual"])
+@pytest.mark.parametrize(
+    "name, instances, d", _unperturbed_cases(), ids=["stovsp", "contextual", "jobs4", "jobs5"]
+)
 def test_zero_lambda_vertex_table_equals_per_row_oracle_bitwise(monkeypatch, name, instances, d):
     model = model_for_instances(instances, d=d)
     oracle = default_cost_oracle(name)
@@ -286,10 +301,11 @@ def test_zero_lambda_vertex_table_equals_per_row_oracle_bitwise(monkeypatch, nam
         terms = [perturb._policy_cost_unperturbed(oracle, x, t, 9) for t in th]
         want.append((np.array([v for v, _ in terms]).tobytes(), [t for _, t in terms]))
 
-    def no_assignment(*args, **kwargs):
-        raise AssertionError("the vertex-table path solved an assignment")
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the vertex-table path solved an oracle")
 
-    monkeypatch.setattr(VspFlow, "_min_cost_flow", no_assignment)
+    monkeypatch.setattr(VspFlow, "argmax", no_oracle)
+    monkeypatch.setattr(Permutahedron, "argmax", no_oracle)
     got = []
     for x, th in zip(instances, thetas):
         values, ties = perturb._unperturbed_terms(oracle, x, th, 9)
@@ -297,8 +313,29 @@ def test_zero_lambda_vertex_table_equals_per_row_oracle_bitwise(monkeypatch, nam
     assert got == want
     ties = np.array([t for _, t in want])  # (instance, row)
     assert ties[:, 0].all() and not ties.all()
-    if name == "contextual":
+    if name != "stovsp":
         assert ties[2].all()
+
+
+def test_zero_lambda_past_the_cap_solves_the_oracle_per_row():
+    # Permutahedron(8) has 8! vertices, past ENUMERATION_CAP: each lam = 0 row
+    # costs its linear_oracle solution, and a tie, whose split needs the
+    # vertex table, raises
+    instances = generate_instances("scheduling", 3, seed=1, jobs=[8])
+    model = model_for_instances(instances, d=2)
+    oracle = default_cost_oracle("scheduling")
+    W = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 2))
+    for x in instances:
+        thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
+        values, ties = perturb._unperturbed_terms(oracle, x, thetas, 9)
+        want = [oracle.eval_vertices(x, linear_oracle(x.polytope, t).y[None])[0] for t in thetas]
+        assert values.tobytes() == np.array(want).tobytes()
+        assert not ties.any()
+        with pytest.raises(EnumerationUnavailable):
+            perturb._unperturbed_terms(oracle, x, np.zeros((1, 8)), 9)
+    spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=1)
+    with pytest.raises(EnumerationUnavailable):
+        regularized_risk(np.zeros(2), instances, oracle, model, ParamSpace.symmetric(2), spec)
 
 
 def _tie_first_two_coordinates(x):

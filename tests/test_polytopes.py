@@ -22,6 +22,14 @@ from perturbopt.problems import Instance
 from perturbopt.theory import uw_analytic_bound
 
 
+def assert_path_partition(poly, y):
+    """y is a 0/1 arc vector with in- and out-degree at most one per task."""
+    assert y.shape == (poly.dim,) and np.all((y == 0.0) | (y == 1.0)), y
+    used = y == 1.0
+    assert np.bincount(poly._tails[used], minlength=poly.n_tasks).max() <= 1, y
+    assert np.bincount(poly._heads[used], minlength=poly.n_tasks).max() <= 1, y
+
+
 def sample_polytopes():
     return [
         Permutahedron(2),
@@ -71,6 +79,12 @@ def test_oracle_matches_brute_force_everywhere():
             scores = verts @ theta
             assert res.value == pytest.approx(float(np.max(scores)), abs=1e-9)
             assert float(res.y @ theta) == pytest.approx(res.value)
+            if isinstance(poly, VspFlow):
+                # every solution the assignment returns, banned and forced
+                # ones included, is a path partition
+                arc = int(rng.integers(poly.dim))
+                for kw in ({}, {"banned": arc}, {"forced": arc}):
+                    assert_path_partition(poly, poly._min_cost_flow(theta, **kw)[0])
 
 
 def test_tie_flag_matches_enumeration():
@@ -318,6 +332,10 @@ def test_permutahedron_vertices_are_permutations():
     assert {tuple(v) for v in verts} == {
         tuple(map(float, p)) for p in itertools.permutations((1, 2, 3))
     }
+    for poly in map(Permutahedron, range(1, 7)):
+        verts = poly.vertices()
+        assert len(verts) == len({tuple(v) for v in verts}) == poly.vertex_count()
+        assert np.array_equal(np.sort(verts, axis=1), np.tile(np.arange(1.0, poly.n + 1), (len(verts), 1)))
 
 
 def test_vertices_are_extreme_points():
@@ -408,6 +426,7 @@ def test_vsp_enumeration_stops_at_cap_on_dense_dag():
     res = linear_oracle(poly, theta)
     assert res.value == pytest.approx(-lp.fun, abs=1e-9)
     assert float(res.y @ theta) == pytest.approx(res.value, abs=1e-12)
+    assert_path_partition(poly, res.y)
 
 
 def test_vsp_vertex_count_and_paths():
@@ -419,3 +438,12 @@ def test_vsp_vertex_count_and_paths():
     assert poly.n_paths(y_full) == 1
     assert poly.paths(y_full) == [[0, 1, 2]]
     assert poly.n_paths(np.zeros(2)) == 3
+    # every vertex is a distinct path partition; on all 15 arcs i < j of 6
+    # tasks they are the set partitions of the tasks, Bell(6) = 203
+    dense = VspFlow(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    assert len(dense.vertices()) == 203
+    for poly in [p for p in sample_polytopes() if isinstance(p, VspFlow)] + [dense]:
+        verts = poly.vertices()
+        assert len({tuple(v) for v in verts}) == len(verts)
+        for y in verts:
+            assert_path_partition(poly, y)

@@ -10,7 +10,6 @@ from perturbopt.perturb import PerturbationSpec, perturbation_block
 from perturbopt.polytopes import VspFlow
 from perturbopt.problems import (
     ContextualWrapper,
-    InfeasibleSolution,
     Instance,
     SchedulingCompletionTime,
     StoVspDelayCost,
@@ -73,14 +72,8 @@ def vsp_instance(arcs, n_tasks, slack, scenario_table, index=0, n_scenarios=None
 def test_scheduling_cost_both_orders():
     x = scheduling_instance([0.0, 0.0], [1.0, 2.0])
     oracle = SchedulingCompletionTime()
-    assert oracle.eval(np.array([2.0, 1.0]), x) == pytest.approx(4.0)
-    assert oracle.eval(np.array([1.0, 2.0]), x) == pytest.approx(5.0)
-
-
-def test_scheduling_rejects_non_permutation():
-    x = scheduling_instance([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(InfeasibleSolution):
-        SchedulingCompletionTime().eval(np.array([1.0, 1.0]), x)
+    assert oracle.eval_vertices(x, np.array([2.0, 1.0])[None])[0] == pytest.approx(4.0)
+    assert oracle.eval_vertices(x, np.array([1.0, 2.0])[None])[0] == pytest.approx(5.0)
 
 
 def test_stovsp_no_delay_charges_vehicles():
@@ -89,7 +82,7 @@ def test_stovsp_no_delay_charges_vehicles():
     )
     oracle.c_vehicle = 10.0
     # empty arc set: three singleton paths
-    assert oracle.eval(np.zeros(2), x) == pytest.approx(30.0)
+    assert oracle.eval_vertices(x, np.zeros(2)[None])[0] == pytest.approx(30.0)
 
 
 def test_stovsp_one_step_propagation():
@@ -98,17 +91,9 @@ def test_stovsp_one_step_propagation():
     x, oracle = vsp_instance(
         [(0, 1)], 2, slack=[1.0], scenario_table=np.array([[2.0, 0.0]])
     )
-    assert oracle.eval(np.ones(1), x) == pytest.approx(3.0)
+    assert oracle.eval_vertices(x, np.ones(1)[None])[0] == pytest.approx(3.0)
     # separate vehicles: no propagation, total = 2
-    assert oracle.eval(np.zeros(1), x) == pytest.approx(2.0)
-
-
-def test_stovsp_rejects_degree_violation():
-    x, oracle = vsp_instance(
-        [(0, 1), (0, 2)], 3, slack=[1.0, 1.0], scenario_table=np.zeros((1, 3))
-    )
-    with pytest.raises(InfeasibleSolution):
-        oracle.eval(np.ones(2), x)  # task 0 served twice
+    assert oracle.eval_vertices(x, np.zeros(1)[None])[0] == pytest.approx(2.0)
 
 
 @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
@@ -117,21 +102,19 @@ def test_stovsp_cost_monotone_in_intrinsic_delays(d0, d1, bump):
     x, oracle = vsp_instance(
         [(0, 1)], 2, slack=[0.7], scenario_table=np.array([[d0, d1]])
     )
-    base = oracle.eval(np.ones(1), x)
+    base = oracle.eval_vertices(x, np.ones(1)[None])[0]
     x2, oracle2 = vsp_instance(
         [(0, 1)], 2, slack=[0.7], scenario_table=np.array([[d0 + bump, d1]])
     )
-    assert oracle2.eval(np.ones(1), x2) >= base - 1e-12
+    assert oracle2.eval_vertices(x2, np.ones(1)[None])[0] >= base - 1e-12
 
 
 def test_contextual_cost():
     x = generate_instances("contextual", 1, seed=0)[0]
     oracle = ContextualWrapper()
     c0, c1 = x.features["costs"]
-    assert oracle.eval(np.array([0.0]), x) == pytest.approx(c0)
-    assert oracle.eval(np.array([1.0]), x) == pytest.approx(c1)
-    with pytest.raises(InfeasibleSolution):
-        oracle.eval(np.array([0.5]), x)
+    assert oracle.eval_vertices(x, np.array([0.0])[None])[0] == pytest.approx(c0)
+    assert oracle.eval_vertices(x, np.array([1.0])[None])[0] == pytest.approx(c1)
 
 
 def test_scheduling_relabel_invariance():
