@@ -67,7 +67,11 @@ class Instance:
 
 class SchedulingCompletionTime:
     """Sum of job completion times; jobs run in decreasing priority-rank
-    order, C = max(C_prev, r_j) + p_j."""
+    order, C = max(C_prev, r_j) + p_j.
+
+    Both batch methods call ``kernels.scheduling_total_completion``, whose
+    docstring gives the tie rule and when a batch reads the run-order table
+    in place of sorting each row."""
 
     def eval_theta_batch(self, x: Instance, thetas: np.ndarray) -> np.ndarray:
         """Cost of the oracle solution at each direction row (fused path)."""
