@@ -83,8 +83,7 @@ def _bias_bounds(cfg: ExperimentConfig):
     space = ParamSpace.symmetric(2)
     eps0 = cfg.get("perturb.epsilon0")
     spec = PerturbationSpec(
-        lam=1.0, epsilon0=eps0, mc_samples=cfg.get("perturb.samples"),
-        master_seed=cfg.get("master_seed"),
+        lam=1.0, mc_samples=cfg.get("perturb.samples"), master_seed=cfg.get("master_seed")
     )
     w = space.sample(substream(cfg.get("master_seed"), "check/bias_w"), 1)[0]
     checks, _ = check_bias_bound(

@@ -56,7 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep")
     p.add_argument("kind", choices=["bias", "nprocess", "ksos"])
     _common_flags(p)
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: config threads)")
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="worker threads of sweep bias and sweep ksos; sweep nprocess runs serially "
+        "(default: config threads)",
+    )
     return parser
 
 
@@ -153,10 +157,8 @@ def cmd_train(args) -> int:
     from ..problems import default_cost_oracle, load_instances
     from ..rngs import spawn_seed, substream
 
-    kind, d, seed = cfg.get("optimizer.kind"), cfg.get("model.d"), cfg.get("master_seed")
-    ks_cfg = _ksos_config(cfg) if kind == "ksos" else None
-    # the matched random search gets the budget of the optimizer that runs
-    budget = ks_cfg.M if ks_cfg is not None else cfg.get("optimizer.budget")
+    d, seed = cfg.get("model.d"), cfg.get("master_seed")
+    ks_cfg = _ksos_config(cfg)
     paths = [os.path.join(out_dir, name) for name in (TRAIN_FILE, TEST_FILE)]
     for path in paths:
         if not os.path.exists(path):
@@ -168,54 +170,47 @@ def cmd_train(args) -> int:
     space = ParamSpace.symmetric(d)
     oracle = default_cost_oracle(cfg.get("domain.name"))
     spec = PerturbationSpec(
-        lam=cfg.get("perturb.lambda"), epsilon0=cfg.get("perturb.epsilon0"),
-        mc_samples=cfg.get("perturb.samples"), master_seed=seed,
+        lam=cfg.get("perturb.lambda"), mc_samples=cfg.get("perturb.samples"), master_seed=seed,
     )
     surface = crn_risk_surface(train, oracle, model, space, spec)
 
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     status = EXIT_OK
-    result_doc: dict = {"optimizer": kind}
+    result_doc: dict = {"optimizer": cfg.get("optimizer.kind")}
 
-    if ks_cfg is not None:
-        try:
-            with manifest.time("ksos"):
-                result = ksos_minimize(surface, space, ks_cfg)
-        except GramSingular as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            _write_json(os.path.join(out_dir, "result.json"), {"error": str(exc)})
-            return EXIT_SOLVER_FAILURE
-        w_hat = result.w_hat
-        result_doc.update(result.to_doc())
-        if not result.converged:
-            status = EXIT_SOLVER_FAILURE
-        f0_inf = max(abs(b) for x in train for b in oracle.bounds(x))
-        try:
-            norm_bound, trace_bound = glm_smoothness_estimates(
-                model, train, spec.lam, ks_cfg.s, d, f0_inf, space
-            )
-            result_doc["certificate_inputs"] = {
-                "sobolev_norm_bound": norm_bound,
-                "trace_bound": trace_bound,
-                "lambda_phi": ks_cfg.lambda_phi,
-            }
-            result_doc["certified_optimality_bound"] = certificate(
-                result.aposteriori_gap, trace_bound, norm_bound, ks_cfg.lambda_phi
-            )
-        except ValueError as exc:
-            result_doc["certificate_inputs"] = {"skipped": str(exc)}
-    else:
-        with manifest.time(kind):
-            w_hat, value = baseline_minimize(
-                surface, space, budget, seed=spawn_seed(seed, "train/baseline")
-            )
-        result_doc.update({"w_hat": w_hat.tolist(), "value": value})
+    try:
+        with manifest.time("ksos"):
+            result = ksos_minimize(surface, space, ks_cfg)
+    except GramSingular as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        _write_json(os.path.join(out_dir, "result.json"), {"error": str(exc)})
+        return EXIT_SOLVER_FAILURE
+    w_hat = result.w_hat
+    result_doc.update(result.to_doc())
+    if not result.converged:
+        status = EXIT_SOLVER_FAILURE
+    f0_inf = max(abs(b) for x in train for b in oracle.bounds(x))
+    try:
+        norm_bound, trace_bound = glm_smoothness_estimates(
+            model, train, spec.lam, ks_cfg.s, d, f0_inf, space
+        )
+        result_doc["certificate_inputs"] = {
+            "sobolev_norm_bound": norm_bound,
+            "trace_bound": trace_bound,
+            "lambda_phi": ks_cfg.lambda_phi,
+        }
+        result_doc["certified_optimality_bound"] = certificate(
+            result.aposteriori_gap, trace_bound, norm_bound, ks_cfg.lambda_phi
+        )
+    except ValueError as exc:
+        result_doc["certificate_inputs"] = {"skipped": str(exc)}
 
     with manifest.time("evaluation"):
         train_report = regularized_risk(w_hat, train, oracle, model, space, spec)
         random_ws = space.sample(substream(seed, "train/random_policies"), 20)
+        # random search with kSoS's budget: as many surface values as its M samples
         base_w, base_v = baseline_minimize(
-            surface, space, budget, seed=spawn_seed(seed, "train/baseline_matched")
+            surface, space, ks_cfg.M, seed=spawn_seed(seed, "train/baseline_matched")
         )
         # one pass over the test set: each noise block is drawn once for all 22 w
         test_report, *random_reports, base_test = regularized_risk(

@@ -40,9 +40,10 @@ NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a mapping
 @dataclass(frozen=True)
 class Key:
     """One config key.  A list key with an ``item`` type is a grid: a
-    nonempty sorted list of those.  The ``low`` and ``high`` bounds are
-    inclusive unless ``strict``.  A default of None means the reader
-    derives the value, and null is then accepted too."""
+    nonempty strictly increasing list of those, so no value repeats.  The
+    ``low`` and ``high`` bounds are inclusive unless ``strict``.  A default
+    of None means the reader derives the value, and null is then accepted
+    too."""
 
     default: object
     kind: type
@@ -60,8 +61,9 @@ class Key:
             need = ("a list of " if self.kind is list else "one of ") + ", ".join(self.choices)
         elif self.item:
             ok = isinstance(val, list) and val and all(_is(self.item, v) for v in val)
-            ok = ok and sorted(val) == val
-            need = f"a nonempty sorted list of {'numbers' if self.item is float else 'integers'}"
+            ok = ok and all(a < b for a, b in zip(val, val[1:]))
+            noun = "numbers" if self.item is float else "integers"
+            need = f"a nonempty strictly increasing list of {noun}"
         else:
             if self.kind is float and not isinstance(val, bool):
                 with contextlib.suppress(TypeError, ValueError, OverflowError):
@@ -91,7 +93,7 @@ def _is(kind: type, val) -> bool:
 SCHEMA = {
     "master_seed": Key(7, int),
     "output_dir": Key(None, str),  # None: --out, else $PERTURBOPT_OUT, else "out"
-    "threads": Key(1, int, low=1),
+    "threads": Key(1, int, low=1),  # worker threads of sweep bias and sweep ksos
     "domain.name": Key("scheduling", str, choices=("scheduling", "stovsp", "contextual")),
     "domain.params": Key({}, dict),  # keyword arguments of the instance generator
     "domain.n_train": Key(48, int, low=1),
@@ -100,14 +102,14 @@ SCHEMA = {
     "perturb.lambda": Key(0.1, float, low=0.0),
     "perturb.epsilon0": Key(1e-3, float, low=0.0),
     "perturb.samples": Key(512, int, low=1),
-    "optimizer.kind": Key("ksos", str, choices=("ksos", "randomsearch")),
+    # the one optimizer; ROADMAP 6 adds gradient.  result.json records the kind
+    "optimizer.kind": Key("ksos", str, choices=("ksos",)),
     "optimizer.M": Key(96, int, low=1),
     "optimizer.s": Key(2.5, float),
     "optimizer.lambda_phi": Key(None, float),  # None: lambda_phi_schedule(M, s, d, delta, cbar)
     "optimizer.delta": Key(0.1, float, low=0.0, high=1.0, strict=True),  # a confidence level
     "optimizer.cbar": Key(1.0, float, low=0.0),
     "optimizer.length_scale": Key(None, float, low=0.0, strict=True),  # None: diam(W) / 4
-    "optimizer.budget": Key(96, int, low=1),
     "sweeps.bias.lambda_grid": Key([0.01, 0.03, 0.1, 0.3, 1.0], list, item=float),
     "sweeps.bias.n_pairs": Key(100, int, low=1),
     "sweeps.bias.n_instances": Key(60, int, low=1),

@@ -63,8 +63,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
     model = model_for_instances(instances, d=d)
     space = ParamSpace.symmetric(d)
     spec = PerturbationSpec(
-        lam=max(lambda_grid), epsilon0=eps0, mc_samples=cfg.get("perturb.samples"),
-        master_seed=seed,
+        lam=max(lambda_grid), mc_samples=cfg.get("perturb.samples"), master_seed=seed
     )
 
     def one_w(i):
@@ -77,28 +76,19 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
     rows = []
     slopes = []
     for i, (w, checks, fit) in enumerate(_parallel_map(one_w, range(n_w), threads)):
-        by_lambda: dict[float, dict] = {}
-        for c in checks:
-            lam = c.metadata.get("lambda")
-            entry = by_lambda.setdefault(lam, {})
-            if c.name == "bias_vs_unperturbed":
-                entry.update(lhs=c.lhs, rhs2osc=c.rhs, ok2=c.passed, V=c.metadata["V"])
-            elif c.name == "bias_vs_base_smoothed":
-                entry.update(lhs_eps=c.lhs, rhs4osc=c.rhs, ok4=c.passed)
-            elif c.name == "tail_mass_monotone":
-                entry.update(v_monotone=c.passed)
-        for lam, entry in sorted(by_lambda.items()):
+        # check_bias_bound's layout: three checks per grid value, in grid order
+        for unperturbed, smoothed, monotone in zip(*[iter(checks)] * 3):
             rows.append(
                 {
                     "w_index": i,
-                    "lambda": lam,
-                    "lhs": entry["lhs"],
-                    "rhs2osc": entry["rhs2osc"],
-                    "lhs_eps": entry["lhs_eps"],
-                    "rhs4osc": entry["rhs4osc"],
-                    "tail_mass": entry["V"],
-                    "v_monotone": int(entry["v_monotone"]),
-                    "passed": int(entry["ok2"] and entry["ok4"] and entry["v_monotone"]),
+                    "lambda": unperturbed.metadata["lambda"],
+                    "lhs": unperturbed.lhs,
+                    "rhs2osc": unperturbed.rhs,
+                    "lhs_eps": smoothed.lhs,
+                    "rhs4osc": smoothed.rhs,
+                    "tail_mass": unperturbed.metadata["V"],
+                    "v_monotone": int(monotone.passed),
+                    "passed": int(unperturbed.passed and smoothed.passed and monotone.passed),
                 }
             )
         if math.isfinite(fit.fitted_slope):

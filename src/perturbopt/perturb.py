@@ -19,7 +19,6 @@ equals the values of regularized_risk(W) bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +42,14 @@ from .rngs import substream
 @dataclass(frozen=True)
 class PerturbationSpec:
     lam: float
-    epsilon0: float = 1e-3
     mc_samples: int = 512
     master_seed: int = 0
 
     def __post_init__(self):
-        if not (self.lam >= self.epsilon0 >= 0.0):
-            raise ValueError("need lambda >= epsilon0 >= 0")
+        if not self.lam >= 0.0:
+            raise ValueError("need lambda >= 0")
         if self.mc_samples < 1:
             raise ValueError("need at least one Monte Carlo sample")
-
-    def with_lambda(self, lam: float, epsilon0: float | None = None) -> "PerturbationSpec":
-        eps = self.epsilon0 if epsilon0 is None else epsilon0
-        return dataclasses.replace(self, lam=lam, epsilon0=min(eps, lam))
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,6 @@ class RiskReport:
     n_instances: int
     mc_samples: int
     lam: float
-    epsilon0: float
     seed_trace: dict
     mode: str
     ties_encountered: bool = False
@@ -77,7 +70,6 @@ class RiskReport:
             "n_instances": self.n_instances,
             "mc_samples": self.mc_samples,
             "lambda": self.lam,
-            "epsilon0": self.epsilon0,
             "seed_trace": self.seed_trace,
             "mode": self.mode,
             "ties_encountered": self.ties_encountered,
@@ -304,7 +296,6 @@ def regularized_risk(
             n_instances=n,
             mc_samples=spec.mc_samples,
             lam=spec.lam,
-            epsilon0=spec.epsilon0,
             seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
             mode="montecarlo" if sampled else "exactenum",
             ties_encountered=bool(t),

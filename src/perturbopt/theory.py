@@ -9,6 +9,7 @@ implementation bug.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -174,19 +175,27 @@ def check_bias_bound(
     log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
     ``oracle`` of the instances.  Each risk follows regularized_risk's
     rule: exact where p_lambda has a closed form, CRN Monte Carlo
-    elsewhere, and the unperturbed policy at lambda = 0."""
+    elsewhere, and the unperturbed policy at lambda = 0; spec supplies
+    the Monte Carlo samples and seed, and each risk its own lambda.
+
+    The checks come three per grid value, in sorted grid order:
+    bias_vs_unperturbed, bias_vs_base_smoothed, tail_mass_monotone."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
+
+    def risk(lam: float):
+        return regularized_risk(w, instances, oracle, model, space, dataclasses.replace(spec, lam=lam))
+
     osc = osc_bound(oracle, instances)
-    base = regularized_risk(w, instances, oracle, model, space, spec.with_lambda(0.0, 0.0))
-    r_eps = regularized_risk(w, instances, oracle, model, space, spec.with_lambda(epsilon0, 0.0))
+    base = risk(0.0)
+    r_eps = risk(epsilon0)
     v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []
     gaps = []
     v_prev = -np.inf
     for lam, v in zip(lambda_grid, v_grid):
-        r_lam = regularized_risk(w, instances, oracle, model, space, spec.with_lambda(lam, 0.0))
+        r_lam = risk(lam)
         v_lam = float(v)
         se = r_lam.mc_std_error + base.mc_std_error
         checks.append(

@@ -189,6 +189,24 @@ def test_sweep_conflicts_are_checked_only_for_the_sweep_that_runs():
         cfg.check_sweep("nprocess")
 
 
+@pytest.mark.parametrize(
+    "command, path, grid",
+    [
+        # a repeated lambda merged its rows: n_pairs 6 wrote 4 bias rows, not 6
+        ("sweep bias", "sweeps.bias.lambda_grid", [0.1, 0.1, 1.0]),
+        ("sweep nprocess", "sweeps.nprocess.n_grid", [64, 64, 128]),
+        ("sweep ksos", "sweeps.ksos.m_grid", [32, 32, 64]),
+    ],
+    ids=["lambda_grid", "n_grid", "m_grid"],
+)
+def test_repeated_grid_value_exits_2_naming_its_key(tmp_path, capsys, command, path, grid):
+    out = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, doc_with(path, grid))
+    assert main([*command.split(), "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{path}: must be a nonempty strictly increasing list of " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     bad = dict(TOY, perturb=dict(TOY["perturb"], **{"lambda": "abc"}))
     cfg_path = write_cfg(tmp_path, bad)
@@ -203,7 +221,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
         ("train", {"optimizer": {"M": 0}}, "optimizer.M: "),
         ("train", {"optimizer": {"M": 2}}, "optimizer: need M >= d + 1"),
         ("train", {"optimizer": {"s": 1.5}}, "optimizer: need smoothness s > 1 + d/2"),
-        ("train", {"optimizer": {"kind": "randomsearch", "budget": 0}}, "optimizer.budget: "),
+        # the random search runs only as kSoS's budget-matched comparison
+        ("train", {"optimizer": {"budget": 0}}, "optimizer.budget: unknown key"),
+        ("train", {"optimizer": {"kind": "randomsearch"}}, "optimizer.kind: must be one of ksos"),
         ("train", {"optimizer": {"kind": "neldermead"}}, "optimizer.kind: "),
         ("sweep bias", {"sweeps": {"bias": {"n_pairs": "x"}}}, "sweeps.bias.n_pairs: "),
         ("sweep nprocess", {"sweeps": {"nprocess": {"seeds": "x"}}}, "sweeps.nprocess.seeds: "),
@@ -219,8 +239,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
         ("sweep bias", {"perturb": {"epsilon0": 0.05}}, "sweeps.bias.lambda_grid: value 0.01 below"),
     ],
     ids=[
-        "M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "kind-neldermead", "n_pairs-x",
-        "seeds-x", "n_train-true", "delta-200", "pool-below-10n", "default-grid-below-eps0",
+        "M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "kind-randomsearch", "kind-neldermead",
+        "n_pairs-x", "seeds-x", "n_train-true", "delta-200", "pool-below-10n",
+        "default-grid-below-eps0",
     ],
 )
 def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, patch, key):
@@ -339,7 +360,7 @@ def test_train_evaluation_equals_single_w_calls(trained_run):
     model = model_for_instances(train, d=2)
     space = ParamSpace.symmetric(2)
     oracle = default_cost_oracle("scheduling")
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=128, master_seed=7)
+    spec = PerturbationSpec(lam=0.1, mc_samples=128, master_seed=7)
     result = json.load(open(os.path.join(out, "result.json")))
     w_hat = np.array(result["w_hat"])
 
@@ -377,7 +398,7 @@ def test_train_risk_is_the_surface_ksos_scored(trained_run):
 
     out, _code = trained_run
     train = load_instances(os.path.join(out, "instances_train.jsonl"))
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=128, master_seed=7)
+    spec = PerturbationSpec(lam=0.1, mc_samples=128, master_seed=7)
     surface = crn_risk_surface(
         train, default_cost_oracle("scheduling"), model_for_instances(train, d=2),
         ParamSpace.symmetric(2), spec,
@@ -388,19 +409,11 @@ def test_train_risk_is_the_surface_ksos_scored(trained_run):
     assert json.load(open(os.path.join(out, "risk_train.json")))["value"] == scored
 
 
-@pytest.mark.parametrize(
-    "optimizer, budgets",
-    [
-        # no M: kSoS samples the default 96 points, and so does its match
-        ({"kind": "ksos", "budget": 5}, [96]),
-        ({"kind": "randomsearch", "M": 50, "budget": 20}, [20, 20]),
-    ],
-    ids=["ksos", "randomsearch"],
-)
-def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch, optimizer, budgets):
+def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch):
     from perturbopt import ksos
 
-    cfg_path = write_cfg(tmp_path, dict(TOY, optimizer=optimizer))
+    # no M: kSoS samples the default 96 points, and so does its match
+    cfg_path = write_cfg(tmp_path, dict(TOY, optimizer={"kind": "ksos"}))
     out = str(tmp_path / "run")
     assert main(["generate", "--config", cfg_path, "--out", out]) == 0
     seen = []
@@ -412,7 +425,7 @@ def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(ksos, "baseline_minimize", recording)
     assert main(["train", "--config", cfg_path, "--out", out]) in (0, 3)
-    assert seen == budgets
+    assert seen == [96]
 
 
 def test_train_requires_dataset(tmp_path):

@@ -524,7 +524,7 @@ class CountingSurface:
 def test_samples_are_scored_in_one_batch_equal_to_point_calls():
     instances = generate_instances("scheduling", 6, seed=23, jobs=[4])
     space = ParamSpace.symmetric(2)
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=0.1, mc_samples=16, master_seed=4)
     surface = crn_risk_surface(
         instances, default_cost_oracle("scheduling"), model_for_instances(instances, d=2), space, spec
     )

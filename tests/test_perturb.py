@@ -52,15 +52,9 @@ def contextual_setup(n=1, seed=3, d_context=2, costs=None, context=None):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        PerturbationSpec(lam=0.1, epsilon0=0.2)
-    with pytest.raises(ValueError):
-        PerturbationSpec(lam=1.0, epsilon0=-0.1)
-    with pytest.raises(ValueError):
-        PerturbationSpec(lam=1.0, mc_samples=0)
-    spec = PerturbationSpec(lam=1.0, epsilon0=1e-3)
-    assert spec.with_lambda(0.5).lam == 0.5
-    assert spec.with_lambda(0.0).epsilon0 == 0.0
+    for bad in ({"lam": -0.1}, {"lam": float("nan")}, {"lam": 1.0, "mc_samples": 0}):
+        with pytest.raises(ValueError):
+            PerturbationSpec(**bad)
 
 
 def test_sample_perturbation_unit_variance_1d():
@@ -181,7 +175,7 @@ def test_risk_closed_form_example(monkeypatch):
     instances, model, space = contextual_setup(costs=[5.0, 2.0], context=[0.3, 0.0])
     # widen the cost box: this hand example leaves [0, 1]
     oracle = ContextualWrapper()
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=8192, master_seed=1)
+    spec = PerturbationSpec(lam=1.0, mc_samples=8192, master_seed=1)
     w = np.array([1.0, 0.0])
     report = regularized_risk(w, instances, oracle, model, space, spec)
     assert report.value == pytest.approx(5.0 - 3.0 * norm.cdf(0.3), abs=1e-12)
@@ -197,7 +191,7 @@ def test_risk_closed_form_example(monkeypatch):
 def test_risk_small_lambda_limit():
     instances, model, space = contextual_setup(costs=[5.0, 2.0], context=[0.3, 0.0])
     oracle = ContextualWrapper()
-    spec = PerturbationSpec(lam=1e-6, epsilon0=0.0, mc_samples=512, master_seed=1)
+    spec = PerturbationSpec(lam=1e-6, mc_samples=512, master_seed=1)
     w = np.array([1.0, 0.0])
     report = regularized_risk(w, instances, oracle, model, space, spec)
     assert report.value == pytest.approx(2.0, abs=1e-9)  # interior cone: f(y_hat)
@@ -208,7 +202,7 @@ def test_risk_constant_cost_exact():
     oracle = ContextualWrapper()
     for lam in (0.0, 0.1, 1.0):
         for w in (np.zeros(2), np.array([0.3, -0.9])):
-            spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=128, master_seed=2)
+            spec = PerturbationSpec(lam=lam, mc_samples=128, master_seed=2)
             rep = regularized_risk(w, instances, oracle, model, space, spec)
             assert rep.value == pytest.approx(0.4, abs=1e-12)
 
@@ -216,7 +210,7 @@ def test_risk_constant_cost_exact():
 def test_risk_zero_lambda_tie_uses_p0_measure():
     instances, model, space = contextual_setup(costs=[1.0, 0.0])
     oracle = ContextualWrapper()
-    spec = PerturbationSpec(lam=0.0, epsilon0=0.0, mc_samples=128, master_seed=3)
+    spec = PerturbationSpec(lam=0.0, mc_samples=128, master_seed=3)
     report = regularized_risk(np.zeros(2), instances, oracle, model, space, spec)
     assert report.ties_encountered
     assert report.value == pytest.approx(0.5, abs=1e-12)
@@ -232,7 +226,7 @@ def test_zero_lambda_tie_without_closed_form_uses_labeled_substream():
     w = np.zeros(2)
 
     def risk(seed):
-        spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=seed)
+        spec = PerturbationSpec(lam=0.0, master_seed=seed)
         return regularized_risk(w, instances, oracle, model, space, spec)
 
     first, again, other = risk(1), risk(1), risk(2)
@@ -264,7 +258,7 @@ def test_zero_lambda_tie_solves_the_oracle_once(monkeypatch, domain, params):
         return real(self, theta)
 
     monkeypatch.setattr(kind, "argmax", counting)
-    spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=1)
+    spec = PerturbationSpec(lam=0.0, master_seed=1)
     W = np.zeros((2, 2))
     reports = regularized_risk(
         W, instances, default_cost_oracle(domain), model, ParamSpace.symmetric(2), spec
@@ -333,7 +327,7 @@ def test_zero_lambda_past_the_cap_solves_the_oracle_per_row():
         assert not ties.any()
         with pytest.raises(EnumerationUnavailable):
             perturb._unperturbed_terms(oracle, x, np.zeros((1, 8)), 9)
-    spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=1)
+    spec = PerturbationSpec(lam=0.0, master_seed=1)
     with pytest.raises(EnumerationUnavailable):
         regularized_risk(np.zeros(2), instances, oracle, model, ParamSpace.symmetric(2), spec)
 
@@ -351,7 +345,7 @@ def test_zero_lambda_tie_is_split_in_exact_halves_through_the_risk(jobs, want):
     model = model_for_instances(instances, d=2, builder=_tie_first_two_coordinates)
     oracle = default_cost_oracle("scheduling")
     for seed in (0, 1):
-        spec = PerturbationSpec(lam=0.0, epsilon0=0.0, master_seed=seed)
+        spec = PerturbationSpec(lam=0.0, master_seed=seed)
         report = regularized_risk(
             np.array([0.2, 0.7]), instances, oracle, model, ParamSpace.symmetric(2), spec
         )
@@ -362,7 +356,7 @@ def test_zero_lambda_tie_is_split_in_exact_halves_through_the_risk(jobs, want):
 def test_risk_errors():
     instances, model, space = contextual_setup()
     oracle = ContextualWrapper()
-    spec = PerturbationSpec(lam=0.5, epsilon0=0.0)
+    spec = PerturbationSpec(lam=0.5)
     with pytest.raises(ValueError, match="empty instance list"):
         regularized_risk(np.zeros(2), [], oracle, model, space, spec)
     with pytest.raises(ValueError, match="empty instance list"):
@@ -376,7 +370,7 @@ def test_risk_within_cost_bounds():
     oracle = default_cost_oracle("contextual")
     rng = substream(4, "w")
     for lam in (0.05, 0.5, 2.0):
-        spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=256, master_seed=5)
+        spec = PerturbationSpec(lam=lam, mc_samples=256, master_seed=5)
         w = space.sample(rng, 1)[0]
         rep = regularized_risk(w, instances, oracle, model, space, spec)
         assert 0.0 <= rep.value <= 1.0
@@ -387,7 +381,7 @@ def test_crn_reproducibility_bitwise():
     model = model_for_instances(instances, d=2)
     space = ParamSpace.symmetric(2)
     oracle = default_cost_oracle("scheduling")
-    spec = PerturbationSpec(lam=0.2, epsilon0=0.0, mc_samples=256, master_seed=21)
+    spec = PerturbationSpec(lam=0.2, mc_samples=256, master_seed=21)
     surface = crn_risk_surface(instances, oracle, model, space, spec)
     w = np.array([0.3, -0.7])
     v1, v2 = surface(w), surface(w)
@@ -403,7 +397,7 @@ def test_past_the_cap_the_risk_is_the_crn_estimate_without_enumerating():
     # decided from the kind alone, so the risk never reads the vertex table
     instances = generate_instances("scheduling", 3, seed=1, jobs=[8])
     model = model_for_instances(instances, d=2)
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.0, mc_samples=16, master_seed=1)
+    spec = PerturbationSpec(lam=0.1, mc_samples=16, master_seed=1)
     report = regularized_risk(
         np.array([0.3, -0.2]), instances, default_cost_oracle("scheduling"), model,
         ParamSpace.symmetric(2), spec,
@@ -456,7 +450,7 @@ def test_crn_surface_pinned_on_w_grid(case):
     train = generate_instances(domain, n_train, spawn_seed(7, "dataset/train"), **dict(params))
     model = model_for_instances(train, d=d)
     space = ParamSpace.symmetric(d)
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=samples, master_seed=7)
+    spec = PerturbationSpec(lam=0.1, mc_samples=samples, master_seed=7)
     surface = crn_risk_surface(train, default_cost_oracle(domain), model, space, spec)
     got = [surface(np.array(w[:d])).hex() for w in SURFACE_GRID]
     assert got == SURFACE_PINS[case]
@@ -489,7 +483,7 @@ def test_regularized_risk_pinned_on_test_sets(case):
     test = generate_instances(domain, n_test, spawn_seed(7, "dataset/test"), **dict(params))
     model = model_for_instances(test, d=d)
     space = ParamSpace.symmetric(d)
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.001, mc_samples=samples, master_seed=7)
+    spec = PerturbationSpec(lam=0.1, mc_samples=samples, master_seed=7)
     oracle = default_cost_oracle(domain)
     got = []
     for w in SURFACE_GRID[1:3]:
@@ -537,7 +531,7 @@ def batches(draw):
 def test_batch_reports_equal_single_calls_bitwise(batch, lam):
     name, W = batch
     instances, model, space, oracle = batch_setup(name)
-    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=lam, mc_samples=16, master_seed=4)
     reports = regularized_risk(W, instances, oracle, model, space, spec)
     assert len(reports) == len(W)
     for w, rep in zip(W, reports):
@@ -570,7 +564,7 @@ def test_stacked_thetas_are_model_predict_bitwise(name, W):
         seen.append(thetas.copy())
         return None  # then the Monte Carlo path runs on the same thetas
 
-    spec = PerturbationSpec(lam=0.3, epsilon0=0.0, mc_samples=2, master_seed=4)
+    spec = PerturbationSpec(lam=0.3, mc_samples=2, master_seed=4)
     with mock.patch.object(perturb, "exact_policy_distribution", record):
         regularized_risk(W, instances, oracle, model, space, spec)
     assert len(seen) == len(instances)
@@ -604,7 +598,7 @@ def test_exact_terms_are_each_rows_law_dotted_with_the_vertex_costs(name):
         model = model_for_instances(instances, d=2)
         space, oracle = ParamSpace.symmetric(2), default_cost_oracle("scheduling")
     W = np.vstack([np.zeros(2), space.sample(substream(3, "exact-w"), 16)])
-    spec = PerturbationSpec(lam=0.2, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=0.2, mc_samples=16, master_seed=4)
     terms = list(perturb._risk_terms(W, instances, oracle, model, space, spec))
     for x, (values, costs, ties) in zip(instances, terms):
         assert costs is None and not ties.any()
@@ -619,7 +613,7 @@ def test_exact_terms_are_each_rows_law_dotted_with_the_vertex_costs(name):
 def test_surface_values_rows_equal_single_rows_bitwise(batch, lam):
     name, W = batch
     instances, model, space, oracle = batch_setup(name)
-    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=lam, mc_samples=16, master_seed=4)
     surface = crn_risk_surface(instances, oracle, model, space, spec)
     got = surface.values(W)
     assert got.shape == (len(W),) and got.dtype == np.float64
@@ -635,7 +629,7 @@ def test_surface_values_are_the_reported_risks_bitwise(batch, lam):
     # differs from the left-to-right sum in the last bits.
     name, W = batch
     instances, model, space, oracle = batch_setup(name, n=16)
-    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=lam, mc_samples=16, master_seed=4)
     surface = crn_risk_surface(instances, oracle, model, space, spec)
     reports = regularized_risk(W, instances, oracle, model, space, spec)
     assert [float(v).hex() for v in surface.values(W)] == [r.value.hex() for r in reports]
@@ -643,7 +637,7 @@ def test_surface_values_are_the_reported_risks_bitwise(batch, lam):
 
 def test_surface_values_takes_a_matrix_only():
     instances, model, space, oracle = batch_setup("ctx")
-    spec = PerturbationSpec(lam=0.1, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=0.1, mc_samples=16, master_seed=4)
     surface = crn_risk_surface(instances, oracle, model, space, spec)
     with pytest.raises(ValueError, match=re.escape("values takes W of shape (M, d), got shape (2,)")):
         surface.values(np.zeros(2))
@@ -675,7 +669,7 @@ def test_batch_rejects_a_bad_row_before_any_oracle_call(mode, lam):
     # ones the closed form
     instances, model, space, inner = batch_setup({"montecarlo": "sched", "exactenum": "ctx"}[mode])
     oracle = CountingOracle(inner)
-    spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=16, master_seed=4)
+    spec = PerturbationSpec(lam=lam, mc_samples=16, master_seed=4)
     good = np.array([[0.2, -0.4], [0.5, 0.5]])
     outside = np.vstack([good, [[0.3, 1.5]]])
     with pytest.raises(ParamOutsideBox) as got:
@@ -698,11 +692,11 @@ def test_batch_rejects_a_bad_row_before_any_oracle_call(mode, lam):
 
 def test_report_serializes():
     instances, model, space = contextual_setup()
-    spec = PerturbationSpec(lam=0.5, epsilon0=1e-3, mc_samples=64, master_seed=1)
+    spec = PerturbationSpec(lam=0.5, mc_samples=64, master_seed=1)
     rep = regularized_risk(np.zeros(2), instances, ContextualWrapper(), model, space, spec)
     doc = rep.to_doc()
     assert doc["lambda"] == 0.5
-    assert doc["epsilon0"] == 1e-3
+    assert "epsilon0" not in doc  # the risk never reads the base smoothing
     assert doc["mode"] == "exactenum"  # the contextual p_lambda has a closed form
     instances, model, space, oracle = batch_setup("sched")
     rep = regularized_risk(np.zeros(2), instances, oracle, model, space, spec)

@@ -52,7 +52,7 @@ def test_uw_single_hyperplane_closed_form():
     # theta uniform on [-1, 1], tau = 1/2: E |theta|^{-1/2} = 2
     instances, _, space = contextual_pack(40_000, seed=23, d_context=1)
     model = model_for_instances(instances, d=1)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=1, master_seed=1)
+    spec = PerturbationSpec(lam=1.0, mc_samples=1, master_seed=1)
     res = uw_moment(np.array([1.0]), instances, 0.5, 0.0, model, space, spec)
     assert abs(res.value - 2.0) <= 3.0 * res.std_error
     assert res.analytic_bound is None
@@ -61,14 +61,14 @@ def test_uw_single_hyperplane_closed_form():
 def test_uw_tends_to_one_as_tau_vanishes():
     instances, _, space = contextual_pack(2_000, seed=29, d_context=1)
     model = model_for_instances(instances, d=1)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=1, master_seed=1)
+    spec = PerturbationSpec(lam=1.0, mc_samples=1, master_seed=1)
     res = uw_moment(np.array([1.0]), instances, 1e-3, 0.0, model, space, spec)
     assert abs(res.value - 1.0) <= 0.02
 
 
 def test_uw_estimate_below_analytic_bound():
     instances, model, space = contextual_pack(200, seed=31)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.1, mc_samples=64, master_seed=2)
+    spec = PerturbationSpec(lam=1.0, mc_samples=64, master_seed=2)
     w = np.array([0.3, -0.4])
     res = uw_moment(w, instances, 0.5, 0.1, model, space, spec)
     assert res.analytic_bound is not None
@@ -88,7 +88,7 @@ def test_uw_margin_case():
         u = x.features["context"]
         u[:] = np.sign(u) * np.maximum(np.abs(u), 0.5)
     model = model_for_instances(instances, d=1)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=1, master_seed=3)
+    spec = PerturbationSpec(lam=1.0, mc_samples=1, master_seed=3)
     res = uw_moment(np.array([1.0]), instances, 0.5, 0.0, model, space, spec)
     assert res.value <= (np.sqrt(1.0) / 0.5) ** 0.5 + 1e-12
 
@@ -110,7 +110,7 @@ def test_gaussian_inverse_moment_value():
 
 def test_bias_bounds_hold_on_grid():
     instances, model, space = contextual_pack(50, seed=43)
-    spec = PerturbationSpec(lam=1.0, epsilon0=1e-3, mc_samples=256, master_seed=4)
+    spec = PerturbationSpec(lam=1.0, mc_samples=256, master_seed=4)
     rng = substream(5, "w")
     for _ in range(5):
         w = space.sample(rng, 1)[0]
@@ -123,7 +123,7 @@ def test_bias_bounds_hold_on_grid():
 
 def test_bias_gap_vanishes_at_epsilon0():
     instances, model, space = contextual_pack(20, seed=47)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.05, mc_samples=128, master_seed=5)
+    spec = PerturbationSpec(lam=1.0, mc_samples=128, master_seed=5)
     checks, _ = check_bias_bound(
         np.array([0.2, 0.2]), instances, ContextualWrapper(), [0.05, 0.5], 0.05, model, space, spec
     )
@@ -138,7 +138,7 @@ def test_bias_closed_form_two_solution_example():
     instances[0].features["context"][:] = [0.3, 0.0]
     model = model_for_instances(instances, d=2)
     w = np.array([1.0, 0.0])
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=64, master_seed=6)
+    spec = PerturbationSpec(lam=1.0, mc_samples=64, master_seed=6)
     checks, _ = check_bias_bound(
         w, instances, ContextualWrapper(), [0.1, 0.3, 1.0], 0.0, model, space, spec
     )
@@ -182,7 +182,7 @@ BIAS_PINS = {
 @pytest.mark.parametrize("w", list(BIAS_PINS), ids=["w0", "w1"])
 def test_bias_bound_pinned(w):
     instances, model, space = contextual_pack(30, seed=61)
-    spec = PerturbationSpec(lam=1.0, epsilon0=1e-3, mc_samples=256, master_seed=9)
+    spec = PerturbationSpec(lam=1.0, mc_samples=256, master_seed=9)
     checks, _ = check_bias_bound(
         np.array(w), instances, ContextualWrapper(), BIAS_GRID, 1e-3, model, space, spec
     )
@@ -202,7 +202,7 @@ def test_bias_bound_pinned(w):
 
 def test_bias_rejects_grid_below_epsilon0():
     instances, model, space = contextual_pack(5, seed=51)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.1, mc_samples=64, master_seed=7)
+    spec = PerturbationSpec(lam=1.0, mc_samples=64, master_seed=7)
     with pytest.raises(ValueError):
         check_bias_bound(
             np.zeros(2), instances, ContextualWrapper(), [0.01], 0.1, model, space, spec
@@ -216,7 +216,7 @@ def test_bias_bound_uses_the_callers_oracle():
     model = model_for_instances(instances, d=3)
     space = ParamSpace.symmetric(3)
     oracle = StoVspDelayCost(c_vehicle=5.0)
-    spec = PerturbationSpec(lam=1.0, epsilon0=0.0, mc_samples=32, master_seed=8)
+    spec = PerturbationSpec(lam=1.0, mc_samples=32, master_seed=8)
     w = np.array([0.3, -0.2, 0.5])
     osc = osc_bound(oracle, instances)
     assert osc != osc_bound(StoVspDelayCost(), instances)
@@ -264,7 +264,7 @@ def test_contextual_risk_matrix_matches_the_risk_pipeline(signal):
     space = ParamSpace.symmetric(2)
     w_grid = np.vstack([np.zeros(2), space.sample(substream(10, "wg"), 31), [[1.0, -1.0]]])
     for lam in (1e-3, 0.05, 0.5, 3.0):
-        spec = PerturbationSpec(lam=lam, epsilon0=0.0, mc_samples=4, master_seed=1)
+        spec = PerturbationSpec(lam=lam, mc_samples=4, master_seed=1)
         terms = [
             values
             for values, costs, _ in _risk_terms(w_grid, instances, ContextualWrapper(), model, space, spec)
