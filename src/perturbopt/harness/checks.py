@@ -81,14 +81,13 @@ def _bias_bounds(cfg: ExperimentConfig):
     instances = generate_instances("contextual", 40, cfg.get("master_seed"), d_context=2)
     model = model_for_instances(instances, d=2)
     space = ParamSpace.symmetric(2)
-    eps0 = cfg.get("perturb.epsilon0")
     spec = PerturbationSpec(
         lam=1.0, mc_samples=cfg.get("perturb.samples"), master_seed=cfg.get("master_seed")
     )
     w = space.sample(substream(cfg.get("master_seed"), "check/bias_w"), 1)[0]
     checks, _ = check_bias_bound(
-        w, instances, default_cost_oracle("contextual"), [0.01, 0.03, 0.1, 0.3, 1.0],
-        eps0, model, space, spec,
+        w, instances, default_cost_oracle("contextual"), cfg.get("sweeps.bias.lambda_grid"),
+        cfg.get("perturb.epsilon0"), model, space, spec,
     )
     failed = [c for c in checks if not c.passed]
     if failed:

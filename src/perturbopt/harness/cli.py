@@ -268,8 +268,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_check(args) -> int:
     cfg, out_dir = _load(args)
-    from .checks import run_checks
+    from .checks import CHECKS, run_checks
 
+    if "bias_bounds" in cfg.get("check.names", list(CHECKS)):
+        cfg.check_sweep("bias")
     results = run_checks(cfg)
     report = [
         {"name": name, "passed": passed, "detail": detail}

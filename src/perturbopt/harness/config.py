@@ -169,8 +169,9 @@ class ExperimentConfig:
     def check_sweep(self, kind: str) -> None:
         """Raise ConfigError where the settings ``sweep kind`` reads
         conflict, so that it exits 2 before any work: the bias grid, set or
-        default, must stay at or above perturb.epsilon0, and the nprocess
-        reference pool must hold at least 10x the largest n."""
+        default, must stay at or above perturb.epsilon0 (``sweep bias``
+        and ``check``'s bias_bounds read both), and the nprocess reference
+        pool must hold at least 10x the largest n."""
         problems = []
         if kind == "bias":
             problems = _grid_problems(self, self.get("sweeps.bias.lambda_grid"))
@@ -237,10 +238,8 @@ def config_from_doc(doc: dict) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     cfg = ExperimentConfig(doc)
-    if cfg.get("perturb.lambda") < cfg.get("perturb.epsilon0"):
-        problems.append("perturb.lambda: must be >= perturb.epsilon0")
-    # only a grid the document sets: a run that sweeps nothing keeps any
-    # epsilon0, and check_sweep checks the default grid when a sweep runs
+    # only a grid the document sets: a run that reads no grid keeps any
+    # epsilon0, and check_sweep checks the default grid where one is read
     problems += _grid_problems(cfg, cfg.get("sweeps.bias.lambda_grid", []))
     if problems:
         raise ConfigError(problems)

@@ -29,11 +29,10 @@ from .polytopes import (
     EnumerationUnavailable,
     Permutahedron,
     SolutionPolytope,
-    _split_tie,
     _vertex_argmax,
-    _vertex_argmax_ties,
     internal_radius,
     linear_oracle,
+    p0,
 )
 from .problems import Instance
 from .rngs import substream
@@ -146,7 +145,7 @@ def sampled_policy_distribution(
     directions are generic, so the tie-free oracle applies."""
     verts = polytope.vertices()
     z = sample_perturbation(polytope.dim, rng, size=n_samples)
-    winners = _vertex_argmax(theta[None, :] + lam * z, verts)
+    winners, _ = _vertex_argmax(theta[None, :] + lam * z, verts)
     counts = np.bincount(winners, minlength=len(verts)).astype(np.float64)
     probs = counts / n_samples
     ses = np.sqrt(probs * (1.0 - probs) / n_samples)
@@ -172,11 +171,11 @@ def _policy_cost_unperturbed(
 
 
 def _tie_cost(oracle, x: Instance, theta: np.ndarray, master_seed: int) -> float:
-    """Mean cost under polytopes.p0's split of the tie at theta, whose Monte
-    Carlo draws (where no exact split applies) come from the instance's
-    "p0/<index>" substream.  The split needs the vertex table, so a tie
-    past the enumeration cap raises EnumerationUnavailable."""
-    measure = _split_tie(x.polytope, theta, substream(master_seed, f"p0/{x.index}"))
+    """Mean cost under polytopes.p0's split of the tie at theta, whose
+    Gaussian draws (a tie that no symmetry splits exactly) come from the
+    instance's "p0/<index>" substream.  p0 reads the vertex table, so a
+    tie past the enumeration cap raises EnumerationUnavailable."""
+    measure = p0(x.polytope, theta, substream(master_seed, f"p0/{x.index}"))
     costs = oracle.eval_vertices(x, np.array([v for v, _ in measure.atoms]))
     return float(sum(p * float(c) for (_, p), c in zip(measure.atoms, costs)))
 
@@ -185,17 +184,16 @@ def _unperturbed_terms(oracle, x: Instance, thetas: np.ndarray, master_seed: int
     """(values, ties) of the unperturbed policy at each row of thetas, each
     row equal to _policy_cost_unperturbed's bit for bit.  A polytope whose
     vertices enumerate, permutahedron or VspFlow, scores the rows against
-    its vertex table: the winner is the first top-scoring vertex, a row
-    ties when another vertex scores within TIE_TOL of the top (what each
-    kind's argmax flags), an untied row's value is eval_vertices at its
-    winner, and a tied row is split as p0 splits it.  Only a polytope past
-    the enumeration cap solves its oracle per row."""
+    its vertex table in one _vertex_argmax scan: an untied row's value is
+    eval_vertices at its winner, and a tied row's is _tie_cost, the mean
+    cost under polytopes.p0's split.  Only a polytope past the
+    enumeration cap solves its oracle per row."""
     try:
         verts = x.polytope.vertices()
     except EnumerationUnavailable:
         terms = [_policy_cost_unperturbed(oracle, x, t, master_seed) for t in thetas]
         return np.array([v for v, _ in terms]), np.array([t for _, t in terms])
-    winners, ties = _vertex_argmax_ties(thetas, verts)
+    winners, ties = _vertex_argmax(thetas, verts)
     distinct, index = np.unique(winners, return_inverse=True)
     values = oracle.eval_vertices(x, verts[distinct])[index]
     for m in np.flatnonzero(ties):
@@ -213,7 +211,7 @@ def _param_rows(W, model, space) -> np.ndarray:
     return np.ascontiguousarray(W.reshape(-1, model.d))
 
 
-def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
+def _risk_terms(W, instances, oracle, model, space, spec):
     """The one risk estimator, for the rows of W, an (M, d) array from
     _param_rows (a single w is M = 1).  Yields (values, costs, ties) per
     instance: the risk term of each w, the (M, K) Monte Carlo cost samples
@@ -226,13 +224,13 @@ def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
     unperturbed policy (_unperturbed_terms).  Otherwise,
     where exact_policy_distribution has a closed form, each row's term is
     its probabilities dotted with the vertex costs (one dot per row, as
-    ``p @ costs``); elsewhere the instance's CRN noise block (blocks[i], or
-    drawn here once for all rows) perturbs every theta in one
+    ``p @ costs``); elsewhere the instance's CRN noise block, drawn once
+    for all rows, perturbs every theta in one
     eval_theta_batch call, and the mean over the K samples of each row
     equals np.mean of that row's costs bit for bit."""
     lam = spec.lam
     no_ties = np.zeros(len(W), dtype=bool)
-    for i, x in enumerate(instances):
+    for x in instances:
         thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
         if lam == 0.0:
             values, ties = _unperturbed_terms(oracle, x, thetas, spec.master_seed)
@@ -242,7 +240,7 @@ def _risk_terms(W, instances, oracle, model, space, spec, blocks=None):
         if probs is not None:
             yield np.vecdot(probs, oracle.eval_vertices(x, x.polytope.vertices())), None, no_ties
             continue
-        z = perturbation_block(spec, x.index, x.dim) if blocks is None else blocks[i]
+        z = perturbation_block(spec, x.index, x.dim)
         dirs = (thetas[:, None, :] + lam * z).reshape(-1, x.dim)
         costs = oracle.eval_theta_batch(x, dirs).reshape(len(W), -1)
         yield np.mean(costs, axis=1), costs, no_ties
@@ -312,8 +310,9 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     its Monte Carlo terms.  Its values are regularized_risk's, bit for
     bit: both fold the per-instance terms with the module's one fold.
 
-    Noise blocks are drawn once and reused for every w, so repeated calls
-    are bit-identical; suitable as the kernel-SoS objective.
+    A noise block depends only on (master_seed, instance index), so each
+    call draws the same blocks and repeated calls are bit-identical;
+    suitable as the kernel-SoS objective.
 
     The returned function carries ``values(W)``: W of shape (M, d) in, the
     M surface values out, from one pass over the instances (each noise
@@ -326,16 +325,13 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     """
     if len(instances) == 0:
         raise ValueError("empty instance list")
-    blocks = None
-    if spec.lam > 0.0:
-        blocks = [perturbation_block(spec, x.index, x.dim) for x in instances]
 
     def values(W) -> np.ndarray:
         if np.ndim(W) != 2:
             raise ValueError(f"values takes W of shape (M, d), got shape {np.shape(W)}")
         W = _param_rows(W, model, space)
         total = np.zeros(len(W))
-        for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec, blocks):
+        for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec):
             total += vals
         return total / len(instances)
 

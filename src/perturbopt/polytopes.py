@@ -10,31 +10,38 @@ Two polytope kinds are supported:
   tasks, solved as a rectangular assignment.
 
 A single direction goes to the kind's own oracle, ``argmax``, which also
-flags ties exactly: ``linear_oracle``, ``p0``, and the risk's lam = 0
-rows on a polytope past the enumeration cap.  A batch of directions that
-tie with probability zero (perturbed or sampled directions) may instead
-be scored against the vertex table: ``_vertex_argmax`` takes the
-row-wise argmax of ``directions @ vertices.T`` in row blocks of bounded
-size.  Off a tie the maximizer is unique, so both give the same vertex.
-A batch that may tie, the risk's lam = 0 rows on every polytope whose
-vertices enumerate, is scored by ``_vertex_argmax_ties``, which also
-flags a row whose runner-up scores within TIE_TOL of the top: the tie
-each kind's ``argmax`` flags.  A tie is split from theta and the vertex
-table alone (``_split_tie``).
+flags ties exactly: ``linear_oracle``, and the risk's lam = 0 rows on a
+polytope past the enumeration cap.  A batch of directions may instead be
+scored against the vertex table: ``_vertex_argmax`` takes the row-wise
+argmax of ``directions @ vertices.T`` in row blocks of bounded size, and
+flags a row whose runner-up scores within TIE_TOL of the top, which is
+the tie each kind's ``argmax`` flags.  Off a tie the maximizer is
+unique, so both give the same vertex.
+
+A tie is split by ``p0`` alone, from theta and the vertex table.  The
+unperturbed policy is the lam -> 0 limit of the perturbed one, so a
+vertex of the tied set W (the vertices within TIE_TOL of the top score)
+gets P(it maximizes <y', Z> over W), Z Gaussian.  Symmetry fixes that law
+in two cases: two tied vertices get exact halves, since Z and -Z are
+equally likely; on a permutahedron W is every order of theta's groups of
+equal coordinates, Z is exchangeable within each group, and so W is
+split uniformly.  Only a tie of three or more vertices of another
+polytope is estimated, from Gaussian draws scored against W.
 
 All geometric quantities (internal cone radius, tie-splitting measure)
-are computed exactly from vertex enumeration.  Enumeration is capped at
+are computed from vertex enumeration.  Enumeration is capped at
 ENUMERATION_CAP vertices; beyond the cap only the oracle is available,
 and a polytope remembers that its enumeration failed.
 
 scipy is imported only on the assignment path, inside
-``VspFlow._min_cost_flow``: building instances, enumerating vertices and
-every vertex-table scan need numpy alone, so ``generate`` starts without
-scipy.  The assignment, and with it scipy.optimize, still loads wherever
-a single direction meets ``VspFlow.argmax`` (``linear_oracle``, ``p0``)
-and wherever a VspFlow past the enumeration cap scores a batch or a
-lam = 0 row; the risk's perturbed and lam = 0 batches on an enumerable
-VspFlow read the vertex table instead.
+``VspFlow._min_cost_flow``: building instances, enumerating vertices,
+splitting a tie and every vertex-table scan need numpy alone, so
+``generate`` starts without scipy.  The assignment, and with it
+scipy.optimize, still loads wherever a single direction meets
+``VspFlow.argmax`` (``linear_oracle``) and wherever a VspFlow past the
+enumeration cap scores a batch or a lam = 0 row; the risk's perturbed
+and lam = 0 batches on an enumerable VspFlow read the vertex table
+instead.
 """
 
 from __future__ import annotations
@@ -320,21 +327,14 @@ def _row_blocks(n_rows: int, n_verts: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def _vertex_argmax(directions: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Row index into verts of the top-scoring vertex for each direction,
-    the first on a tie.  Scores are built one row block at a time, so
-    memory stays within _BLOCK_ELEMENTS scores whatever the batch size;
-    each row's scores, and so its winner, do not depend on the blocking."""
-    winners = np.empty(len(directions), dtype=np.intp)
-    for rows in _row_blocks(len(directions), len(verts)):
-        winners[rows] = np.argmax(directions[rows] @ verts.T, axis=1)
-    return winners
-
-
-def _vertex_argmax_ties(directions: np.ndarray, verts: np.ndarray):
-    """(winners, ties): _vertex_argmax's winners, and per direction whether
-    another vertex scores within TIE_TOL of the top, which is the tie
-    VspFlow.argmax's ban/force check flags.  Blocked like _vertex_argmax."""
+def _vertex_argmax(directions: np.ndarray, verts: np.ndarray):
+    """(winners, ties) per direction: the row index into verts of the
+    top-scoring vertex, the first on a tie, and whether another vertex
+    scores within TIE_TOL of the top, which is the tie each kind's argmax
+    flags.  Scores are built one row block at a time, so memory stays
+    within _BLOCK_ELEMENTS scores whatever the batch size; each row's
+    scores, and so its winner and tie flag, do not depend on the
+    blocking."""
     winners = np.empty(len(directions), dtype=np.intp)
     ties = np.empty(len(directions), dtype=bool)
     for rows in _row_blocks(len(directions), len(verts)):
@@ -375,57 +375,34 @@ def internal_radius_batch(polytope: SolutionPolytope, thetas: np.ndarray) -> np.
     return out
 
 
-def _uniform_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    g = rng.standard_normal((n, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    radii = rng.random(n) ** (1.0 / d)
-    return g * radii[:, None]
-
-
-# Tie-splitting Monte Carlo: ball radius relative to the direction scale and
-# the number of ball samples.
-P0_RADIUS_REL = 1e-9
+# Gaussian draws behind a tie split that symmetry does not fix.
 P0_SAMPLES = 100_000
 
 
 def p0(polytope: SolutionPolytope, theta, rng: np.random.Generator | None) -> SurrogateMeasure:
     """The unperturbed policy measure at theta; the one place a tie is split.
 
-    Off a tie, a Dirac at the oracle output.  On a tie, the measure lives on
-    the vertex-table winners (scores within TIE_TOL of the top): one winner
-    is a Dirac; two on a 1-D polytope or a permutahedron get exact halves;
-    any other tie gets the cone proportions, estimated by Monte Carlo over a
-    tiny ball around theta drawn from rng, which a tie requires (every draw
-    comes from a labeled substream); off a tie rng may be None.
+    It reads the vertex table, never the oracle, so a polytope past the
+    enumeration cap raises EnumerationUnavailable, tie or not.  W is the
+    set of vertices that score within TIE_TOL of the top.  One vertex in W
+    is a Dirac.  Two share the mass in exact halves on any polytope, and a
+    permutahedron splits it uniformly over W: both are exact (see the
+    module docstring).  Any other tie, three or more vertices of a
+    VspFlow, takes the proportions of P0_SAMPLES Gaussian draws Z that
+    each vertex of W wins by <y, Z>; only this case reads rng, which must
+    then be given (the risk draws it from the instance's "p0/<index>"
+    substream).
     """
     theta = _check_theta(polytope, theta)
-    result = polytope.argmax(theta)
-    if not result.tie:
-        return SurrogateMeasure(atoms=[(result.y, 1.0)])
-    return _split_tie(polytope, theta, rng)
-
-
-def _split_tie(
-    polytope: SolutionPolytope, theta: np.ndarray, rng: np.random.Generator | None
-) -> SurrogateMeasure:
-    """p0's measure at a theta already known to tie, from the vertex table
-    and theta alone, so a caller that found the tie does not solve the
-    oracle again."""
-    if rng is None:
-        raise ValueError("p0 needs an rng to split a tie")
     verts = polytope.vertices()
     scores = verts @ theta
-    winners = np.flatnonzero(scores >= np.max(scores) - TIE_TOL)
-    if len(winners) == 1:
-        return SurrogateMeasure(atoms=[(verts[winners[0]], 1.0)])
-    if len(winners) == 2 and (polytope.dim == 1 or isinstance(polytope, Permutahedron)):
-        # two cones split the boundary hyperplane evenly
-        return SurrogateMeasure(atoms=[(verts[i], 0.5) for i in winners])
-    radius = P0_RADIUS_REL * (1.0 + float(np.linalg.norm(theta)))
-    probes = theta[None, :] + radius * _uniform_ball(rng, P0_SAMPLES, polytope.dim)
-    winners = _vertex_argmax(probes, verts)
-    counts = np.bincount(winners, minlength=len(verts)).astype(np.float64)
-    probs = counts / P0_SAMPLES
-    keep = np.flatnonzero(probs > 0)
-    atoms = [(verts[i], float(probs[i])) for i in keep]
-    return SurrogateMeasure(atoms=atoms)
+    tied = np.flatnonzero(scores >= np.max(scores) - TIE_TOL)
+    if len(tied) <= 2 or isinstance(polytope, Permutahedron):
+        return SurrogateMeasure(atoms=[(verts[i], 1.0 / len(tied)) for i in tied])
+    if rng is None:
+        raise ValueError("p0 needs an rng to split a tie of three or more vertices")
+    winners, _ = _vertex_argmax(rng.standard_normal((P0_SAMPLES, polytope.dim)), verts[tied])
+    counts = np.bincount(winners, minlength=len(tied))
+    return SurrogateMeasure(
+        atoms=[(verts[i], float(c / P0_SAMPLES)) for i, c in zip(tied, counts) if c > 0]
+    )

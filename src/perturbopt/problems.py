@@ -160,7 +160,7 @@ class StoVspDelayCost:
             solutions = [poly._min_cost_flow(theta)[0] for theta in thetas]
             verts, picks = np.unique(solutions, axis=0, return_inverse=True)
         else:
-            picks = _vertex_argmax(thetas, verts)
+            picks, _ = _vertex_argmax(thetas, verts)
         distinct, index = np.unique(picks, return_inverse=True)
         return np.array([self._cost_of(verts[k], x) for k in distinct])[index.reshape(-1)]
 

@@ -88,9 +88,10 @@ def test_config_validation_messages():
     msgs = "\n".join(err.value.problems)
     assert "domain.name" in msgs
     assert "domain.n_train" in msgs
-    with pytest.raises(ConfigError) as err:
-        config_from_doc({"perturb": {"lambda": 0.001, "epsilon0": 0.1}})
-    assert any("lambda" in p for p in err.value.problems)
+    # no computation relates lambda to epsilon0: lambda below it loads
+    cfg = config_from_doc({"perturb": {"lambda": 0.001, "epsilon0": 0.1}})
+    assert cfg.get("perturb.lambda") == 0.001
+    assert config_from_doc({"perturb": {"lambda": 0.0}}).get("perturb.lambda") == 0.0
     with pytest.raises(ConfigError):
         config_from_doc({"sweeps": {"bias": {"lambda_grid": [1.0, 0.5]}}})
     with pytest.raises(ConfigError):
@@ -237,11 +238,13 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
             "sweeps.nprocess.pool: must be at least 10x",
         ),
         ("sweep bias", {"perturb": {"epsilon0": 0.05}}, "sweeps.bias.lambda_grid: value 0.01 below"),
+        # check's bias_bounds reads the same grid and epsilon0
+        ("check", {"perturb": {"epsilon0": 0.05}}, "sweeps.bias.lambda_grid: value 0.01 below"),
     ],
     ids=[
         "M-abc", "M-0", "M-below-d", "s-rough", "budget-0", "kind-randomsearch", "kind-neldermead",
         "n_pairs-x", "seeds-x", "n_train-true", "delta-200", "pool-below-10n",
-        "default-grid-below-eps0",
+        "default-grid-below-eps0", "check-default-grid-below-eps0",
     ],
 )
 def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, patch, key):
@@ -253,6 +256,7 @@ def test_invalid_value_exits_2_naming_its_key(tmp_path, capsys, command, patch, 
     capsys.readouterr()
     assert main([*command.split(), "--config", cfg_path, "--out", out]) == 2
     assert key in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "check_report.json"))
 
 
 def test_config_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
-import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,41 +259,135 @@ def test_p0_dirac_on_interior_point():
     assert measure.atoms[0][1] == 1.0
 
 
+def _split(measure):
+    return {tuple(y.tolist()): p for y, p in measure.atoms}
+
+
+def chain3():
+    """Three tasks, arcs 0->1 and 1->2: vertices 00, 01, 10 and 11."""
+    return VspFlow(3, [(0, 1), (1, 2)])
+
+
 def test_p0_symmetric_boundary_split():
-    one_d = VspFlow(2, [(0, 1)])
-    measure = p0(one_d, np.array([0.0]), rng=np.random.default_rng(0))
-    probs = {tuple(a.tolist()): p for a, p in measure.atoms}
-    assert abs(probs[(0.0,)] - 0.5) < 0.01
-    assert abs(probs[(1.0,)] - 0.5) < 0.01
+    # two tied vertices get exact halves on any polytope, because Z and -Z
+    # are equally likely; no draw is made
+    cases = [
+        (VspFlow(2, [(0, 1)]), [0.0], {(0.0,), (1.0,)}),
+        (chain3(), [1.0, 0.0], {(1.0, 0.0), (1.0, 1.0)}),
+        (sample_polytopes()[4], [2.0, 1.0, 0.0, -1.0, -1.0, -2.0, -2.0], None),
+    ]
+    for poly, theta, want in cases:
+        split = _split(p0(poly, np.array(theta), rng=None))
+        assert len(split) == 2 and set(split.values()) == {0.5}
+        assert want is None or set(split) == want
 
 
 def test_p0_permutahedron_facet_split():
-    measure = p0(Permutahedron(3), np.array([1.0, 1.0, 4.0]), rng=np.random.default_rng(1))
-    probs = {tuple(a.tolist()): p for a, p in measure.atoms}
-    assert set(probs) == {(1.0, 2.0, 3.0), (2.0, 1.0, 3.0)}
-    for p in probs.values():
-        assert abs(p - 0.5) < 0.01
+    # a permutahedron tie is uniform over every order of theta's groups of
+    # equal coordinates, since Z is exchangeable within a group; no draw
+    cases = [
+        (Permutahedron(3), [1.0, 1.0, 4.0], 2),
+        (Permutahedron(4), [0.5, 0.5, -2.0, -2.0], 4),
+        (Permutahedron(4), [3.0, 3.0, 3.0, -1.0], 6),
+        (Permutahedron(4), [0.0, 0.0, 0.0, 0.0], 24),
+    ]
+    for poly, theta, n_tied in cases:
+        measure = p0(poly, np.array(theta), rng=None)
+        assert len(measure.atoms) == n_tied
+        assert all(p == 1.0 / n_tied for _, p in measure.atoms)
+        for y, _ in measure.atoms:
+            # every atom maximizes <y, theta>: it ranks the groups in order
+            assert y @ theta == max(v @ theta for v in poly.vertices())
+    assert set(_split(p0(Permutahedron(3), np.array([1.0, 1.0, 4.0]), rng=None))) == {
+        (1.0, 2.0, 3.0), (2.0, 1.0, 3.0)
+    }
 
 
 def test_p0_tie_needs_an_rng():
-    one_d = VspFlow(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        p0(one_d, np.array([0.0]), rng=None)
-    assert len(p0(one_d, np.array([-0.4]), rng=None).atoms) == 1  # no tie, no draw
+    # only a tie that no symmetry splits, three or more VspFlow vertices, draws
+    poly = chain3()
+    with pytest.raises(ValueError, match="needs an rng"):
+        p0(poly, np.zeros(2), rng=None)
+    assert _split(p0(poly, np.array([1.0, 1.0]), rng=None)) == {(1.0, 1.0): 1.0}  # no tie
+    probs = _split(p0(poly, np.zeros(2), rng=np.random.default_rng(0)))
+    assert set(probs) == {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}  # one quadrant each
+    for p in probs.values():
+        assert abs(p - 0.25) < 4.0 * np.sqrt(0.25 * 0.75 / polytopes.P0_SAMPLES)
 
 
-def test_p0_tie_with_one_vertex_table_winner_is_a_dirac(monkeypatch):
-    # an oracle that flags a tie at a generic theta: the vertex table has a
-    # single winner within TIE_TOL, which takes the whole mass, no draw made
-    poly = Permutahedron(3)
-    theta = np.array([0.3, -1.2, 0.8])
-    real = Permutahedron.argmax
-    monkeypatch.setattr(
-        Permutahedron, "argmax", lambda self, t: dataclasses.replace(real(self, t), tie=True)
-    )
-    measure = p0(poly, theta, rng=np.random.default_rng(0))
-    assert len(measure.atoms) == 1
+def _ball_split(poly, theta, rng, n):
+    """The tie split p0 once estimated, kept as a reference: the share of n
+    probes, uniform in a ball of radius 1e-9 (1 + |theta|) around theta,
+    that each vertex wins over the whole vertex table."""
+    g = rng.standard_normal((n, poly.dim))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    radius = 1e-9 * (1.0 + np.linalg.norm(theta))
+    probes = theta + radius * g * rng.random(n)[:, None] ** (1.0 / poly.dim)
+    verts = poly.vertices()
+    counts = np.bincount(np.argmax(probes @ verts.T, axis=1), minlength=len(verts))
+    return {tuple(v.tolist()): c / n for v, c in zip(verts, counts) if c > 0}
+
+
+@pytest.mark.parametrize(
+    "poly, theta",
+    [
+        (Permutahedron(3), [1.0, 1.0, 4.0]),
+        (Permutahedron(4), [0.5, 0.5, -2.0, -2.0]),
+        (Permutahedron(4), [0.0, 0.0, 0.0, 0.0]),
+        (chain3(), [1.0, 0.0]),
+        (chain3(), [0.0, 0.0]),
+        (sample_polytopes()[4], [0.0] * 7),
+        (sample_polytopes()[4], [2.0, 1.0, 1.0, 0.0, 0.0, 2.0, -1.0]),
+    ],
+    ids=["perm3-facet", "perm4-aabb", "perm4-zero", "vsp-two", "vsp-zero", "vsp5-zero", "vsp5-face"],
+)
+def test_p0_agrees_with_the_ball_monte_carlo(poly, theta):
+    # the exact splits and the Gaussian one are the law the tiny-ball
+    # estimate approximated: each vertex within 4 standard errors
+    theta = np.array(theta)
+    n = 40_000
+    ball = _ball_split(poly, theta, np.random.default_rng(5), n)
+    split = _split(p0(poly, theta, rng=np.random.default_rng(6)))
+    assert set(split) == set(ball)
+    for y, p in split.items():
+        se = np.sqrt(p * (1.0 - p) * (1.0 / n + 1.0 / polytopes.P0_SAMPLES))
+        assert abs(p - ball[y]) <= 4.0 * se + 1e-12, (y, p, ball[y])
+
+
+def test_p0_reads_the_vertex_table_alone(monkeypatch):
+    # no oracle call, tie or not; past the enumeration cap p0 raises even
+    # off a tie, where the oracle alone could have answered
+    def no_oracle(self, theta):
+        raise AssertionError("p0 called argmax")
+
+    monkeypatch.setattr(Permutahedron, "argmax", no_oracle)
+    monkeypatch.setattr(VspFlow, "argmax", no_oracle)
+    rng = np.random.default_rng(2)
+    for poly in sample_polytopes():
+        for theta in (np.zeros(poly.dim), rng.standard_normal(poly.dim)):
+            assert sum(p for _, p in p0(poly, theta, rng=rng).atoms) == pytest.approx(1.0)
+    measure = p0(Permutahedron(3), np.array([0.3, -1.2, 0.8]), rng=None)
     assert [(y.tolist(), p) for y, p in measure.atoms] == [([2.0, 1.0, 3.0], 1.0)]
+    with pytest.raises(EnumerationUnavailable):
+        p0(Permutahedron(8), np.arange(8.0), rng=None)
+
+
+def test_p0_vsp_tie_split_loads_no_scipy_optimize():
+    import perturbopt
+
+    code = (
+        "import sys, numpy as np\n"
+        "from perturbopt.polytopes import VspFlow, p0\n"
+        "m = p0(VspFlow(3, [(0, 1), (1, 2)]), np.zeros(2), np.random.default_rng(0))\n"
+        "print(len(m.atoms), 'scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(perturbopt.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["4", "False"]
 
 
 def test_p0_probabilities_sum_to_one():
@@ -391,14 +487,21 @@ def test_blocked_vertex_argmax_equals_unblocked(monkeypatch):
     rng = np.random.default_rng(31)
     for poly in sample_polytopes():
         verts = poly.vertices()
-        directions = rng.standard_normal((257, poly.dim))
-        whole = np.argmax(directions @ verts.T, axis=1)
-        # 7 rows per block: 36 full blocks and a last one of 5 rows
-        monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", 7 * len(verts) + 1)
-        assert np.array_equal(polytopes._vertex_argmax(directions, verts), whole)
-        # below one row's worth, a block is still one row
-        monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", 1)
-        assert np.array_equal(polytopes._vertex_argmax(directions, verts), whole)
+        # generic rows, and integer rows, which often tie
+        directions = np.vstack(
+            [rng.standard_normal((129, poly.dim)), rng.integers(-1, 2, (128, poly.dim))]
+        )
+        scores = directions @ verts.T
+        winners = np.argmax(scores, axis=1)
+        ties = np.count_nonzero(scores >= scores.max(axis=1, keepdims=True) - polytopes.TIE_TOL, axis=1) > 1
+        assert ties.any() and not ties.all()
+        # 7 rows per block: 36 full blocks and a last one of 5 rows; then
+        # below one row's worth, where a block is still one row
+        for elements in (7 * len(verts) + 1, 1):
+            monkeypatch.setattr(polytopes, "_BLOCK_ELEMENTS", elements)
+            got_winners, got_ties = polytopes._vertex_argmax(directions, verts)
+            assert np.array_equal(got_winners, winners)
+            assert np.array_equal(got_ties, ties)
         monkeypatch.undo()
 
 
