@@ -6,19 +6,22 @@ failure.  ``config.SCHEMA`` is the reference for the config keys and their
 defaults; every value outside a key's type, bounds or choices, every
 ``domain.params`` value the instance generator rejects, every kSoS
 setting ``KsosConfig.validate`` rejects and every conflict
-``ExperimentConfig.check_sweep`` finds exits 2 before any solve.
-The default output root comes from $PERTURBOPT_OUT.
+``ExperimentConfig.check_sweep`` finds exits 2 before any solve, and
+leaves no output directory behind: each command creates it only once its
+checks have passed.  The default output root comes from $PERTURBOPT_OUT.
 
 Most of a short command's wall time is import, so each command imports
 the layers it runs in its own body, once its config has loaded.  The
 module itself loads only argparse, ``config`` (yaml) and ``manifest``,
 so ``--help``, an argparse error and a config error start without numpy
 or scipy.  ``generate`` loads ``problems`` and ``rngs``: numpy, and
-scipy not at all.  ``train`` adds ``model``, ``perturb`` (scipy.special)
-and ``ksos`` (scipy.linalg), but neither scipy.optimize nor
-scipy.integrate: the surrogate argmin and the smoothness estimates need
-numpy alone.  ``sweep`` loads ``sweeps`` and ``check`` loads ``checks``;
-both bring in ``theory``, and only ``sweep ksos`` loads ``ksos``.
+scipy not at all.  ``train`` adds ``model``, ``perturb`` and ``ksos``
+(scipy.linalg), but neither scipy.optimize nor scipy.integrate: the
+surrogate argmin and the smoothness estimates need numpy alone.
+scipy.special loads only where a risk term has a closed form (the
+contextual domain, scheduling with two jobs).  ``sweep`` loads
+``sweeps`` and ``check`` loads ``checks``; both bring in ``theory``, and
+only ``sweep ksos`` loads ``ksos``.
 """
 
 from __future__ import annotations
@@ -72,10 +75,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> tuple[ExperimentConfig, str]:
+    """The config and the output directory, which is not created here."""
     cfg = load_config(args.config, master_seed=args.seed_override)
-    out_dir = cfg.resolve_output_dir(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    return cfg, out_dir
+    return cfg, cfg.resolve_output_dir(args.out)
 
 
 def _write_json(path: str, doc: dict) -> str:
@@ -112,6 +114,7 @@ def cmd_generate(args) -> int:
             )
         except (ValueError, TypeError) as exc:  # a known key with a value it cannot use
             raise ConfigError([f"domain.params: the {name} generator rejects {params}: {exc}"])
+        os.makedirs(out_dir, exist_ok=True)
         train_path = os.path.join(out_dir, TRAIN_FILE)
         test_path = os.path.join(out_dir, TEST_FILE)
         save_instances(train_path, train)
@@ -160,7 +163,7 @@ def cmd_train(args) -> int:
     d, seed = cfg.get("model.d"), cfg.get("master_seed")
     ks_cfg = _ksos_config(cfg)
     paths = [os.path.join(out_dir, name) for name in (TRAIN_FILE, TEST_FILE)]
-    for path in paths:
+    for path in paths:  # train writes into out_dir, which holds them
         if not os.path.exists(path):
             print(f"error: dataset {path} not found; run generate first", file=sys.stderr)
             return EXIT_CONFIG_ERROR
@@ -247,6 +250,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, out_dir = _load(args)
     cfg.check_sweep(args.kind)
+    os.makedirs(out_dir, exist_ok=True)
     from .sweeps import run_bias_sweep, run_ksos_sweep, run_nprocess_sweep
 
     threads = args.threads if args.threads is not None else cfg.get("threads")
@@ -272,6 +276,7 @@ def cmd_check(args) -> int:
 
     if "bias_bounds" in cfg.get("check.names", list(CHECKS)):
         cfg.check_sweep("bias")
+    os.makedirs(out_dir, exist_ok=True)
     results = run_checks(cfg)
     report = [
         {"name": name, "passed": passed, "detail": detail}

@@ -30,8 +30,9 @@ costs far more than the arithmetic.
 The tail of the solve needs numpy alone: the surrogate argmin is a grid
 search and a batched compass refine on h(w) = k_w^T B k_w, and the
 Hermite norms of the smoothness estimates are in closed form.  So the
-module loads scipy.linalg and scipy.special, but not scipy.optimize or
-scipy.integrate.
+module loads scipy.linalg, but not scipy.optimize or scipy.integrate;
+scipy.special loads only where a kernel smoothness outside the closed
+forms (nu = 0.5, 1.5, 2.5) calls the Bessel form.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 from scipy.linalg.blas import dgemm
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .model import ParamSpace
 from .rngs import substream
@@ -131,6 +130,9 @@ def _matern(r: np.ndarray, nu: float, ell: float) -> np.ndarray:
         return (1.0 + scaled) * np.exp(-scaled)
     if abs(nu - 2.5) < 1e-12:
         return (1.0 + scaled + scaled * scaled / 3.0) * np.exp(-scaled)
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import kv
+
     out = np.ones_like(scaled)
     far = scaled >= 1e-14
     x = scaled[far]

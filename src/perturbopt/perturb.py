@@ -3,26 +3,30 @@
 The perturbation Z lives in R^{d(G)} with sqrt(d) Z standard normal, so
 |Z| sqrt(d) follows a chi distribution with d degrees of freedom.
 
-One rule picks the risk estimator, per instance, from its polytope alone:
-at lam = 0 the unperturbed policy; for lam > 0 the closed form where
-p_lambda has one (a one-dimensional two-vertex polytope, Permutahedron(2)),
-and otherwise the Monte Carlo mean over common random numbers: the noise
-block of instance i depends only on (master_seed, i), never on the
-parameter w, so the map w -> empirical regularized risk is a fixed
+One rule picks the risk estimator, per row of a batch and per instance,
+from the row's lambda and the instance's polytope alone: at lam = 0 the
+unperturbed policy; for lam > 0 the closed form where p_lambda has one (a
+one-dimensional two-vertex polytope, Permutahedron(2)), and otherwise the
+Monte Carlo mean over common random numbers: the noise block of instance
+i depends only on (master_seed, i), never on the parameter w or on
+lambda, so the map w -> empirical regularized risk is a fixed
 deterministic surface either way.
 
 One fold turns the per-instance terms into a risk: each w's terms are
 summed left to right over the instances and divided by n.  The kSoS
 surface and every reported risk use it, so crn_risk_surface(...).values(W)
 equals the values of regularized_risk(W) bit for bit.
+
+scipy.special is imported where its functions are called, so a run whose
+every term is a Monte Carlo mean or an unperturbed cost never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
 
 from .model import GeneralizedLinearModel, ParamSpace
 from .polytopes import (
@@ -100,6 +104,8 @@ def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
 
     The square is a product: on a numpy scalar ``** 2`` goes through pow,
     which can differ from the array square in the last bit."""
+    from scipy.special import gammaincc
+
     x = np.sqrt(d) * np.maximum(threshold, 0.0)
     tail = gammaincc(0.5 * d, 0.5 * (x * x))
     return float(tail) if np.ndim(tail) == 0 else tail
@@ -109,11 +115,23 @@ def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
 # Smoothed policy probabilities
 
 
+@functools.cache
+def _ndtr():
+    """scipy.special.ndtr, imported on the first closed-form term.  The
+    risk loop asks for it once per instance, where an import statement
+    costs about 0.5 us, a few percent of a contextual instance's term."""
+    from scipy.special import ndtr
+
+    return ndtr
+
+
 def exact_policy_distribution(
-    polytope: SolutionPolytope, thetas: np.ndarray, lam: float
+    polytope: SolutionPolytope, thetas: np.ndarray, lam: float | np.ndarray
 ) -> np.ndarray | None:
     """Closed-form p_lambda over the enumerated vertices for lam > 0 at each
-    row of thetas (B, d): shape (B, N), row b the law at thetas[b].  The
+    row of thetas (B, d): shape (B, N), row b the law at thetas[b].  lam is
+    one lambda for every row or one per row, shape (B,); row b's law is the
+    same bits either way, since theta / lam is elementwise.  The
     closed forms are Permutahedron(2) and any other polytope in R^1 with
     two vertices (Phi(theta/lam) up to vertex order).  Returns None when no
     closed form applies, which the polytope's kind and dimension decide
@@ -125,12 +143,12 @@ def exact_policy_distribution(
         if polytope.n != 2:
             return None
         # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
-        p_21 = ndtr((thetas[:, 0] - thetas[:, 1]) / lam)[:, None]
+        p_21 = _ndtr()((thetas[:, 0] - thetas[:, 1]) / lam)[:, None]
         return np.where(polytope.vertices()[:, 0] == 2.0, p_21, 1.0 - p_21)
     if polytope.dim != 1 or len(verts := polytope.vertices()) != 2:
         return None
     gap = float(verts[1, 0] - verts[0, 0])
-    p_hi = ndtr(np.sign(gap) * thetas[:, 0] / lam)
+    p_hi = _ndtr()(np.sign(gap) * thetas[:, 0] / lam)
     return np.column_stack([1.0 - p_hi, p_hi])
 
 
@@ -211,39 +229,57 @@ def _param_rows(W, model, space) -> np.ndarray:
     return np.ascontiguousarray(W.reshape(-1, model.d))
 
 
-def _risk_terms(W, instances, oracle, model, space, spec):
+def _risk_terms(W, instances, oracle, model, space, spec, lams=None):
     """The one risk estimator, for the rows of W, an (M, d) array from
-    _param_rows (a single w is M = 1).  Yields (values, costs, ties) per
-    instance: the risk term of each w, the (M, K) Monte Carlo cost samples
-    behind them (None for terms that drew no noise) and whether each row's
-    lam = 0 policy hit a tie.
+    _param_rows (a single w is M = 1), row m at lambda lams[m] (spec.lam
+    for every row when lams is None).  Yields (values, costs, ties) per
+    instance: the risk term of each w, the (P, K) Monte Carlo cost samples
+    behind the terms of the P rows at lam > 0, in row order (None when the
+    instance drew no noise), and whether each row's lam = 0 policy hit a
+    tie.
 
     Per instance, the feature matrix is built once and the thetas of all
     rows come from one stacked matmul, one gemv per row as in
-    model.predict(w, x), bit for bit.  At lam = 0 each row takes the
-    unperturbed policy (_unperturbed_terms).  Otherwise,
-    where exact_policy_distribution has a closed form, each row's term is
-    its probabilities dotted with the vertex costs (one dot per row, as
-    ``p @ costs``); elsewhere the instance's CRN noise block, drawn once
-    for all rows, perturbs every theta in one
-    eval_theta_batch call, and the mean over the K samples of each row
-    equals np.mean of that row's costs bit for bit."""
-    lam = spec.lam
+    model.predict(w, x), bit for bit.  The rows at lam = 0 take the
+    unperturbed policy (_unperturbed_terms).  The rest, where
+    exact_policy_distribution has a closed form, take their probabilities
+    dotted with the vertex costs (one dot per row, as ``p @ costs``);
+    elsewhere the instance's CRN noise block, drawn once for all rows,
+    perturbs every theta in one eval_theta_batch call, and the mean over
+    the K samples of each row equals np.mean of that row's costs bit for
+    bit.  theta / lam and lam * z are elementwise, so a row's term is the
+    same bits whether its lambda is shared or its own.  A batch whose rows
+    all take one path, which is every batch at one lambda, indexes
+    nothing."""
+    lam = spec.lam if lams is None else lams
+    unperturbed = bool(np.all(lam == 0.0))
+    zero = smooth = None
+    if not unperturbed and np.any(lam == 0.0):  # both paths in one batch
+        zero, smooth = np.flatnonzero(lam == 0.0), np.flatnonzero(lam > 0.0)
+        lam = lam[smooth]
     no_ties = np.zeros(len(W), dtype=bool)
     for x in instances:
         thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
-        if lam == 0.0:
+        if unperturbed:
             values, ties = _unperturbed_terms(oracle, x, thetas, spec.master_seed)
             yield values, None, ties
             continue
-        probs = exact_policy_distribution(x.polytope, thetas, lam)
+        rows = thetas if smooth is None else thetas[smooth]
+        probs = exact_policy_distribution(x.polytope, rows, lam)
         if probs is not None:
-            yield np.vecdot(probs, oracle.eval_vertices(x, x.polytope.vertices())), None, no_ties
+            values, costs = np.vecdot(probs, oracle.eval_vertices(x, x.polytope.vertices())), None
+        else:
+            z = perturbation_block(spec, x.index, x.dim)
+            dirs = (rows[:, None, :] + np.multiply.outer(lam, z)).reshape(-1, x.dim)
+            costs = oracle.eval_theta_batch(x, dirs).reshape(len(rows), -1)
+            values = np.mean(costs, axis=1)
+        if smooth is None:
+            yield values, costs, no_ties
             continue
-        z = perturbation_block(spec, x.index, x.dim)
-        dirs = (thetas[:, None, :] + lam * z).reshape(-1, x.dim)
-        costs = oracle.eval_theta_batch(x, dirs).reshape(len(W), -1)
-        yield np.mean(costs, axis=1), costs, no_ties
+        terms, ties = np.empty(len(W)), no_ties.copy()
+        terms[smooth] = values
+        terms[zero], ties[zero] = _unperturbed_terms(oracle, x, thetas[zero], spec.master_seed)
+        yield terms, costs, ties
 
 
 def regularized_risk(
@@ -253,14 +289,15 @@ def regularized_risk(
     model: GeneralizedLinearModel,
     space: ParamSpace,
     spec: PerturbationSpec,
+    lams=None,
 ) -> RiskReport | list[RiskReport]:
     """Empirical regularized risk of the policy at parameter w, each
     instance scored by the module's rule: the unperturbed policy at
     lam = 0, the closed-form p_lambda times the vertex costs where one
     exists (std error 0), and elsewhere the common-random-number average of
     the oracle-solution cost over spec.mc_samples perturbed directions.
-    The report's mode is "exactenum" when no instance drew noise and
-    "montecarlo" otherwise.
+    The report's mode is "exactenum" when no instance drew noise at its
+    lambda and "montecarlo" otherwise.
 
     The value is the module's one fold of the per-instance terms, summed
     left to right and divided by n, and so equals crn_risk_surface's value
@@ -273,32 +310,44 @@ def regularized_risk(
     over the instances: every row is checked before any oracle call, each
     noise block is drawn once for all rows, and report m equals the single
     call at W[m] bit for bit (value, std error, mode and ties).
+
+    lams, shape (M,), gives row m its own lambda in place of spec.lam, so
+    one pass scores one w at several lambdas.  Report m then carries
+    lams[m], its own mode, std error and ties, and equals the single call
+    at W[m] with spec.lam = lams[m] bit for bit.
     """
     n = len(instances)
     if n == 0:
         raise ValueError("empty instance list")
     W = _param_rows(w, model, space)
+    if lams is None:
+        lam_rows, smooth = [spec.lam] * len(W), slice(None)
+    else:
+        lams = np.asarray(lams, dtype=np.float64)
+        if lams.shape != (len(W),) or not np.all(lams >= 0.0):
+            raise ValueError(f"lams needs one lambda >= 0 per row of w, got {lams!r}")
+        lam_rows, smooth = lams.tolist(), np.flatnonzero(lams > 0.0)  # the rows of costs
     total, var_total, ties = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W), dtype=bool)
     sampled = False
-    for value, costs, tie in _risk_terms(W, instances, oracle, model, space, spec):
+    for value, costs, tie in _risk_terms(W, instances, oracle, model, space, spec, lams=lams):
         total += value  # the surface's fold: left to right over the instances
         ties |= tie
         if costs is not None:
             sampled = True
             if costs.shape[1] > 1:
-                var_total += np.var(costs, axis=1, ddof=1) / costs.shape[1]
+                var_total[smooth] += np.var(costs, axis=1, ddof=1) / costs.shape[1]
     reports = [
         RiskReport(
             value=float(v),
             mc_std_error=float(se),
             n_instances=n,
             mc_samples=spec.mc_samples,
-            lam=spec.lam,
+            lam=lam,
             seed_trace={"master_seed": spec.master_seed, "labels": "perturb/<instance>"},
-            mode="montecarlo" if sampled else "exactenum",
+            mode="montecarlo" if sampled and lam > 0.0 else "exactenum",
             ties_encountered=bool(t),
         )
-        for v, se, t in zip(total / n, np.sqrt(var_total) / n, ties)
+        for v, se, t, lam in zip(total / n, np.sqrt(var_total) / n, ties, lam_rows)
     ]
     return reports if np.ndim(w) == 2 else reports[0]
 

@@ -9,7 +9,6 @@ implementation bug.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -178,24 +177,28 @@ def check_bias_bound(
     elsewhere, and the unperturbed policy at lambda = 0; spec supplies
     the Monte Carlo samples and seed, and each risk its own lambda.
 
+    The 2 + len(grid) risks at w (lambda = 0, epsilon0 and the grid) come
+    from one regularized_risk call, one pass over the instances: each
+    row carries its own lambda, and each report equals the single call at
+    that lambda bit for bit.
+
     The checks come three per grid value, in sorted grid order:
     bias_vs_unperturbed, bias_vs_base_smoothed, tail_mass_monotone."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
 
-    def risk(lam: float):
-        return regularized_risk(w, instances, oracle, model, space, dataclasses.replace(spec, lam=lam))
-
     osc = osc_bound(oracle, instances)
-    base = risk(0.0)
-    r_eps = risk(epsilon0)
+    lams = [0.0, epsilon0, *lambda_grid]
+    base, r_eps, *r_grid = regularized_risk(
+        np.tile(np.asarray(w, dtype=np.float64), (len(lams), 1)),
+        instances, oracle, model, space, spec, lams=lams,
+    )
     v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []
     gaps = []
     v_prev = -np.inf
-    for lam, v in zip(lambda_grid, v_grid):
-        r_lam = risk(lam)
+    for lam, v, r_lam in zip(lambda_grid, v_grid, r_grid):
         v_lam = float(v)
         se = r_lam.mc_std_error + base.mc_std_error
         checks.append(

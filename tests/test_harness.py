@@ -208,6 +208,25 @@ def test_repeated_grid_value_exits_2_naming_its_key(tmp_path, capsys, command, p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check", {"perturb": {"epsilon0": 0.05}}),
+        ("sweep bias", {"perturb": {"epsilon0": 0.05}}),
+        ("generate", dict(TOY, domain=dict(TOY["domain"], params={"jobs": [4], "job": [5]}))),
+        ("generate", dict(TOY, domain=dict(TOY["domain"], params={"jobs": [0]}))),
+        ("train", dict(TOY, optimizer={"M": 2})),
+    ],
+    ids=["check-eps0", "sweep-bias-eps0", "generate-unknown-param", "generate-rejected-param", "train-ksos"],
+)
+def test_an_exit_2_leaves_no_output_directory(tmp_path, capsys, command, doc):
+    # each of these exited 2 and left an empty output directory behind
+    out = tmp_path / "run"
+    assert main([*command.split(), "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config_value_exits_2(tmp_path, capsys):
     bad = dict(TOY, perturb=dict(TOY["perturb"], **{"lambda": "abc"}))
     cfg_path = write_cfg(tmp_path, bad)
@@ -646,8 +665,10 @@ def test_seed_override_changes_dataset(tmp_path):
 
 # A CLI process imports only the layers its command runs (module docstring
 # of harness/cli.py); scipy.stats, a large share of start-up, never loads:
-# the package calls the scipy.special ufuncs underneath it instead.  Nor
-# do train and sweep bias load scipy.optimize, nor train scipy.integrate.
+# the package calls the scipy.special ufuncs underneath it instead, each
+# imported where it is called.  So train on scheduling, whose every risk
+# term is a Monte Carlo mean, loads no scipy.special either.  Nor do train
+# and sweep bias load scipy.optimize, nor train scipy.integrate.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -694,7 +715,7 @@ def _loaded_modules(tmp_path, argv):
             ["train"], {}, 0,
             (
                 "perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps",
-                "scipy.stats", "scipy.optimize", "scipy.integrate",
+                "scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special",
             ),
             id="train",
         ),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import re
 from unittest import mock
@@ -528,18 +529,40 @@ def batches(draw):
     return name, np.array(rows)
 
 
-@given(batch=batches(), lam=st.sampled_from([0.0, 0.3]))
-@settings(max_examples=50, deadline=None)
-def test_batch_reports_equal_single_calls_bitwise(batch, lam):
+@given(
+    batch=batches(),
+    lam=st.sampled_from([0.0, 0.3]),
+    # one lambda per row: lam = 0, a tiny and larger smoothing (the closed
+    # form on ctx, Monte Carlo on sched and vsp)
+    row_lams=st.none() | st.lists(st.sampled_from([0.0, 1e-3, 0.3, 1.0]), min_size=5, max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_batch_reports_equal_single_calls_bitwise(batch, lam, row_lams):
     name, W = batch
     instances, model, space, oracle = batch_setup(name)
     spec = PerturbationSpec(lam=lam, mc_samples=16, master_seed=4)
-    reports = regularized_risk(W, instances, oracle, model, space, spec)
+    lams = None
+    if row_lams is not None:
+        lams = row_lams[: len(W)]
+        for m in np.flatnonzero(~W.any(axis=1)):  # the theta = 0 tie row at lam = 0
+            lams[m] = 0.0
+    reports = regularized_risk(W, instances, oracle, model, space, spec, lams=lams)
     assert len(reports) == len(W)
-    for w, rep in zip(W, reports):
-        single = regularized_risk(w, instances, oracle, model, space, spec)
+    for m, (w, rep) in enumerate(zip(W, reports)):
+        row_spec = spec if lams is None else dataclasses.replace(spec, lam=lams[m])
+        single = regularized_risk(w, instances, oracle, model, space, row_spec)
         assert report_bits(rep) == report_bits(single)
+        assert (rep.mode, rep.lam) == (single.mode, single.lam)
         assert rep.to_doc() == single.to_doc()
+
+
+def test_row_lambdas_need_one_nonnegative_value_per_row():
+    instances, model, space, oracle = batch_setup("ctx")
+    spec = PerturbationSpec(lam=0.3, mc_samples=4, master_seed=4)
+    W = np.zeros((2, 2))
+    for lams in ([0.1], [0.1, -0.1], [0.1, float("nan")]):
+        with pytest.raises(ValueError, match="one lambda >= 0 per row"):
+            regularized_risk(W, instances, oracle, model, space, spec, lams=lams)
 
 
 def _scaled_fortran_features(x):

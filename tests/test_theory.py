@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from perturbopt import theory
 from perturbopt.model import ParamSpace, model_for_instances
-from perturbopt.perturb import PerturbationSpec, _risk_terms, chi_tail
+from perturbopt.perturb import PerturbationSpec, _risk_terms, chi_tail, regularized_risk
 from perturbopt.problems import ContextualWrapper, StoVspDelayCost, generate_instances, osc_bound
 from perturbopt.rngs import substream
 from perturbopt.theory import (
@@ -198,6 +199,24 @@ def test_bias_bound_pinned(w):
             f.hex() for f in (v, unperturbed.lhs, unperturbed.rhs, smoothed.lhs, smoothed.rhs)
         ))
     assert got == BIAS_PINS[w]
+
+
+def test_bias_bound_scores_its_risks_in_one_call(monkeypatch):
+    # lambda = 0, epsilon0 and the grid are rows of one batch: one pass
+    # over the instances for all 2 + len(grid) risks
+    instances, model, space = contextual_pack(5, seed=51)
+    spec = PerturbationSpec(lam=1.0, mc_samples=16, master_seed=7)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("lams"))
+        return regularized_risk(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "regularized_risk", counted)
+    check_bias_bound(
+        np.array([0.2, -0.4]), instances, ContextualWrapper(), BIAS_GRID, 1e-3, model, space, spec
+    )
+    assert calls == [[0.0, 1e-3, *BIAS_GRID]]
 
 
 def test_bias_rejects_grid_below_epsilon0():
