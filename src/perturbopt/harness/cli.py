@@ -15,11 +15,11 @@ the layers it runs in its own body, once its config has loaded.  The
 module itself loads only argparse, ``config`` (yaml) and ``manifest``,
 so ``--help``, an argparse error and a config error start without numpy
 or scipy.  ``generate`` loads ``problems`` and ``rngs``: numpy, and
-scipy not at all.  ``train`` adds ``model``, ``perturb`` and ``ksos``
-(scipy.linalg), but neither scipy.optimize nor scipy.integrate: the
-surrogate argmin and the smoothness estimates need numpy alone.
-scipy.special loads only where a risk term has a closed form (the
-contextual domain, scheduling with two jobs).  ``sweep`` loads
+scipy not at all.  ``train`` adds ``model``, ``perturb`` and ``ksos``,
+which solves, fits its surrogate and bounds the smoothness on numpy
+alone; so train loads scipy only where a risk term has a closed form
+(the contextual domain, scheduling with two jobs), and then only
+scipy.special.  ``sweep`` loads
 ``sweeps`` and ``check`` loads ``checks``; both bring in ``theory``, and
 only ``sweep ksos`` loads ``ksos``.
 """

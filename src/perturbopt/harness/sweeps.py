@@ -1,10 +1,11 @@
 """Experiment sweeps writing stable, versioned CSV artifacts.
 
-Only the kSoS sweep solves with kSoS, so ``ksos`` (and scipy.linalg
-under it) is imported inside the two functions that call it, and
-``sweep bias`` and ``sweep nprocess`` start without it.  ``sweep bias``
-scores its lam = 0 risks against the contextual vertex table, so it
-solves no assignment and never loads scipy.optimize.
+Only the kSoS sweep solves with kSoS, so ``ksos`` is imported inside the
+two functions that call it, and ``sweep bias`` and ``sweep nprocess``
+start without it.  ``sweep bias`` scores its lam = 0 risks against the
+contextual vertex table, so it solves no assignment and never loads
+scipy.optimize; it computes the cost oscillation of its instances once
+for all its w.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..model import ParamSpace, model_for_instances
 from ..perturb import PerturbationSpec
-from ..problems import default_cost_oracle, generate_instances
+from ..problems import default_cost_oracle, generate_instances, osc_bound
 from ..rngs import spawn_seed, substream
 from ..theory import check_bias_bound, check_empirical_process
 from .config import ExperimentConfig
@@ -65,11 +66,12 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
     spec = PerturbationSpec(
         lam=max(lambda_grid), mc_samples=cfg.get("perturb.samples"), master_seed=seed
     )
+    osc = osc_bound(oracle, instances)
 
     def one_w(i):
         w = space.sample(substream(seed, f"sweep/bias/w/{i}"), 1)[0]
         checks, fit = check_bias_bound(
-            w, instances, oracle, lambda_grid, eps0, model, space, spec
+            w, instances, oracle, lambda_grid, eps0, model, space, spec, osc=osc
         )
         return w, checks, fit
 

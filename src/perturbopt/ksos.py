@@ -19,31 +19,44 @@ solved by damped Newton (the dual Hessian is mu T*T with T = G W^-1 G,
 elementwise square).  At the optimum B = mu (G W^-1 G scaled back), the
 equality constraints hold exactly and alpha are their multipliers; the
 candidate minimizer is the argmin of the fitted SoS surrogate.  mu runs
-from MU0 down to MU_MIN by factors SHRINK in at most MAX_OUTER steps; an
-inner solve stops at half-decrement INNER_TOL or after MAX_INNER steps.
+from MU0 down to mu_min by factors SHRINK in at most MAX_OUTER steps; an
+inner solve stops at half-decrement INNER_TOL, when its line search
+finds no step above LINE_SEARCH_MIN, or after MAX_INNER steps.
 
-The Newton loop forms its matrix products with scipy's BLAS, the library
-that already runs its Cholesky calls: numpy and scipy may each bundle
-their own threaded OpenBLAS, and alternating between the two thread pools
-costs far more than the arithmetic.
+The floor mu_min = max(MU_REL ptp(R), MU_MIN) follows the resolution of
+R / mu.  Since sum(alpha) = 1, c absorbs any constant, so the inner
+solve takes R minus its minimum and depends on R through its oscillation
+alone.  Its terms lie in [0, ptp(R) / mu] and are rounded by up to
+u ptp(R) / mu, u = eps / 2 the unit roundoff; the Newton stop test and
+the Armijo test resolve objective changes of INNER_TOL = 1e-9 only while
+that rounding stays below it, which takes mu above u ptp(R) / INNER_TOL
+= 1.1e-7 ptp(R); below that the line searches start to fail and the
+iterates follow rounding noise, which the BLAS thread count changes.
+MU_REL = 3e-7 keeps the rounding at INNER_TOL / 2.7; a higher floor
+costs accuracy, since c_hat lies below the infimum by about mu on the
+planted quadratics.  The shift also keeps the multiplier of sum(alpha)
+= 1 small (c sits near min R), so the rounding of sum(step) does not
+leak into the decrement.  A constant surface (ptp = 0) still runs down
+to MU_MIN.
 
-The tail of the solve needs numpy alone: the surrogate argmin is a grid
-search and a batched compass refine on h(w) = k_w^T B k_w, and the
-Hermite norms of the smoothness estimates are in closed form.  So the
-module loads scipy.linalg, but not scipy.optimize or scipy.integrate;
-scipy.special loads only where a kernel smoothness outside the closed
-forms (nu = 0.5, 1.5, 2.5) calls the Bessel form.
+The solver runs on numpy alone: the Cholesky factor of W gives log det W
+and T = Y^T Y with Y = L^-1 G, so T is symmetric by construction, and
+every product goes through numpy's BLAS.  The tail of the solve needs
+numpy alone too: the surrogate argmin is a grid search and a batched
+compass refine on h(w) = k_w^T B k_w, and the Hermite norms of the
+smoothness estimates are in closed form.  So the module imports no
+scipy; scipy.special loads only where a kernel smoothness outside the
+closed forms (nu = 0.5, 1.5, 2.5) calls the Bessel form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.linalg.blas import dgemm
 
 from .model import ParamSpace
 from .rngs import substream
@@ -58,10 +71,13 @@ MU0 = 1.0
 SHRINK = 0.2
 MAX_OUTER = 50
 MU_MIN = 1e-16
+MU_REL = 3e-7
 INNER_TOL = 1e-9
 MAX_INNER = 60
+LINE_SEARCH_MIN = 1e-6
 SOBOLEV_NODES = 48
 REFINE_XTOL = 1e-10
+REFINE_WINDOW = 4
 
 
 @dataclass
@@ -160,82 +176,92 @@ def gram_matrix(points: np.ndarray, s: float, length_scale: float) -> np.ndarray
 # Newton path-following solver
 
 
-def _matmul(A, B):
-    """``A @ B`` for C- or F-contiguous float64 matrices through scipy's
-    BLAS, making the call numpy's matmul makes: the row-major product as
-    the column-major ``B^T A^T``, each operand passed as its transpose view
-    when that view is F-contiguous and transposed otherwise.  The bits
-    match numpy's whenever both OpenBLAS builds split the work between
-    threads alike, which includes every single-threaded call."""
-    b, trans_b = (B.T, 0) if B.T.flags.f_contiguous else (B, 1)
-    a, trans_a = (A.T, 0) if A.T.flags.f_contiguous else (A, 1)
-    return dgemm(1.0, b, a, trans_a=trans_b, trans_b=trans_a).T
-
-
 def _newton_inner(R_scaled, G, lam_phi, alpha):
     """Minimize alpha.R_scaled - logdet(lam_phi I + G diag(alpha) G)
     over sum(alpha) = 1, damped Newton.  Returns (alpha, T, ok, counts)
-    with T = G W^-1 G at the returned alpha and counts the Newton
-    iterations, the line-search Cholesky factorizations and the builds
-    of T (one at the start and one per accepted step)."""
+    with T = G W^-1 G at the returned alpha, and counts the Newton
+    iterations, the Cholesky factorizations past the first, the builds of
+    T (one at the start and one per accepted step) and why it stopped
+    (``stop_reason``): the half-decrement fell to INNER_TOL and one last
+    full step was taken (``decrement``), no step above LINE_SEARCH_MIN
+    decreased the objective (``line_search_exhausted``, ok when the
+    half-decrement is within sqrt(INNER_TOL)), the KKT system was
+    singular (``kkt_singular``) or MAX_INNER steps ran out
+    (``max_inner``)."""
     M = len(alpha)
-    counts = {"newton_iters": 0, "factorizations": 0, "t_builds": 0}
+    counts = {"newton_iters": 0, "factorizations": 0, "t_builds": 0, "stop_reason": "max_inner"}
 
     def factor(a):
-        W = lam_phi * np.eye(M) + _matmul(G, a[:, None] * G)
+        W = lam_phi * np.eye(M) + G @ (a[:, None] * G)
         try:
-            cf = cho_factor(W, lower=True, check_finite=False)
+            L = np.linalg.cholesky(W)
         except np.linalg.LinAlgError:
             return None
-        return cf, 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
+        return L, 2.0 * float(np.sum(np.log(np.diag(L))))
 
-    def build_T(cf):
+    def build_T(L):
         counts["t_builds"] += 1
-        return _matmul(G, cho_solve(cf, G, check_finite=False))  # symmetric PSD
+        Y = np.linalg.solve(L, G)
+        return Y.T @ Y  # G W^-1 G, symmetric by construction
 
     state = factor(alpha)
     if state is None:
         raise GramSingular("initial barrier point not positive definite")
-    cf, logdet = state
-    T = build_T(cf)
+    L, logdet = state
+    T = build_T(L)
     fval = float(alpha @ R_scaled) - logdet
     ok = False
     for _ in range(MAX_INNER):
         counts["newton_iters"] += 1
         grad = R_scaled - np.diag(T)
-        H = T * T
-        ridge = 1e-12 * max(1.0, float(np.trace(H)) / M)
+        # The Hessian T*T is positive definite with T (Schur product
+        # theorem), so the KKT system needs no ridge; one would damp the
+        # least curved directions and leave Newton linear in them.
         KKT = np.zeros((M + 1, M + 1))
-        KKT[:M, :M] = H + ridge * np.eye(M)
+        KKT[:M, :M] = T * T
         KKT[:M, M] = 1.0
         KKT[M, :M] = 1.0
         rhs = np.concatenate([-grad, [0.0]])
         try:
             sol = np.linalg.solve(KKT, rhs)
         except np.linalg.LinAlgError:
+            counts["stop_reason"] = "kkt_singular"
             break
         step = sol[:M]
         decrement = float(-grad @ step)
         if decrement / 2.0 <= INNER_TOL:
+            # One last full step.  The objective is self-concordant, so
+            # with the decrement this small the full Newton step stays
+            # feasible and squares the decrement: it takes the constraint
+            # residual from the stop test's bound down to rounding.  It is
+            # kept whenever W factors; an objective test would be decided
+            # by rounding at this scale.
+            cand = alpha + step
+            counts["factorizations"] += 1
+            state = factor(cand)
+            if state is not None:
+                alpha, T = cand, build_T(state[0])
             ok = True
+            counts["stop_reason"] = "decrement"
             break
         t = 1.0
         accepted = False
-        while t > 1e-12:
+        while t > LINE_SEARCH_MIN:
             cand = alpha + t * step
             counts["factorizations"] += 1
             state = factor(cand)
             if state is not None:
-                cf, logdet_new = state
+                L, logdet_new = state
                 f_new = float(cand @ R_scaled) - logdet_new
                 if f_new <= fval - 1e-4 * t * decrement:
                     alpha, fval = cand, f_new
-                    T = build_T(cf)
+                    T = build_T(L)
                     accepted = True
                     break
             t *= 0.5
         if not accepted:
             ok = decrement / 2.0 <= math.sqrt(INNER_TOL)
+            counts["stop_reason"] = "line_search_exhausted"
             break
     return alpha, T, ok, counts
 
@@ -284,30 +310,42 @@ def _grid_start(h, points, space: ParamSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compass_refine(h, points, start, step, space: ParamSpace) -> np.ndarray:
-    """Compass search from start: each round scores best and best +- step
-    along every axis, projected to the box, in one h call; it moves to the
-    lowest of them, or halves the step when best is lowest (the first of
-    equal values wins).  Every move lowers h, so it stops, at a step of at
-    most REFINE_XTOL on every axis."""
+    """Compass search from start with a line along the recent path.  Each
+    round scores, in one h call, best and best +- step along every axis,
+    and best + m u for m = 2^-3 .. 2^5, where u is best's displacement
+    over its last REFINE_WINDOW moves at the current step; all projected
+    to the box.  It moves to the lowest of them, or halves the step and
+    forgets the path when best is lowest (the first of equal values
+    wins).  Axis moves alone follow a narrow curved valley only at steps
+    of the valley's width, so they crawl along it; the net displacement
+    of their zigzag points along the valley floor, and the line travels
+    it in a few rounds.  Every move lowers h, so it stops, at a step of
+    at most REFINE_XTOL on every axis."""
     d = space.d
     offsets = np.vstack([np.zeros(d), np.eye(d), -np.eye(d)])
+    multiples = 2.0 ** np.arange(-3, 6)[:, None]
     best, step = np.asarray(start, dtype=np.float64), np.asarray(step, dtype=np.float64)
+    path = deque([best], maxlen=REFINE_WINDOW + 1)
     while np.max(step) > REFINE_XTOL:
-        cand = space.project(best + offsets * step)
+        cand = best + offsets * step
+        if len(path) > 1:
+            cand = np.vstack([cand, best + multiples * (best - path[0])])
+        cand = space.project(cand)
         k = int(np.argmin(h(_sq_dists(cand, points))))
         if k == 0:
             step = step / 2.0
+            path = deque([best], maxlen=REFINE_WINDOW + 1)
         else:
             best = cand[k]
+            path.append(best)
     return best
 
 
 def _sos_model_argmin(points, B, s, d, ell, space: ParamSpace) -> np.ndarray:
     """Minimizer of the fitted SoS surrogate h(w) = k_w^T B k_w: the grid
     argmin of _grid_start, then _compass_refine.  Costs no surface
-    evaluations.  Like the Newton loop's products, ``kw @ L`` runs on
-    threaded BLAS, so the BLAS thread count can move the last bits of h,
-    and with them the refine's path."""
+    evaluations.  ``kw @ L`` runs on threaded BLAS, so the BLAS thread
+    count can move the last bits of h, and with them the refine's path."""
     h = _surrogate(points, B, s - d / 2, ell)
     start, step = _grid_start(h, points, space)
     return _compass_refine(h, points, start, step, space)
@@ -348,7 +386,7 @@ def ksos_minimize(
     K = gram_matrix(points, cfg.s, ell)
     jitter = 1e-9 * float(np.trace(K)) / cfg.M
     K = K + jitter * np.eye(cfg.M)
-    evals, evecs = eigh(K)
+    evals, evecs = np.linalg.eigh(K)
     if evals[0] <= 0.0:
         raise GramSingular(
             f"Gram matrix singular after jitter (min eig {evals[0]:.3e}); "
@@ -358,23 +396,26 @@ def ksos_minimize(
     G_inv = (evecs / np.sqrt(evals)) @ evecs.T
 
     alpha = np.full(cfg.M, 1.0 / cfg.M)
+    mu_min = max(MU_REL * float(np.ptp(values)), MU_MIN)
+    shifted = values - float(np.min(values))
     mu = MU0
     trace_log = []
-    # Path-follow mu downward, keeping the last state whose inner Newton
-    # converged: past float precision the dual stalls and its c estimate
-    # drifts, so a failed inner step ends the path.
+    # Path-follow mu down to mu_min, keeping the last state whose inner
+    # Newton converged; a failed inner solve ends the path short of the
+    # floor, and the result then reports converged = False.
     good = None
     for _ in range(MAX_OUTER):
-        alpha_new, T_new, ok, counts = _newton_inner(values / mu, G, cfg.lambda_phi, alpha)
+        alpha_new, T_new, ok, counts = _newton_inner(shifted / mu, G, cfg.lambda_phi, alpha)
         trace_log.append({"mu": mu, "inner_converged": ok, **counts})
         if not ok and good is not None:
             break
         alpha = alpha_new
         good = (alpha_new, T_new, mu, ok)
-        if mu <= MU_MIN:
+        if mu <= mu_min:
             break
-        mu = max(mu * SHRINK, MU_MIN)
+        mu = max(mu * SHRINK, mu_min)
     alpha, T, mu, converged = good
+    converged = converged and mu <= mu_min
 
     t_diag = np.diag(T)
     c_per_constraint = values - mu * t_diag

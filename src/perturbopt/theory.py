@@ -169,6 +169,7 @@ def check_bias_bound(
     model: GeneralizedLinearModel,
     space: ParamSpace,
     spec: PerturbationSpec,
+    osc: float | None = None,
 ) -> tuple[list[BoundCheck], ScalingFit]:
     """Both risk-perturbation inequalities on a lambda grid, plus the
     log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
@@ -182,13 +183,18 @@ def check_bias_bound(
     row carries its own lambda, and each report equals the single call at
     that lambda bit for bit.
 
+    ``osc`` is the cost oscillation over the instances, osc_bound's value;
+    a caller that checks many w on the same instances passes it once
+    computed, and without it the check computes it.
+
     The checks come three per grid value, in sorted grid order:
     bias_vs_unperturbed, bias_vs_base_smoothed, tail_mass_monotone."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
 
-    osc = osc_bound(oracle, instances)
+    if osc is None:
+        osc = osc_bound(oracle, instances)
     lams = [0.0, epsilon0, *lambda_grid]
     base, r_eps, *r_grid = regularized_risk(
         np.tile(np.asarray(w, dtype=np.float64), (len(lams), 1)),

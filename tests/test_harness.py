@@ -666,9 +666,9 @@ def test_seed_override_changes_dataset(tmp_path):
 # A CLI process imports only the layers its command runs (module docstring
 # of harness/cli.py); scipy.stats, a large share of start-up, never loads:
 # the package calls the scipy.special ufuncs underneath it instead, each
-# imported where it is called.  So train on scheduling, whose every risk
-# term is a Monte Carlo mean, loads no scipy.special either.  Nor do train
-# and sweep bias load scipy.optimize, nor train scipy.integrate.
+# imported where it is called.  kSoS runs on numpy alone, so train on
+# scheduling, whose every risk term is a Monte Carlo mean, loads no scipy
+# module at all.  Nor does sweep bias load scipy.optimize.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -713,10 +713,7 @@ def _loaded_modules(tmp_path, argv):
         pytest.param(["generate"], _domain("contextual", d_context=2), 0, ("scipy",), id="generate-contextual"),
         pytest.param(
             ["train"], {}, 0,
-            (
-                "perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps",
-                "scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.special",
-            ),
+            ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy"),
             id="train",
         ),
         pytest.param(
@@ -734,3 +731,41 @@ def test_cli_command_import_budget(tmp_path, words, patch, code, unloaded):
     got, modules = _loaded_modules(tmp_path, argv)
     assert got == code
     assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unloaded)] == []
+
+
+# A seed reproduces across BLAS thread counts (ROADMAP 1(g)).  At M = 100,
+# above OpenBLAS's threading threshold and not a multiple of 16, a threaded
+# product rounds differently from a serial one.  Stopping mu where R / mu
+# still resolves the Newton tests keeps that rounding in the last digits:
+# the two runs differ by about 1e-8 in w_hat and 1e-10 relative in c_hat.
+# A mu path run into its rounding noise moves w_hat by 4e-4 and c_hat by
+# 1%, with residuals of 2e-4 to 3e-3.
+def test_train_does_not_depend_on_blas_threads(tmp_path):
+    cfg_path = write_cfg(tmp_path, dict(
+        TOY,
+        domain={"name": "contextual", "n_train": 32, "n_test": 8, "params": {"d_context": 2, "signal": 1.0}},
+        perturb=dict(TOY["perturb"], samples=32),
+        optimizer={"kind": "ksos", "M": 100, "s": 2.5},
+    ))
+    data = str(tmp_path / "data")
+    assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+    src = os.path.dirname(os.path.dirname(perturbopt.__file__))
+    docs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        for name in ("instances_train.jsonl", "instances_test.jsonl"):
+            (out / name).write_bytes((tmp_path / "data" / name).read_bytes())
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from perturbopt.harness.cli import main; sys.exit(main(sys.argv[1:]))",
+             "train", "--config", cfg_path, "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        docs.append(json.loads((out / "result.json").read_text()))
+    one, two = docs
+    assert one["converged"] and two["converged"]
+    np.testing.assert_allclose(two["w_hat"], one["w_hat"], rtol=0.0, atol=1e-6)
+    assert two["c_hat"] == pytest.approx(one["c_hat"], rel=1e-8, abs=0.0)
+    assert max(one["max_constraint_residual"], two["max_constraint_residual"]) <= 1e-8
