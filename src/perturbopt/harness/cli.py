@@ -17,9 +17,11 @@ so ``--help``, an argparse error and a config error start without numpy
 or scipy.  ``generate`` loads ``problems`` and ``rngs``: numpy, and
 scipy not at all.  ``train`` adds ``model``, ``perturb`` and ``ksos``,
 which solves, fits its surrogate and bounds the smoothness on numpy
-alone; so train loads scipy only where a risk term has a closed form
-(the contextual domain, scheduling with two jobs), and then only
-scipy.special.  ``sweep`` loads
+alone, and a closed-form risk term (the contextual domain, scheduling
+with two jobs) takes perturb's numpy port of ndtr.  So train loads
+scipy.special only for a Matern smoothness outside the kernel's closed
+forms (nu = 0.5, 1.5, 2.5), and scipy.optimize only where a VspFlow
+solves its assignment (polytopes' docstring).  ``sweep`` loads
 ``sweeps`` and ``check`` loads ``checks``; both bring in ``theory``, and
 only ``sweep ksos`` loads ``ksos``.
 """
@@ -150,6 +152,19 @@ def _ksos_config(cfg: ExperimentConfig) -> KsosConfig:
     return ks_cfg
 
 
+def _train_osc(oracle, train) -> tuple[float, str]:
+    """The cost oscillation over the train instances, and where it comes
+    from: exact over their vertex tables, or from the declared cost
+    boxes once a polytope is past the enumeration cap."""
+    from ..polytopes import EnumerationUnavailable
+    from ..problems import declared_osc, osc_bound
+
+    try:
+        return osc_bound(oracle, train), "vertices"
+    except EnumerationUnavailable:
+        return declared_osc(oracle, train), "declared"
+
+
 def cmd_train(args) -> int:
     cfg, out_dir = _load(args)
     import numpy as np
@@ -202,11 +217,17 @@ def cmd_train(args) -> int:
             "trace_bound": trace_bound,
             "lambda_phi": ks_cfg.lambda_phi,
         }
-        result_doc["certified_optimality_bound"] = certificate(
-            result.aposteriori_gap, trace_bound, norm_bound, ks_cfg.lambda_phi
-        )
+        bound = certificate(result.aposteriori_gap, trace_bound, norm_bound, ks_cfg.lambda_phi)
     except ValueError as exc:
         result_doc["certificate_inputs"] = {"skipped": str(exc)}
+    else:
+        osc, osc_source = _train_osc(oracle, train)
+        result_doc["certified_optimality_bound"] = bound
+        # no two policies' risks differ by more than osc, so a bound of osc
+        # or more certifies nothing
+        result_doc["certificate_over_osc"] = bound / osc if osc > 0.0 else float("inf")
+        result_doc["vacuous"] = bool(bound >= osc)
+        result_doc["osc_source"] = osc_source
 
     with manifest.time("evaluation"):
         train_report = regularized_risk(w_hat, train, oracle, model, space, spec)

@@ -17,13 +17,19 @@ summed left to right over the instances and divided by n.  The kSoS
 surface and every reported risk use it, so crn_risk_surface(...).values(W)
 equals the values of regularized_risk(W) bit for bit.
 
-scipy.special is imported where its functions are called, so a run whose
-every term is a Monte Carlo mean or an unperturbed cost never loads it.
+A closed form is Phi of one argument per row, and Phi is _ndtr, a numpy
+port of the cephes ndtr that scipy.special.ndtr runs, equal to it bit
+for bit, so a risk pass loads no scipy module (importing scipy.special
+costs about 0.2 s).  The port costs about 0.14 ms of numpy dispatch per
+call on a 2-core x86-64 VM, where the scipy ufunc costs 0.5 us, so a
+risk pass holds the arguments of its closed-form instances and makes
+one _ndtr call for all of them.  Only chi_tail imports scipy
+(scipy.special, where it is called).
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +121,117 @@ def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
 # Smoothed policy probabilities
 
 
-@functools.cache
-def _ndtr():
-    """scipy.special.ndtr, imported on the first closed-form term.  The
-    risk loop asks for it once per instance, where an import statement
-    costs about 0.5 us, a few percent of a contextual instance's term."""
-    from scipy.special import ndtr
+# The cephes ndtr.c coefficients, highest degree first.  P/Q and R/S give
+# erfc on [1, 8) and [8, inf), T/U gives erf on [0, 1].  Q, S and U are
+# monic, and cephes evaluates them by p1evl, which starts from x + c[0];
+# their leading 1.0 is written out here, and 1.0 * x + c[0] is the same
+# bits, so _polevl serves for both.
+_NDTR_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_NDTR_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_NDTR_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_NDTR_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_NDTR_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_NDTR_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_MAXLOG = 7.09782712893383996732e2  # ln(DBL_MAX): exp(-z^2) underflows past it
+_SQRT1_2 = 0.70710678118654752440
 
-    return ndtr
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """cephes polevl: Horner's rule from the leading coefficient."""
+    ans = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """cephes erf on |x| <= 1.  cephes takes -erf(-x) for x < 0, which
+    is the same bits: x P(x^2) / Q(x^2) is odd in x, rounding included."""
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _polevl(z, _NDTR_U)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Phi(a), the standard normal CDF, elementwise over a float64 array:
+    the cephes ndtr (with its erf and erfc) that scipy.special.ndtr runs,
+    ported branch for branch, so it equals scipy's bit for bit, NaN, +-0,
+    +-inf and subnormals included.  With x = a sqrt(1/2) and z = |x|:
+    0.5 + 0.5 erf(x) for z < sqrt(1/2), else y = 0.5 erfc(z) and 1 - y
+    for x > 0.  erfc(z) is 1 - erf(z) for z < 1, exp(-z^2) P(z) / Q(z)
+    for z < 8, exp(-z^2) R(z) / S(z) beyond, and 0 once -z^2 < -MAXLOG.
+
+    exp(-z^2) is libm's exp, which cephes calls, through math.exp on the
+    erfc-branch elements only: numpy's SIMD exp differs from libm's in
+    the last bit on some inputs (AVX-512 builds).  The numpy dispatch
+    costs about 0.14 ms per call whatever its length, so callers batch
+    their arguments."""
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    y = np.full_like(x, np.nan)  # NaN fails every branch test below
+    core = z < _SQRT1_2
+    y[core] = 0.5 + 0.5 * _erf(x[core])
+    tail = z >= _SQRT1_2
+    zt = z[tail]
+    erfc = np.zeros_like(zt)
+    near = zt < 1.0
+    erfc[near] = 1.0 - _erf(zt[near])
+    with np.errstate(over="ignore"):  # a square past DBL_MAX is past MAXLOG too
+        far = ~near & (zt * zt <= _MAXLOG)
+    u = zt[far]
+    exp_neg_sq = np.fromiter(map(math.exp, (-(u * u)).tolist()), np.float64, len(u))
+    below8 = u < 8.0
+    p = np.where(below8, _polevl(u, _NDTR_P), _polevl(u, _NDTR_R))
+    q = np.where(below8, _polevl(u, _NDTR_Q), _polevl(u, _NDTR_S))
+    erfc[far] = exp_neg_sq * p / q
+    half = 0.5 * erfc
+    y[tail] = np.where(x[tail] > 0.0, 1.0 - half, half)
+    return y
+
+
+def _closed_form(
+    polytope: SolutionPolytope, thetas: np.ndarray, lam: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed form of p_lambda at each row of thetas (B, d), where the
+    polytope has one: (t, hi), with Phi(t[b]) the probability at row b of
+    the vertices where the bool mask hi (N,) is set, and 1 - Phi(t[b]) of
+    the other.  None when no closed form applies, which the polytope's
+    kind and dimension decide without enumerating its vertices.  The
+    closed forms are Permutahedron(2) and any other polytope in R^1 with
+    two vertices.  This is the per-instance decision of a risk pass."""
+    if isinstance(polytope, Permutahedron):
+        if polytope.n != 2:
+            return None
+        # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
+        return (thetas[:, 0] - thetas[:, 1]) / lam, polytope.vertices()[:, 0] == 2.0
+    if polytope.dim != 1 or len(verts := polytope.vertices()) != 2:
+        return None
+    gap = float(verts[1, 0] - verts[0, 0])
+    return np.sign(gap) * thetas[:, 0] / lam, np.array([False, True])
+
+
+def _two_vertex_law(p: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(B, 2): p[b] at the vertex hi marks, 1 - p[b] at the other."""
+    return np.where(hi, p[:, None], 1.0 - p[:, None])
 
 
 def exact_policy_distribution(
@@ -131,25 +240,12 @@ def exact_policy_distribution(
     """Closed-form p_lambda over the enumerated vertices for lam > 0 at each
     row of thetas (B, d): shape (B, N), row b the law at thetas[b].  lam is
     one lambda for every row or one per row, shape (B,); row b's law is the
-    same bits either way, since theta / lam is elementwise.  The
-    closed forms are Permutahedron(2) and any other polytope in R^1 with
-    two vertices (Phi(theta/lam) up to vertex order).  Returns None when no
-    closed form applies, which the polytope's kind and dimension decide
-    without enumerating its vertices.  The lam = 0 measure, ties included,
-    is polytopes.p0.
+    same bits either way, since theta / lam is elementwise.  Returns None
+    where _closed_form does.  The lam = 0 measure, ties included, is
+    polytopes.p0.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if isinstance(polytope, Permutahedron):
-        if polytope.n != 2:
-            return None
-        # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
-        p_21 = _ndtr()((thetas[:, 0] - thetas[:, 1]) / lam)[:, None]
-        return np.where(polytope.vertices()[:, 0] == 2.0, p_21, 1.0 - p_21)
-    if polytope.dim != 1 or len(verts := polytope.vertices()) != 2:
-        return None
-    gap = float(verts[1, 0] - verts[0, 0])
-    p_hi = _ndtr()(np.sign(gap) * thetas[:, 0] / lam)
-    return np.column_stack([1.0 - p_hi, p_hi])
+    form = _closed_form(polytope, np.asarray(thetas, dtype=np.float64), lam)
+    return None if form is None else _two_vertex_law(_ndtr(form[0]), form[1])
 
 
 def sampled_policy_distribution(
@@ -241,16 +337,22 @@ def _risk_terms(W, instances, oracle, model, space, spec, lams=None):
     Per instance, the feature matrix is built once and the thetas of all
     rows come from one stacked matmul, one gemv per row as in
     model.predict(w, x), bit for bit.  The rows at lam = 0 take the
-    unperturbed policy (_unperturbed_terms).  The rest, where
-    exact_policy_distribution has a closed form, take their probabilities
-    dotted with the vertex costs (one dot per row, as ``p @ costs``);
-    elsewhere the instance's CRN noise block, drawn once for all rows,
-    perturbs every theta in one eval_theta_batch call, and the mean over
-    the K samples of each row equals np.mean of that row's costs bit for
-    bit.  theta / lam and lam * z are elementwise, so a row's term is the
-    same bits whether its lambda is shared or its own.  A batch whose rows
-    all take one path, which is every batch at one lambda, indexes
-    nothing."""
+    unperturbed policy (_unperturbed_terms).  The rest, where _closed_form
+    finds one, take their probabilities dotted with the vertex costs (one
+    dot per row, as ``p @ costs``); elsewhere the instance's CRN noise
+    block, drawn once for all rows, perturbs every theta in one
+    eval_theta_batch call, and the mean over the K samples of each row
+    equals np.mean of that row's costs bit for bit.  theta / lam and
+    lam * z are elementwise, so a row's term is the same bits whether its
+    lambda is shared or its own.  A batch whose rows all take one path,
+    which is every batch at one lambda, indexes nothing.
+
+    A closed-form instance is held until the pass reaches an instance that
+    draws noise, or its end; then one _ndtr call takes the Phi arguments
+    of every held instance, and their terms are yielded in instance
+    order.  _ndtr is elementwise, so each term is the bits of its own
+    call.  Over instances that all have a closed form, the contextual
+    domain's, a pass makes one _ndtr call."""
     lam = spec.lam if lams is None else lams
     unperturbed = bool(np.all(lam == 0.0))
     zero = smooth = None
@@ -258,6 +360,26 @@ def _risk_terms(W, instances, oracle, model, space, spec, lams=None):
         zero, smooth = np.flatnonzero(lam == 0.0), np.flatnonzero(lam > 0.0)
         lam = lam[smooth]
     no_ties = np.zeros(len(W), dtype=bool)
+
+    def term(x, thetas, values, costs):
+        if smooth is None:
+            return values, costs, no_ties
+        terms, ties = np.empty(len(W)), no_ties.copy()
+        terms[smooth] = values
+        terms[zero], ties[zero] = _unperturbed_terms(oracle, x, thetas[zero], spec.master_seed)
+        return terms, costs, ties
+
+    held = []  # (instance, thetas, closed form) awaiting the shared _ndtr call
+
+    def release():
+        if not held:
+            return
+        probs = _ndtr(np.concatenate([t for _, _, (t, _) in held])).reshape(len(held), -1)
+        for (x, thetas, (_, hi)), p in zip(held, probs):
+            law = _two_vertex_law(p, hi)
+            yield term(x, thetas, np.vecdot(law, oracle.eval_vertices(x, x.polytope.vertices())), None)
+        held.clear()
+
     for x in instances:
         thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
         if unperturbed:
@@ -265,21 +387,16 @@ def _risk_terms(W, instances, oracle, model, space, spec, lams=None):
             yield values, None, ties
             continue
         rows = thetas if smooth is None else thetas[smooth]
-        probs = exact_policy_distribution(x.polytope, rows, lam)
-        if probs is not None:
-            values, costs = np.vecdot(probs, oracle.eval_vertices(x, x.polytope.vertices())), None
-        else:
-            z = perturbation_block(spec, x.index, x.dim)
-            dirs = (rows[:, None, :] + np.multiply.outer(lam, z)).reshape(-1, x.dim)
-            costs = oracle.eval_theta_batch(x, dirs).reshape(len(rows), -1)
-            values = np.mean(costs, axis=1)
-        if smooth is None:
-            yield values, costs, no_ties
+        form = _closed_form(x.polytope, rows, lam)
+        if form is not None:
+            held.append((x, thetas, form))
             continue
-        terms, ties = np.empty(len(W)), no_ties.copy()
-        terms[smooth] = values
-        terms[zero], ties[zero] = _unperturbed_terms(oracle, x, thetas[zero], spec.master_seed)
-        yield terms, costs, ties
+        yield from release()
+        z = perturbation_block(spec, x.index, x.dim)
+        dirs = (rows[:, None, :] + np.multiply.outer(lam, z)).reshape(-1, x.dim)
+        costs = oracle.eval_theta_batch(x, dirs).reshape(len(rows), -1)
+        yield term(x, thetas, np.mean(costs, axis=1), costs)
+    yield from release()
 
 
 def regularized_risk(

@@ -246,7 +246,12 @@ def check_bias_bound(
 def contextual_risk_matrix(instances, w_grid: np.ndarray, lam: float) -> np.ndarray:
     """Exact per-instance smoothed risk on the contextual domain for every
     parameter in the grid, shape (n, G).  The two-decision closed form:
-    c0 + (c1 - c0) Phi(<u, w> / lam)."""
+    c0 + (c1 - c0) Phi(<u, w> / lam).
+
+    Phi is scipy.special.ndtr, not perturb's port of it: the two agree bit
+    for bit, but sweep nprocess runs this on 100k x 128 elements, where the
+    port, with its per-element libm exp, takes about 10x as long (3.9 s
+    against 0.39 s on a 2-core x86-64 VM)."""
     contexts = np.array([x.features["context"] for x in instances])
     costs = np.array([x.features["costs"] for x in instances])
     theta = contexts @ w_grid.T  # (n, G)

@@ -367,6 +367,27 @@ def test_train_writes_artifacts(trained_run):
     assert ok, bad
 
 
+def test_train_certificate_carries_its_verdict_against_the_train_osc(trained_run):
+    from perturbopt.problems import default_cost_oracle, osc_bound
+
+    out, _code = trained_run
+    result = json.load(open(os.path.join(out, "result.json")))
+    osc = osc_bound(default_cost_oracle("scheduling"), load_instances(os.path.join(out, "instances_train.jsonl")))
+    bound = result["certified_optimality_bound"]
+    assert result["osc_source"] == "vertices"
+    assert result["certificate_over_osc"] == bound / osc
+    assert result["vacuous"] == (bound >= osc)
+
+
+def test_train_osc_past_the_enumeration_cap_is_the_declared_one():
+    from perturbopt.harness.cli import _train_osc
+    from perturbopt.problems import declared_osc, default_cost_oracle, generate_instances
+
+    oracle = default_cost_oracle("scheduling")
+    train = generate_instances("scheduling", 3, seed=5, jobs=[8])  # 8! vertices, past the cap
+    assert _train_osc(oracle, train) == (declared_osc(oracle, train), "declared")
+
+
 def test_train_evaluation_equals_single_w_calls(trained_run):
     # train scores its 22 test-set policies in one batched regularized_risk
     # call; every number equals a single-w call made in the order train
@@ -666,9 +687,11 @@ def test_seed_override_changes_dataset(tmp_path):
 # A CLI process imports only the layers its command runs (module docstring
 # of harness/cli.py); scipy.stats, a large share of start-up, never loads:
 # the package calls the scipy.special ufuncs underneath it instead, each
-# imported where it is called.  kSoS runs on numpy alone, so train on
-# scheduling, whose every risk term is a Monte Carlo mean, loads no scipy
-# module at all.  Nor does sweep bias load scipy.optimize.
+# imported where it is called.  kSoS runs on numpy alone, and a closed-form
+# risk term takes perturb's numpy port of ndtr, so train loads no scipy
+# module at all: not on scheduling, whose every risk term is a Monte Carlo
+# mean, nor on the contextual domain, whose every term is closed-form.
+# Nor does sweep bias load scipy.optimize.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -715,6 +738,9 @@ def _loaded_modules(tmp_path, argv):
             ["train"], {}, 0,
             ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy"),
             id="train",
+        ),
+        pytest.param(
+            ["train"], _domain("contextual", d_context=2), 0, ("scipy",), id="train-contextual",
         ),
         pytest.param(
             ["sweep", "bias"], {}, 0,

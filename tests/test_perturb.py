@@ -140,8 +140,8 @@ def test_p_lambda_monte_carlo_agrees_with_exact():
 
 
 def test_exact_policy_distribution_is_norm_cdf_bitwise():
-    # the closed forms call scipy.special.ndtr, which is what norm.cdf
-    # evaluates; row b of a batch is the scalar formula at thetas[b]
+    # the closed forms call perturb's port of scipy.special.ndtr, which is
+    # what norm.cdf evaluates; row b of a batch is the scalar formula at thetas[b]
     one_d = VspFlow(2, [(0, 1)])
     perm2 = Permutahedron(2)
     rng = substream(6, "ndtr")
@@ -159,6 +159,52 @@ def test_exact_policy_distribution_is_norm_cdf_bitwise():
             p_21 = float(norm.cdf((theta[0] - theta[1]) / lam))
             want = [p_21 if v[0] == 2.0 else 1.0 - p_21 for v in perm2.vertices()]
             assert perm_row.tolist() == want
+
+
+def _ndtr_edges():
+    # +-0, subnormals, +-inf, NaN, and both sides of the branch edges
+    # |a| = 1, sqrt(2) and 8 sqrt(2) (|x| = sqrt(1/2), 1 and 8 for
+    # x = a / sqrt(2)) and of the underflow edge sqrt(2 MAXLOG) = 37.68
+    points = [0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, np.inf, np.nan, 1.0,
+              np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * perturb._MAXLOG), 1e308]
+    out = []
+    for p in points:
+        for a in (p, -p):
+            out.append(a)
+            for toward in (np.inf, -np.inf):
+                b = a
+                for _ in range(4):
+                    b = np.nextafter(b, toward)
+                    out.append(b)
+    return np.array(out + list(np.linspace(37.6, 37.8, 401)) + list(np.linspace(-37.8, -37.6, 401)))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    # NaN compares by isnan, everything else by its bits
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_ndtr_port_is_scipy_ndtr_bitwise_at_the_branch_edges():
+    from scipy.special import ndtr
+
+    edges = _ndtr_edges()
+    _assert_same_bits(perturb._ndtr(edges), ndtr(edges))
+    _assert_same_bits(perturb._ndtr(edges[:0]), ndtr(edges[:0]))
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_ndtr_port_is_scipy_ndtr_bitwise(values):
+    from scipy.special import ndtr
+
+    a = np.array(values, dtype=np.float64)
+    _assert_same_bits(perturb._ndtr(a), ndtr(a))
+    # and on a wide spread of scales, where every branch is taken
+    scaled = np.concatenate([a * 1e-3, a / 40.0, a[np.abs(a) < 1e300] * 1e-300])
+    _assert_same_bits(perturb._ndtr(scaled), ndtr(scaled))
 
 
 @pytest.mark.parametrize("polytope", [Permutahedron(1), Permutahedron(3), VspFlow(3, [(0, 1), (1, 2)])])
@@ -183,7 +229,7 @@ def test_risk_closed_form_example(monkeypatch):
     assert report.mc_std_error == 0.0
     assert report.mode == "exactenum"
     # without its closed form the instance takes the CRN Monte Carlo estimate
-    monkeypatch.setattr(perturb, "exact_policy_distribution", lambda *args: None)
+    monkeypatch.setattr(perturb, "_closed_form", lambda *args: None)
     mc = regularized_risk(w, instances, oracle, model, space, spec)
     assert mc.mode == "montecarlo" and mc.mc_std_error > 0.0
     assert abs(mc.value - report.value) <= 4.0 * mc.mc_std_error + 1e-9
@@ -578,7 +624,7 @@ def _scaled_fortran_features(x):
 )
 @settings(max_examples=40, deadline=None)
 def test_stacked_thetas_are_model_predict_bitwise(name, W):
-    # every row's theta in _risk_terms, as exact_policy_distribution sees it
+    # every row's theta in _risk_terms, as its closed-form decision sees it
     instances, model, space, oracle = batch_setup("sched" if name == "builder" else name)
     if name == "builder":
         model = model_for_instances(instances, d=2, builder=_scaled_fortran_features)
@@ -590,7 +636,7 @@ def test_stacked_thetas_are_model_predict_bitwise(name, W):
         return None  # then the Monte Carlo path runs on the same thetas
 
     spec = PerturbationSpec(lam=0.3, mc_samples=2, master_seed=4)
-    with mock.patch.object(perturb, "exact_policy_distribution", record):
+    with mock.patch.object(perturb, "_closed_form", record):
         regularized_risk(W, instances, oracle, model, space, spec)
     assert len(seen) == len(instances)
     for x, thetas in zip(instances, seen):
@@ -631,6 +677,39 @@ def test_exact_terms_are_each_rows_law_dotted_with_the_vertex_costs(name):
         for w, v in zip(W, values):
             p = exact_policy_distribution(x.polytope, model.predict(w, x)[None], spec.lam)[0]
             assert v.hex() == float(p @ vertex_costs).hex()
+
+
+@pytest.mark.parametrize("lams", [None, [0.2, 0.0, 1e-3]])
+def test_a_risk_pass_makes_one_ndtr_call_over_contextual_instances(lams):
+    instances, model, space = contextual_setup(n=12)
+    W = np.array([[0.3, -0.7], [1.0, 0.25], [-0.5, 0.5]])
+    spec = PerturbationSpec(lam=0.2, mc_samples=8, master_seed=4)
+    with mock.patch.object(perturb, "_ndtr", wraps=perturb._ndtr) as ndtr:
+        reports = regularized_risk(W, instances, ContextualWrapper(), model, space, spec, lams=lams)
+    assert ndtr.call_count == 1
+    assert all(r.mode == "exactenum" for r in reports)
+
+
+@pytest.mark.parametrize("lams", [None, [0.3, 0.0, 0.05]])
+def test_held_closed_form_terms_keep_the_instance_order_bitwise(lams):
+    # scheduling with two and three jobs: Permutahedron(2) has a closed form,
+    # Permutahedron(3) draws noise, so the pass releases its held instances
+    # at each of those; every term is the bits of a pass over its instance
+    instances = generate_instances("scheduling", 9, seed=31, jobs=[2, 3])
+    assert len({x.dim for x in instances}) == 2
+    model = model_for_instances(instances, d=2)
+    space, oracle = ParamSpace.symmetric(2), default_cost_oracle("scheduling")
+    W = np.array([[0.3, -0.7], [1.0, 0.25], [-0.5, 0.5]])
+    lams = None if lams is None else np.array(lams)
+    spec = PerturbationSpec(lam=0.3, mc_samples=16, master_seed=4)
+    terms = list(perturb._risk_terms(W, instances, oracle, model, space, spec, lams=lams))
+    assert len(terms) == len(instances)
+    for x, (values, costs, ties) in zip(instances, terms):
+        [(one_values, one_costs, one_ties)] = perturb._risk_terms(W, [x], oracle, model, space, spec, lams=lams)
+        assert values.tobytes() == one_values.tobytes()
+        assert (costs is None) == (one_costs is None) == (x.dim == 2)
+        assert costs is None or costs.tobytes() == one_costs.tobytes()
+        assert np.array_equal(ties, one_ties)
 
 
 @given(batch=batches(), lam=st.sampled_from([0.0, 0.1]))

@@ -12,7 +12,6 @@ PACKAGE = ROOT / "src" / "perturbopt"
 # Kept without a caller until the ROADMAP item that wires each one in.
 ALLOWED = {
     "uw_moment",  # ROADMAP 7: the uniform-weak moment check joins check_bias_bound
-    "declared_osc",  # ROADMAP 7: the instance-declared cost range gets a caller
 }
 # "package.module:Qualified.name" strings, as the benchmark's hooks name
 # their targets.
