@@ -6,10 +6,9 @@ Each check returns (name, passed, detail).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..model import ParamSpace, model_for_instances
-from ..perturb import PerturbationSpec, sampled_policy_distribution
+from ..perturb import PerturbationSpec, exact_policy_distribution, sampled_policy_distribution
 from ..polytopes import Permutahedron, VspFlow, linear_oracle
 from ..problems import default_cost_oracle, generate_instances
 from ..rngs import substream
@@ -43,7 +42,7 @@ def _plambda_closed_form(cfg: ExperimentConfig):
             probs, ses = sampled_policy_distribution(
                 x.polytope, np.array([theta]), lam, 8192, rng
             )
-            exact = ndtr(theta / lam)
+            exact = exact_policy_distribution(x.polytope, [[theta]], lam)[0, 1]
             dev = abs(probs[1] - exact)
             tol = 3.0 * max(ses[1], 1e-4)
             if dev > tol:

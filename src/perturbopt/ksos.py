@@ -13,10 +13,10 @@ B: for each barrier weight mu, the inner problem reduces to the concave
 dual
 
     min_alpha  alpha.R - mu log det W(alpha),   sum(alpha) = 1,
-    W(alpha) = lambda_phi I + G diag(alpha) G,  G = K^{1/2},
+    W(alpha) = lambda_phi I + Phi diag(alpha) Phi^T,   K = Phi^T Phi,
 
-solved by damped Newton (the dual Hessian is mu T*T with T = G W^-1 G,
-elementwise square).  At the optimum B = mu (G W^-1 G scaled back), the
+solved by damped Newton (the dual Hessian is mu T*T with T = Phi^T W^-1
+Phi, elementwise square).  At the optimum B = mu Phi^-1 W^-1 Phi^-T, the
 equality constraints hold exactly and alpha are their multipliers; the
 candidate minimizer is the argmin of the fitted SoS surrogate.  mu runs
 from MU0 down to mu_min by factors SHRINK in at most MAX_OUTER steps; an
@@ -39,11 +39,16 @@ planted quadratics.  The shift also keeps the multiplier of sum(alpha)
 leak into the decrement.  A constant surface (ptp = 0) still runs down
 to MU_MIN.
 
-The solver runs on numpy alone: the Cholesky factor of W gives log det W
-and T = Y^T Y with Y = L^-1 G, so T is symmetric by construction, and
-every product goes through numpy's BLAS.  The tail of the solve needs
+The solver runs on numpy alone and factors by Cholesky alone: Phi = L_K^T
+for K = L_K L_K^T.  Any Phi with Phi^T Phi = K is U K^{1/2} for an
+orthogonal U, which maps W to U W U^T and leaves log det W, T, B and
+tr(B K) = mu tr(W^-1) as they are, so the choice moves only rounding.  A
+K that is not finite, or not positive definite after jitter, raises
+GramSingular.  The factor L_W of W gives log det W and T = Y^T Y with
+Y = L_W^-1 Phi, and at the end tr(B K) = mu |L_W^-1|_F^2 and B = F F^T
+with F = sqrt(mu) Phi^-1 L_W^-T, so B is never formed.  The tail needs
 numpy alone too: the surrogate argmin is a grid search and a batched
-compass refine on h(w) = k_w^T B k_w, and the Hermite norms of the
+compass refine on h(w) = |k_w F|^2, and the Hermite norms of the
 smoothness estimates are in closed form.  So the module imports no
 scipy; scipy.special loads only where a kernel smoothness outside the
 closed forms (nu = 0.5, 1.5, 2.5) calls the Bessel form.
@@ -63,8 +68,8 @@ from .rngs import substream
 
 
 class GramSingular(RuntimeError):
-    """Gram matrix not positive definite after jitter; try a larger
-    length-scale or fewer sample points."""
+    """Gram matrix not finite, or not positive definite after jitter; try
+    a larger length-scale or fewer sample points."""
 
 
 MU0 = 1.0
@@ -176,10 +181,20 @@ def gram_matrix(points: np.ndarray, s: float, length_scale: float) -> np.ndarray
 # Newton path-following solver
 
 
-def _newton_inner(R_scaled, G, lam_phi, alpha):
-    """Minimize alpha.R_scaled - logdet(lam_phi I + G diag(alpha) G)
+def _factor_w(Phi, lam_phi, a):
+    """(L, log det W) for W = lam_phi I + Phi diag(a) Phi^T = L L^T, or None."""
+    W = lam_phi * np.eye(len(a)) + Phi @ (a[:, None] * Phi.T)
+    try:
+        L = np.linalg.cholesky(W)
+    except np.linalg.LinAlgError:
+        return None
+    return L, 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def _newton_inner(R_scaled, Phi, lam_phi, alpha):
+    """Minimize alpha.R_scaled - logdet(lam_phi I + Phi diag(alpha) Phi^T)
     over sum(alpha) = 1, damped Newton.  Returns (alpha, T, ok, counts)
-    with T = G W^-1 G at the returned alpha, and counts the Newton
+    with T = Phi^T W^-1 Phi at the returned alpha, and counts the Newton
     iterations, the Cholesky factorizations past the first, the builds of
     T (one at the start and one per accepted step) and why it stopped
     (``stop_reason``): the half-decrement fell to INNER_TOL and one last
@@ -191,20 +206,12 @@ def _newton_inner(R_scaled, G, lam_phi, alpha):
     M = len(alpha)
     counts = {"newton_iters": 0, "factorizations": 0, "t_builds": 0, "stop_reason": "max_inner"}
 
-    def factor(a):
-        W = lam_phi * np.eye(M) + G @ (a[:, None] * G)
-        try:
-            L = np.linalg.cholesky(W)
-        except np.linalg.LinAlgError:
-            return None
-        return L, 2.0 * float(np.sum(np.log(np.diag(L))))
-
     def build_T(L):
         counts["t_builds"] += 1
-        Y = np.linalg.solve(L, G)
-        return Y.T @ Y  # G W^-1 G, symmetric by construction
+        Y = np.linalg.solve(L, Phi)
+        return Y.T @ Y  # Phi^T W^-1 Phi, symmetric by construction
 
-    state = factor(alpha)
+    state = _factor_w(Phi, lam_phi, alpha)
     if state is None:
         raise GramSingular("initial barrier point not positive definite")
     L, logdet = state
@@ -238,7 +245,7 @@ def _newton_inner(R_scaled, G, lam_phi, alpha):
             # by rounding at this scale.
             cand = alpha + step
             counts["factorizations"] += 1
-            state = factor(cand)
+            state = _factor_w(Phi, lam_phi, cand)
             if state is not None:
                 alpha, T = cand, build_T(state[0])
             ok = True
@@ -249,7 +256,7 @@ def _newton_inner(R_scaled, G, lam_phi, alpha):
         while t > LINE_SEARCH_MIN:
             cand = alpha + t * step
             counts["factorizations"] += 1
-            state = factor(cand)
+            state = _factor_w(Phi, lam_phi, cand)
             if state is not None:
                 L, logdet_new = state
                 f_new = float(cand @ R_scaled) - logdet_new
@@ -266,23 +273,18 @@ def _newton_inner(R_scaled, G, lam_phi, alpha):
     return alpha, T, ok, counts
 
 
-def _surrogate(points, B, nu: float, ell: float):
-    """The fitted SoS surrogate h(w) = k_w^T B k_w, as a function of the
-    (n, M) squared distances of n points to the samples, in the
-    sum-of-squares form |L^T k_w|^2 with B = L L^T: one gemm ``kw @ L`` and
-    a row-wise dot with itself.  L comes from the eigendecomposition of B's
-    symmetric part, whose negative eigenvalues, rounding errors of a PSD
-    matrix, are clipped to zero.  The direct form ``kw @ B`` dotted with
-    kw cancels terms of size |k_w|^T |B| |k_w| down to h: on a 1-D solve at
-    M = 128 that is 1e7 down to 6e-5, so its rounding noise (1e-9) is as
-    large as h's rise within 5e-5 of the minimum, and the refine would
-    stop in a noise dip."""
-    evals, evecs = np.linalg.eigh((B + B.T) / 2.0)
-    L = evecs * np.sqrt(np.clip(evals, 0.0, None))
+def _surrogate(points, F, nu: float, ell: float):
+    """The fitted SoS surrogate h(w) = k_w^T B k_w = |k_w F|^2, B = F F^T, as
+    a function of the (n, M) squared distances of n points to the samples:
+    one gemm ``kw @ F`` and a row-wise dot with itself.  The direct form
+    ``kw @ B`` dotted with kw cancels terms of size |k_w|^T |B| |k_w| down
+    to h: on a 1-D solve at M = 128 that is 1e7 down to 6e-5, so its
+    rounding noise (1e-9) is as large as h's rise within 5e-5 of the
+    minimum, and the refine would stop in a noise dip."""
 
     def h(sq: np.ndarray) -> np.ndarray:
-        kl = _matern(np.sqrt(sq), nu, ell) @ L
-        return np.einsum("ij,ij->i", kl, kl)
+        kf = _matern(np.sqrt(sq), nu, ell) @ F
+        return np.einsum("ij,ij->i", kf, kf)
 
     return h
 
@@ -341,12 +343,12 @@ def _compass_refine(h, points, start, step, space: ParamSpace) -> np.ndarray:
     return best
 
 
-def _sos_model_argmin(points, B, s, d, ell, space: ParamSpace) -> np.ndarray:
-    """Minimizer of the fitted SoS surrogate h(w) = k_w^T B k_w: the grid
+def _sos_model_argmin(points, F, s, d, ell, space: ParamSpace) -> np.ndarray:
+    """Minimizer of the fitted SoS surrogate h(w) = |k_w F|^2: the grid
     argmin of _grid_start, then _compass_refine.  Costs no surface
-    evaluations.  ``kw @ L`` runs on threaded BLAS, so the BLAS thread
+    evaluations.  ``kw @ F`` runs on threaded BLAS, so the BLAS thread
     count can move the last bits of h, and with them the refine's path."""
-    h = _surrogate(points, B, s - d / 2, ell)
+    h = _surrogate(points, F, s - d / 2, ell)
     start, step = _grid_start(h, points, space)
     return _compass_refine(h, points, start, step, space)
 
@@ -386,14 +388,12 @@ def ksos_minimize(
     K = gram_matrix(points, cfg.s, ell)
     jitter = 1e-9 * float(np.trace(K)) / cfg.M
     K = K + jitter * np.eye(cfg.M)
-    evals, evecs = np.linalg.eigh(K)
-    if evals[0] <= 0.0:
-        raise GramSingular(
-            f"Gram matrix singular after jitter (min eig {evals[0]:.3e}); "
-            "increase length_scale or reduce M"
-        )
-    G = (evecs * np.sqrt(evals)) @ evecs.T
-    G_inv = (evecs / np.sqrt(evals)) @ evecs.T
+    if not np.isfinite(K).all():
+        raise GramSingular(f"Gram matrix not finite at length_scale {ell:.3e}; increase length_scale")
+    try:
+        Phi = np.linalg.cholesky(K).T
+    except np.linalg.LinAlgError:
+        raise GramSingular("Gram matrix singular after jitter; increase length_scale or reduce M") from None
 
     alpha = np.full(cfg.M, 1.0 / cfg.M)
     mu_min = max(MU_REL * float(np.ptp(values)), MU_MIN)
@@ -405,7 +405,7 @@ def ksos_minimize(
     # floor, and the result then reports converged = False.
     good = None
     for _ in range(MAX_OUTER):
-        alpha_new, T_new, ok, counts = _newton_inner(shifted / mu, G, cfg.lambda_phi, alpha)
+        alpha_new, T_new, ok, counts = _newton_inner(shifted / mu, Phi, cfg.lambda_phi, alpha)
         trace_log.append({"mu": mu, "inner_converged": ok, **counts})
         if not ok and good is not None:
             break
@@ -417,17 +417,17 @@ def ksos_minimize(
     alpha, T, mu, converged = good
     converged = converged and mu <= mu_min
 
-    t_diag = np.diag(T)
-    c_per_constraint = values - mu * t_diag
+    c_per_constraint = values - mu * np.diag(T)
     c_hat = float(np.mean(c_per_constraint))
     residuals = c_per_constraint - c_hat
-    W = cfg.lambda_phi * np.eye(cfg.M) + G @ (alpha[:, None] * G)
-    Winv = np.linalg.solve(W, np.eye(cfg.M))
-    trace_BK = float(mu * np.trace(Winv))
-    B = mu * G_inv @ Winv @ G_inv
+    # the kept alpha factored inside its inner solve, so it factors here
+    L_W, _ = _factor_w(Phi, cfg.lambda_phi, alpha)
+    L_W_inv = np.linalg.solve(L_W, np.eye(cfg.M))
+    trace_BK = mu * float(np.sum(L_W_inv * L_W_inv))
+    F = math.sqrt(mu) * np.linalg.solve(Phi, L_W_inv.T)
 
     negative_mass = float(np.sum(np.clip(-alpha, 0.0, None)))
-    w_hat = _sos_model_argmin(points, B, cfg.s, d, ell, space)
+    w_hat = _sos_model_argmin(points, F, cfg.s, d, ell, space)
     risk_at_hat = float(risk_surface(w_hat))
 
     return KsosResult(
@@ -567,8 +567,7 @@ def glm_smoothness_estimates(
                 f"(rank {rank} < {d}); the closed-form bounds need full column rank"
             )
         # Z = Phi Z' + Z'' with cov(Z') = (Phi^T Phi)^{-1} / d(x)
-        sigma_w = np.linalg.inv(gramian) / x.dim
-        eigvals = np.linalg.eigvalsh(sigma_w)
+        eigvals = 1.0 / (x.dim * np.linalg.eigvalsh(gramian))
         sigmas = np.sqrt(np.clip(eigvals, 1e-18, None))
         norm_const = max(norm_const, _gaussian_derivative_l1(sigmas, order))
         trace_const = max(trace_const, _sqrt_density_sobolev_sq(sigmas, s))

@@ -472,6 +472,23 @@ def test_matched_random_search_gets_the_optimizer_budget(tmp_path, monkeypatch):
     assert seen == [96]
 
 
+def test_train_on_a_non_finite_gram_matrix_exits_3_with_the_error(tmp_path, capsys):
+    # at a length-scale of 1e-320 the Matern closed form meets inf * 0
+    doc = dict(
+        TOY,
+        domain={"name": "contextual", "n_train": 8, "n_test": 8, "params": {"d_context": 2}},
+        optimizer={"kind": "ksos", "M": 16, "s": 2.5, "length_scale": 1.0e-320},
+    )
+    cfg_path = write_cfg(tmp_path, doc)
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg_path, "--out", out]) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", cfg_path, "--out", out]) == 3
+    result = json.load(open(os.path.join(out, "result.json")))
+    assert list(result) == ["error"] and "not finite" in result["error"]
+    assert "solver failure: Gram matrix not finite" in capsys.readouterr().err
+
+
 def test_train_requires_dataset(tmp_path):
     cfg_path = write_cfg(tmp_path, TOY)
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "empty")]) == 2
@@ -624,6 +641,21 @@ def test_check_fault_injection_fails(tmp_path, capsys, monkeypatch):
     os.makedirs(out)
     assert main(["check", "--config", cfg_path, "--out", out]) == 1
     assert "[FAIL] oracle_equivalence:" in capsys.readouterr().out
+
+
+def test_check_plambda_compares_against_the_package_closed_form(tmp_path, capsys, monkeypatch):
+    # a wrong closed form, Phi(2 theta / lambda), in the package fails the
+    # check: it compares Monte Carlo with exact_policy_distribution
+    from perturbopt import perturb
+
+    real = perturb._ndtr
+    monkeypatch.setattr(perturb, "_ndtr", lambda t: real(2.0 * t))
+    doc = dict(TOY, check={"names": ["plambda_closed_form"]})
+    cfg_path = write_cfg(tmp_path, doc)
+    out = str(tmp_path / "run")
+    os.makedirs(out)
+    assert main(["check", "--config", cfg_path, "--out", out]) == 1
+    assert "[FAIL] plambda_closed_form:" in capsys.readouterr().out
 
 
 def test_check_empty_list_warns(tmp_path, capsys):

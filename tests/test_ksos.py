@@ -138,21 +138,60 @@ def test_quadratic_2d_recovery_with_scheduled_penalty():
     assert abs(f(res.w_hat) - 0.0) <= 1e-3
 
 
-def test_interior_point_keeps_B_psd(monkeypatch):
-    # the B that ksos_minimize hands to the surrogate argmin
+@pytest.mark.parametrize("case", ["quad_1d", "2d_m96_planted"])
+def test_surrogate_factor_reproduces_the_eigen_route_B(monkeypatch, case):
+    # B = mu K^-1/2 W^-1 K^-1/2, built here from the returned alpha with the
+    # symmetric square root G = K^1/2, W = lambda_phi I + G diag(alpha) G:
+    # the surrogate on the factor F that ksos_minimize hands to the argmin
+    # is k_w^T B k_w up to rounding.  Each case runs its whole mu path.
+    f, d, cfg, _ = NEWTON_CASES[case]
     seen = []
     original = ksos._sos_model_argmin
 
-    def recording_argmin(points, B, *args):
-        seen.append(B)
-        return original(points, B, *args)
+    def recording_argmin(points, F, *args):
+        seen.append(F)
+        return original(points, F, *args)
 
     monkeypatch.setattr(ksos, "_sos_model_argmin", recording_argmin)
+    space = ParamSpace.symmetric(d)
+    res = ksos_minimize(f, space, cfg)
+    (F,) = seen
+    ell = cfg.length_scale if cfg.length_scale is not None else space.diameter() / 4.0
+    points, nu = res.sampled_points, cfg.s - d / 2
+    K = gram_matrix(points, cfg.s, ell)
+    K = K + 1e-9 * float(np.trace(K)) / cfg.M * np.eye(cfg.M)
+    evals, evecs = np.linalg.eigh(K)
+    G = (evecs * np.sqrt(evals)) @ evecs.T
+    G_inv = (evecs / np.sqrt(evals)) @ evecs.T
+    W = cfg.lambda_phi * np.eye(cfg.M) + G @ (res.alpha[:, None] * G)
+    B = res.mu_final * G_inv @ np.linalg.solve(W, np.eye(cfg.M)) @ G_inv
+    sq = ksos._sq_dists(space.sample(substream(0, "surrogate-check"), 200), points)
+    kw = ksos._matern(np.sqrt(sq), nu, ell)
+    direct = np.einsum("ij,ij->i", kw @ B, kw)
+    scale = np.einsum("ij,ij->i", np.abs(kw) @ np.abs(B), np.abs(kw))
+    assert np.all(np.abs(ksos._surrogate(points, F, nu, ell)(sq) - direct) <= 1e-8 * scale)
+
+
+def test_ksos_minimize_makes_no_eigh_call(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     ksos_minimize(quad1, ParamSpace.symmetric(1), QUAD_1D)
-    (B,) = seen
-    assert B.shape == (QUAD_1D.M, QUAD_1D.M)
-    eigs = np.linalg.eigvalsh((B + B.T) / 2.0)
-    assert eigs.min() >= -1e-10
+    assert calls == []
+
+
+def test_non_finite_gram_matrix_is_a_solver_failure():
+    # at a length-scale of 1e-320 the Matern closed form meets inf * 0 off
+    # the diagonal; the solve stops before its first Newton step
+    cfg = KsosConfig(M=16, s=2.5, lambda_phi=1e-3, length_scale=1e-320)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ksos.GramSingular, match="not finite"):
+            ksos_minimize(_quad2, ParamSpace.symmetric(2), cfg)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
@@ -168,15 +207,15 @@ def test_compass_refine_stays_in_the_box_and_matches_nelder_mead(monkeypatch, d)
     seen = []
     original = ksos._sos_model_argmin
 
-    def recording_argmin(points, B, *args):
-        seen.append((points, B))
-        return original(points, B, *args)
+    def recording_argmin(points, F, *args):
+        seen.append((points, F))
+        return original(points, F, *args)
 
     monkeypatch.setattr(ksos, "_sos_model_argmin", recording_argmin)
     res = ksos_minimize(f, space, KsosConfig(M=32, s=s, lambda_phi=lambda_phi_schedule(32, s, d), seed=d))
-    ((points, B),) = seen
+    ((points, F),) = seen
     ell = space.diameter() / 4.0
-    h = ksos._surrogate(points, B, s - d / 2, ell)
+    h = ksos._surrogate(points, F, s - d / 2, ell)
     h_at = lambda w: float(h(ksos._sq_dists(space.project(w)[None, :], points))[0])
     start, step = ksos._grid_start(h, points, space)
     got = ksos._compass_refine(h, points, start, step, space)
@@ -223,7 +262,7 @@ def _reference_newton_inner(R_scaled, G, lam_phi, alpha):
     counts = {"newton_iters": 0, "factorizations": 0, "accepted": 0, "stop_reason": "max_inner"}
 
     def assemble(a):
-        W = lam_phi * np.eye(M) + G @ (a[:, None] * G)
+        W = lam_phi * np.eye(M) + G @ (a[:, None] * G.T)
         try:
             L = np.linalg.cholesky(W)
         except np.linalg.LinAlgError:
