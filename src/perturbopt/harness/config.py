@@ -102,7 +102,8 @@ SCHEMA = {
     "perturb.lambda": Key(0.1, float, low=0.0),
     "perturb.epsilon0": Key(1e-3, float, low=0.0),
     "perturb.samples": Key(512, int, low=1),
-    # the one optimizer; ROADMAP 6 adds gradient.  result.json records the kind
+    # the one optimizer; ROADMAP "A gradient baseline and an optimizer sweep" adds
+    # gradient.  result.json records the kind
     "optimizer.kind": Key("ksos", str, choices=("ksos",)),
     "optimizer.M": Key(96, int, low=1),
     "optimizer.s": Key(2.5, float),

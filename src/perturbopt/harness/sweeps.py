@@ -50,8 +50,8 @@ def _parallel_map(fn, items, threads: int):
 def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
     """Bias bounds over a lambda grid at random w.  Runs on contextual
     instances with d_context = model.d whatever the configured domain,
-    until the sweep follows domain.name (ROADMAP 7).  Returns the paths of
-    the CSV and its summary."""
+    until the sweep follows domain.name (ROADMAP "The uniform weak property
+    in production").  Returns the paths of the CSV and its summary."""
     lambda_grid = cfg.get("sweeps.bias.lambda_grid")
     eps0, d, seed = cfg.get("perturb.epsilon0"), cfg.get("model.d"), cfg.get("master_seed")
     n_w = max(1, cfg.get("sweeps.bias.n_pairs") // len(lambda_grid))

@@ -3,28 +3,31 @@
 The perturbation Z lives in R^{d(G)} with sqrt(d) Z standard normal, so
 |Z| sqrt(d) follows a chi distribution with d degrees of freedom.
 
-One rule picks the risk estimator, per row of a batch and per instance,
-from the row's lambda and the instance's polytope alone: at lam = 0 the
+One rule picks the risk estimator, per row of a batch and per polytope
+cell, from the row's lambda and the cell's polytope alone: at lam = 0 the
 unperturbed policy; for lam > 0 the closed form where p_lambda has one (a
 one-dimensional two-vertex polytope, Permutahedron(2)), and otherwise the
 Monte Carlo mean over common random numbers: the noise block of instance
 i depends only on (master_seed, i), never on the parameter w or on
 lambda, so the map w -> empirical regularized risk is a fixed
-deterministic surface either way.
+deterministic surface either way.  A cell is the instances that share
+one polytope object, as generate_instances and load_instances build them.
 
-One fold turns the per-instance terms into a risk: each w's terms are
-summed left to right over the instances and divided by n.  The kSoS
-surface and every reported risk use it, so crn_risk_surface(...).values(W)
-equals the values of regularized_risk(W) bit for bit.
+A risk pass fills one (n, M) table of per-instance terms, one row per
+instance and one column per w, and one fold turns it into a risk: the
+rows are summed left to right in instance order and divided by n.  The
+kSoS surface and every reported risk use it, so
+crn_risk_surface(...).values(W) equals the values of regularized_risk(W)
+bit for bit.
 
 A closed form is Phi of one argument per row, and Phi is _ndtr, a numpy
 port of the cephes ndtr that scipy.special.ndtr runs, equal to it bit
 for bit, so a risk pass loads no scipy module (importing scipy.special
 costs about 0.2 s).  The port costs about 0.14 ms of numpy dispatch per
 call on a 2-core x86-64 VM, where the scipy ufunc costs 0.5 us, so a
-risk pass holds the arguments of its closed-form instances and makes
-one _ndtr call for all of them.  Only chi_tail imports scipy
-(scipy.special, where it is called).
+risk pass makes one _ndtr call per closed-form cell, over all its
+instances and rows.  Only chi_tail imports scipy (scipy.special, where
+it is called).
 """
 
 from __future__ import annotations
@@ -208,44 +211,34 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     return y
 
 
-def _closed_form(
-    polytope: SolutionPolytope, thetas: np.ndarray, lam: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The closed form of p_lambda at each row of thetas (B, d), where the
-    polytope has one: (t, hi), with Phi(t[b]) the probability at row b of
-    the vertices where the bool mask hi (N,) is set, and 1 - Phi(t[b]) of
-    the other.  None when no closed form applies, which the polytope's
-    kind and dimension decide without enumerating its vertices.  The
-    closed forms are Permutahedron(2) and any other polytope in R^1 with
-    two vertices.  This is the per-instance decision of a risk pass."""
-    if isinstance(polytope, Permutahedron):
-        if polytope.n != 2:
-            return None
-        # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
-        return (thetas[:, 0] - thetas[:, 1]) / lam, polytope.vertices()[:, 0] == 2.0
-    if polytope.dim != 1 or len(verts := polytope.vertices()) != 2:
-        return None
-    gap = float(verts[1, 0] - verts[0, 0])
-    return np.sign(gap) * thetas[:, 0] / lam, np.array([False, True])
-
-
-def _two_vertex_law(p: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(B, 2): p[b] at the vertex hi marks, 1 - p[b] at the other."""
-    return np.where(hi, p[:, None], 1.0 - p[:, None])
-
-
 def exact_policy_distribution(
     polytope: SolutionPolytope, thetas: np.ndarray, lam: float | np.ndarray
 ) -> np.ndarray | None:
     """Closed-form p_lambda over the enumerated vertices for lam > 0 at each
     row of thetas (B, d): shape (B, N), row b the law at thetas[b].  lam is
     one lambda for every row or one per row, shape (B,); row b's law is the
-    same bits either way, since theta / lam is elementwise.  Returns None
-    where _closed_form does.  The lam = 0 measure, ties included, is
-    polytopes.p0.
+    same bits either way, since theta / lam is elementwise.
+
+    The closed forms are Permutahedron(2) and any other polytope in R^1
+    with two vertices: Phi(t[b]) at one vertex and 1 - Phi(t[b]) at the
+    other, from one _ndtr call over the B rows.  Elsewhere it returns None,
+    which the polytope's kind and dimension decide without enumerating its
+    vertices; this is the per-cell decision of a risk pass.  The lam = 0
+    measure, ties included, is polytopes.p0.
     """
-    form = _closed_form(polytope, np.asarray(thetas, dtype=np.float64), lam)
-    return None if form is None else _two_vertex_law(_ndtr(form[0]), form[1])
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if isinstance(polytope, Permutahedron):
+        if polytope.n != 2:
+            return None
+        # winner (2,1) iff theta_1 > theta_2; Z_1 - Z_2 ~ N(0, 1)
+        t, hi = (thetas[:, 0] - thetas[:, 1]) / lam, polytope.vertices()[:, 0] == 2.0
+    elif polytope.dim != 1 or len(verts := polytope.vertices()) != 2:
+        return None
+    else:
+        gap = float(verts[1, 0] - verts[0, 0])
+        t, hi = np.sign(gap) * thetas[:, 0] / lam, np.array([False, True])
+    p = _ndtr(t)[:, None]
+    return np.where(hi, p, 1.0 - p)
 
 
 def sampled_policy_distribution(
@@ -325,78 +318,82 @@ def _param_rows(W, model, space) -> np.ndarray:
     return np.ascontiguousarray(W.reshape(-1, model.d))
 
 
-def _risk_terms(W, instances, oracle, model, space, spec, lams=None):
+def _stacked_features(model, cell) -> np.ndarray:
+    """The (n_c, dim, d) stack of the cell's feature matrices, each in the
+    layout model.feature_matrix gives it: Fortran order when every matrix
+    has it, else C order.  A gemv's bits depend on the layout it reads."""
+    mats = [model.feature_matrix(x) for x in cell]
+    if all(m.flags.f_contiguous and not m.flags.c_contiguous for m in mats):
+        return np.stack([m.T for m in mats]).transpose(0, 2, 1)
+    return np.stack(mats)
+
+
+def _fold(table: np.ndarray) -> np.ndarray:
+    """The module's one fold: the rows of an (n, M) table summed left to
+    right, in instance order."""
+    total = np.zeros(table.shape[1])
+    for row in table:
+        total += row
+    return total
+
+
+def _risk_terms(W, instances, oracle, model, spec, lams=None):
     """The one risk estimator, for the rows of W, an (M, d) array from
     _param_rows (a single w is M = 1), row m at lambda lams[m] (spec.lam
-    for every row when lams is None).  Yields (values, costs, ties) per
-    instance: the risk term of each w, the (P, K) Monte Carlo cost samples
-    behind the terms of the P rows at lam > 0, in row order (None when the
-    instance drew no noise), and whether each row's lam = 0 policy hit a
-    tie.
+    for every row when lams is None).  Returns three (n, M) tables, row i
+    for instances[i] and column m for W[m]: the risk terms; the Monte
+    Carlo variances of their means, 0 where a term draws no noise (None
+    when no term of the pass draws noise); and whether each lam = 0
+    term's policy hit a tie.
 
-    Per instance, the feature matrix is built once and the thetas of all
-    rows come from one stacked matmul, one gemv per row as in
+    The tables fill one polytope cell at a time, in the order of each
+    cell's first instance.  The thetas of all the cell's instances and
+    rows come from one stacked matmul, one gemv per instance and row as in
     model.predict(w, x), bit for bit.  The rows at lam = 0 take the
-    unperturbed policy (_unperturbed_terms).  The rest, where _closed_form
-    finds one, take their probabilities dotted with the vertex costs (one
-    dot per row, as ``p @ costs``); elsewhere the instance's CRN noise
-    block, drawn once for all rows, perturbs every theta in one
-    eval_theta_batch call, and the mean over the K samples of each row
-    equals np.mean of that row's costs bit for bit.  theta / lam and
-    lam * z are elementwise, so a row's term is the same bits whether its
-    lambda is shared or its own.  A batch whose rows all take one path,
-    which is every batch at one lambda, indexes nothing.
-
-    A closed-form instance is held until the pass reaches an instance that
-    draws noise, or its end; then one _ndtr call takes the Phi arguments
-    of every held instance, and their terms are yielded in instance
-    order.  _ndtr is elementwise, so each term is the bits of its own
-    call.  Over instances that all have a closed form, the contextual
-    domain's, a pass makes one _ndtr call."""
-    lam = spec.lam if lams is None else lams
-    unperturbed = bool(np.all(lam == 0.0))
-    zero = smooth = None
-    if not unperturbed and np.any(lam == 0.0):  # both paths in one batch
-        zero, smooth = np.flatnonzero(lam == 0.0), np.flatnonzero(lam > 0.0)
-        lam = lam[smooth]
-    no_ties = np.zeros(len(W), dtype=bool)
-
-    def term(x, thetas, values, costs):
-        if smooth is None:
-            return values, costs, no_ties
-        terms, ties = np.empty(len(W)), no_ties.copy()
-        terms[smooth] = values
-        terms[zero], ties[zero] = _unperturbed_terms(oracle, x, thetas[zero], spec.master_seed)
-        return terms, costs, ties
-
-    held = []  # (instance, thetas, closed form) awaiting the shared _ndtr call
-
-    def release():
-        if not held:
-            return
-        probs = _ndtr(np.concatenate([t for _, _, (t, _) in held])).reshape(len(held), -1)
-        for (x, thetas, (_, hi)), p in zip(held, probs):
-            law = _two_vertex_law(p, hi)
-            yield term(x, thetas, np.vecdot(law, oracle.eval_vertices(x, x.polytope.vertices())), None)
-        held.clear()
-
-    for x in instances:
-        thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
-        if unperturbed:
-            values, ties = _unperturbed_terms(oracle, x, thetas, spec.master_seed)
-            yield values, None, ties
+    unperturbed policy per instance (_unperturbed_terms).  For the rest, a
+    cell with a closed form makes one exact_policy_distribution call (so
+    one _ndtr) over all its instances and rows, and dots each row's law
+    with its instance's vertex costs in one broadcast vecdot, each term as
+    ``p @ costs``.  In any other cell each instance draws its CRN noise
+    block once for all rows and perturbs every theta in one
+    eval_theta_batch call; the mean over the K samples of each row equals
+    np.mean of that row's costs bit for bit.  theta / lam and lam * z are
+    elementwise, so a term is the same bits whatever else the pass holds,
+    and whether its lambda is shared or its own."""
+    n, M = len(instances), len(W)
+    lam = np.full(M, spec.lam) if lams is None else lams
+    zero, smooth = np.flatnonzero(lam == 0.0), np.flatnonzero(lam > 0.0)
+    lam = lam[smooth]
+    terms, variances, ties = np.zeros((n, M)), np.zeros((n, M)), np.zeros((n, M), dtype=bool)
+    cells = {}  # polytope object -> the positions of its instances
+    for i, x in enumerate(instances):
+        cells.setdefault(id(x.polytope), []).append(i)
+    sampled = False
+    for rows in cells.values():
+        cell = [instances[i] for i in rows]
+        polytope = cell[0].polytope
+        thetas = np.matmul(_stacked_features(model, cell)[:, None], W[:, :, None])[..., 0]  # (n_c, M, dim)
+        if zero.size:
+            for i, x, t in zip(rows, cell, thetas[:, zero]):
+                terms[i, zero], ties[i, zero] = _unperturbed_terms(oracle, x, t, spec.master_seed)
+        if not smooth.size:
             continue
-        rows = thetas if smooth is None else thetas[smooth]
-        form = _closed_form(x.polytope, rows, lam)
-        if form is not None:
-            held.append((x, thetas, form))
+        thetas = thetas[:, smooth]
+        law = exact_policy_distribution(polytope, thetas.reshape(-1, polytope.dim), np.tile(lam, len(rows)))
+        if law is not None:
+            costs = np.array([oracle.eval_vertices(x, polytope.vertices()) for x in cell])
+            terms[np.ix_(rows, smooth)] = np.vecdot(law.reshape(len(rows), len(smooth), -1), costs[:, None])
             continue
-        yield from release()
-        z = perturbation_block(spec, x.index, x.dim)
-        dirs = (rows[:, None, :] + np.multiply.outer(lam, z)).reshape(-1, x.dim)
-        costs = oracle.eval_theta_batch(x, dirs).reshape(len(rows), -1)
-        yield term(x, thetas, np.mean(costs, axis=1), costs)
-    yield from release()
+        sampled = True
+        for i, x, t in zip(rows, cell, thetas):
+            z = perturbation_block(spec, x.index, x.dim)
+            dirs = np.multiply.outer(lam, z)  # (P, K, dim); adding in place saves a second buffer
+            dirs += t[:, None, :]
+            costs = oracle.eval_theta_batch(x, dirs.reshape(-1, x.dim)).reshape(len(smooth), -1)
+            terms[i, smooth] = np.mean(costs, axis=1)
+            if costs.shape[1] > 1:
+                variances[i, smooth] = np.var(costs, axis=1, ddof=1) / costs.shape[1]
+    return terms, variances if sampled else None, ties
 
 
 def regularized_risk(
@@ -416,17 +413,18 @@ def regularized_risk(
     The report's mode is "exactenum" when no instance drew noise at its
     lambda and "montecarlo" otherwise.
 
-    The value is the module's one fold of the per-instance terms, summed
-    left to right and divided by n, and so equals crn_risk_surface's value
-    at w bit for bit.  The std error is the square root of the
-    per-instance Monte Carlo variances of the mean, summed the same way,
-    divided by n.
+    The value is the module's one fold (_fold) of the term table of
+    _risk_terms, its rows summed left to right in instance order and
+    divided by n, and so equals crn_risk_surface's value at w bit for bit.
+    The std error is the square root of the fold of the Monte Carlo
+    variance table, divided by n, and a row's ties are any of its column
+    of the tie table.
 
     w may be one parameter of shape (d,), which returns one report, or a
     batch of shape (M, d), which returns a list of M reports from one pass
-    over the instances: every row is checked before any oracle call, each
-    noise block is drawn once for all rows, and report m equals the single
-    call at W[m] bit for bit (value, std error, mode and ties).
+    over the polytope cells: every row is checked before any oracle call,
+    each noise block is drawn once for all rows, and report m equals the
+    single call at W[m] bit for bit (value, std error, mode and ties).
 
     lams, shape (M,), gives row m its own lambda in place of spec.lam, so
     one pass scores one w at several lambdas.  Report m then carries
@@ -437,22 +435,14 @@ def regularized_risk(
     if n == 0:
         raise ValueError("empty instance list")
     W = _param_rows(w, model, space)
-    if lams is None:
-        lam_rows, smooth = [spec.lam] * len(W), slice(None)
-    else:
+    if lams is not None:
         lams = np.asarray(lams, dtype=np.float64)
         if lams.shape != (len(W),) or not np.all(lams >= 0.0):
             raise ValueError(f"lams needs one lambda >= 0 per row of w, got {lams!r}")
-        lam_rows, smooth = lams.tolist(), np.flatnonzero(lams > 0.0)  # the rows of costs
-    total, var_total, ties = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W), dtype=bool)
-    sampled = False
-    for value, costs, tie in _risk_terms(W, instances, oracle, model, space, spec, lams=lams):
-        total += value  # the surface's fold: left to right over the instances
-        ties |= tie
-        if costs is not None:
-            sampled = True
-            if costs.shape[1] > 1:
-                var_total[smooth] += np.var(costs, axis=1, ddof=1) / costs.shape[1]
+    terms, variances, ties = _risk_terms(W, instances, oracle, model, spec, lams)
+    sampled = variances is not None
+    std_errors = np.sqrt(_fold(variances)) / n if sampled else np.zeros(len(W))
+    lam_rows = [spec.lam] * len(W) if lams is None else lams.tolist()
     reports = [
         RiskReport(
             value=float(v),
@@ -464,7 +454,7 @@ def regularized_risk(
             mode="montecarlo" if sampled and lam > 0.0 else "exactenum",
             ties_encountered=bool(t),
         )
-        for v, se, t, lam in zip(total / n, np.sqrt(var_total) / n, ties, lam_rows)
+        for v, se, t, lam in zip(_fold(terms) / n, std_errors, ties.any(axis=0), lam_rows)
     ]
     return reports if np.ndim(w) == 2 else reports[0]
 
@@ -474,15 +464,16 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     instance scored by the module's rule (closed form where p_lambda has
     one, the CRN Monte Carlo mean elsewhere); the name keeps the CRN of
     its Monte Carlo terms.  Its values are regularized_risk's, bit for
-    bit: both fold the per-instance terms with the module's one fold.
+    bit: both fold the term table of _risk_terms with the module's one
+    fold; the surface discards the variance and tie tables.
 
     A noise block depends only on (master_seed, instance index), so each
     call draws the same blocks and repeated calls are bit-identical;
     suitable as the kernel-SoS objective.
 
     The returned function carries ``values(W)``: W of shape (M, d) in, the
-    M surface values out, from one pass over the instances (each noise
-    block perturbs every row in one oracle batch).  Entry m equals the
+    M surface values out, from one pass over the polytope cells (each
+    noise block perturbs every row in one oracle batch).  Entry m equals the
     single call at W[m] and regularized_risk(W[m]).value bit for bit; the
     single call is ``values(w[None])[0]``.
     ``values`` is a function attribute rather than a method of a class, so
@@ -495,11 +486,8 @@ def crn_risk_surface(instances, oracle, model, space, spec: PerturbationSpec):
     def values(W) -> np.ndarray:
         if np.ndim(W) != 2:
             raise ValueError(f"values takes W of shape (M, d), got shape {np.shape(W)}")
-        W = _param_rows(W, model, space)
-        total = np.zeros(len(W))
-        for vals, _, _ in _risk_terms(W, instances, oracle, model, space, spec):
-            total += vals
-        return total / len(instances)
+        terms, _, _ = _risk_terms(_param_rows(W, model, space), instances, oracle, model, spec)
+        return _fold(terms) / len(instances)
 
     def surface(w) -> float:
         return float(values(np.asarray(w)[None])[0])

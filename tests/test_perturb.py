@@ -229,7 +229,7 @@ def test_risk_closed_form_example(monkeypatch):
     assert report.mc_std_error == 0.0
     assert report.mode == "exactenum"
     # without its closed form the instance takes the CRN Monte Carlo estimate
-    monkeypatch.setattr(perturb, "_closed_form", lambda *args: None)
+    monkeypatch.setattr(perturb, "exact_policy_distribution", lambda *args: None)
     mc = regularized_risk(w, instances, oracle, model, space, spec)
     assert mc.mode == "montecarlo" and mc.mc_std_error > 0.0
     assert abs(mc.value - report.value) <= 4.0 * mc.mc_std_error + 1e-9
@@ -624,7 +624,8 @@ def _scaled_fortran_features(x):
 )
 @settings(max_examples=40, deadline=None)
 def test_stacked_thetas_are_model_predict_bitwise(name, W):
-    # every row's theta in _risk_terms, as its closed-form decision sees it
+    # every row's theta in _risk_terms, as its cell's closed-form decision
+    # sees it: one call per cell, instance-major, n_c * M rows
     instances, model, space, oracle = batch_setup("sched" if name == "builder" else name)
     if name == "builder":
         model = model_for_instances(instances, d=2, builder=_scaled_fortran_features)
@@ -632,17 +633,19 @@ def test_stacked_thetas_are_model_predict_bitwise(name, W):
     seen = []
 
     def record(polytope, thetas, lam):
-        seen.append(thetas.copy())
+        seen.append((polytope, thetas.copy()))
         return None  # then the Monte Carlo path runs on the same thetas
 
     spec = PerturbationSpec(lam=0.3, mc_samples=2, master_seed=4)
-    with mock.patch.object(perturb, "_closed_form", record):
+    with mock.patch.object(perturb, "exact_policy_distribution", record):
         regularized_risk(W, instances, oracle, model, space, spec)
-    assert len(seen) == len(instances)
-    for x, thetas in zip(instances, seen):
-        assert thetas.shape == (len(W), x.dim)
-        for w, theta in zip(W, thetas):
-            assert theta.tobytes() == model.predict(w, x, space=space).tobytes()
+    cells = {id(x.polytope): x.polytope for x in instances}
+    assert [id(polytope) for polytope, _ in seen] == list(cells)
+    for polytope, thetas in seen:
+        cell = [x for x in instances if x.polytope is polytope]
+        assert thetas.shape == (len(cell) * len(W), polytope.dim)
+        want = [model.predict(w, x, space=space) for x in cell for w in W]
+        assert [t.tobytes() for t in thetas] == [t.tobytes() for t in want]
 
 
 @given(
@@ -670,9 +673,10 @@ def test_exact_terms_are_each_rows_law_dotted_with_the_vertex_costs(name):
         space, oracle = ParamSpace.symmetric(2), default_cost_oracle("scheduling")
     W = np.vstack([np.zeros(2), space.sample(substream(3, "exact-w"), 16)])
     spec = PerturbationSpec(lam=0.2, mc_samples=16, master_seed=4)
-    terms = list(perturb._risk_terms(W, instances, oracle, model, space, spec))
-    for x, (values, costs, ties) in zip(instances, terms):
-        assert costs is None and not ties.any()
+    terms, variances, ties = perturb._risk_terms(W, instances, oracle, model, spec)
+    assert terms.shape == (len(instances), len(W))
+    assert variances is None and not ties.any()
+    for x, values in zip(instances, terms):
         vertex_costs = oracle.eval_vertices(x, x.polytope.vertices())
         for w, v in zip(W, values):
             p = exact_policy_distribution(x.polytope, model.predict(w, x)[None], spec.lam)[0]
@@ -691,25 +695,33 @@ def test_a_risk_pass_makes_one_ndtr_call_over_contextual_instances(lams):
 
 
 @pytest.mark.parametrize("lams", [None, [0.3, 0.0, 0.05]])
-def test_held_closed_form_terms_keep_the_instance_order_bitwise(lams):
-    # scheduling with two and three jobs: Permutahedron(2) has a closed form,
-    # Permutahedron(3) draws noise, so the pass releases its held instances
-    # at each of those; every term is the bits of a pass over its instance
+def test_one_closed_form_call_per_cell_on_interleaved_cells(lams):
+    # scheduling with two and three jobs: Permutahedron(2) has a closed
+    # form, Permutahedron(3) draws noise, and the instances interleave the
+    # two cells; the pass makes one _ndtr call for the closed-form cell,
+    # every table row is the bits of a pass over its instance alone, and
+    # the risk folds the rows in instance order, not in cell order
     instances = generate_instances("scheduling", 9, seed=31, jobs=[2, 3])
-    assert len({x.dim for x in instances}) == 2
+    assert [x.polytope.n for x in instances] == [2, 2, 2, 2, 3, 3, 2, 3, 2]
     model = model_for_instances(instances, d=2)
     space, oracle = ParamSpace.symmetric(2), default_cost_oracle("scheduling")
     W = np.array([[0.3, -0.7], [1.0, 0.25], [-0.5, 0.5]])
     lams = None if lams is None else np.array(lams)
     spec = PerturbationSpec(lam=0.3, mc_samples=16, master_seed=4)
-    terms = list(perturb._risk_terms(W, instances, oracle, model, space, spec, lams=lams))
-    assert len(terms) == len(instances)
-    for x, (values, costs, ties) in zip(instances, terms):
-        [(one_values, one_costs, one_ties)] = perturb._risk_terms(W, [x], oracle, model, space, spec, lams=lams)
-        assert values.tobytes() == one_values.tobytes()
-        assert (costs is None) == (one_costs is None) == (x.dim == 2)
-        assert costs is None or costs.tobytes() == one_costs.tobytes()
-        assert np.array_equal(ties, one_ties)
+    with mock.patch.object(perturb, "_ndtr", wraps=perturb._ndtr) as ndtr:
+        terms, variances, ties = perturb._risk_terms(W, instances, oracle, model, spec, lams=lams)
+    assert ndtr.call_count == 1
+    for i, x in enumerate(instances):
+        one_terms, one_variances, one_ties = perturb._risk_terms(W, [x], oracle, model, spec, lams=lams)
+        assert terms[i].tobytes() == one_terms[0].tobytes()
+        assert (one_variances is None) == (x.dim == 2)
+        assert variances[i].tobytes() == (np.zeros(len(W)) if one_variances is None else one_variances[0]).tobytes()
+        assert np.array_equal(ties[i], one_ties[0])
+    total = np.zeros(len(W))
+    for row in terms:  # left to right over the instances
+        total += row
+    reports = regularized_risk(W, instances, oracle, model, space, spec, lams=lams)
+    assert [r.value.hex() for r in reports] == [float(v).hex() for v in total / len(instances)]
 
 
 @given(batch=batches(), lam=st.sampled_from([0.0, 0.1]))

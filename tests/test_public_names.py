@@ -11,7 +11,7 @@ PACKAGE = ROOT / "src" / "perturbopt"
 
 # Kept without a caller until the ROADMAP item that wires each one in.
 ALLOWED = {
-    "uw_moment",  # ROADMAP 7: the uniform-weak moment check joins check_bias_bound
+    "uw_moment",  # ROADMAP "The uniform weak property in production" wires it in
 }
 # "package.module:Qualified.name" strings, as the benchmark's hooks name
 # their targets.

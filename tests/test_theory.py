@@ -284,13 +284,9 @@ def test_contextual_risk_matrix_matches_the_risk_pipeline(signal):
     w_grid = np.vstack([np.zeros(2), space.sample(substream(10, "wg"), 31), [[1.0, -1.0]]])
     for lam in (1e-3, 0.05, 0.5, 3.0):
         spec = PerturbationSpec(lam=lam, mc_samples=4, master_seed=1)
-        terms = [
-            values
-            for values, costs, _ in _risk_terms(w_grid, instances, ContextualWrapper(), model, space, spec)
-            if costs is None
-        ]
-        assert len(terms) == len(instances)
-        gap = np.max(np.abs(np.array(terms) - contextual_risk_matrix(instances, w_grid, lam)))
+        terms, variances, _ = _risk_terms(w_grid, instances, ContextualWrapper(), model, spec)
+        assert variances is None and terms.shape == (len(instances), len(w_grid))
+        gap = np.max(np.abs(terms - contextual_risk_matrix(instances, w_grid, lam)))
         assert gap <= 4.5e-16
 
 
