@@ -167,6 +167,8 @@ def _train_osc(oracle, train) -> tuple[float, str]:
 
 def cmd_train(args) -> int:
     cfg, out_dir = _load(args)
+    import statistics
+
     import numpy as np
 
     from ..ksos import GramSingular, baseline_minimize, certificate, glm_smoothness_estimates, ksos_minimize
@@ -244,7 +246,8 @@ def cmd_train(args) -> int:
 
     result_doc["comparison"] = {
         "random_policy_test_risks": random_risks,
-        "random_policy_median": float(np.median(random_risks)),
+        # statistics, not np.median, which imports numpy.ma
+        "random_policy_median": float(statistics.median(random_risks)),
         "budget_matched_random_search": {
             "w": base_w.tolist(),
             "train_value": base_v,

@@ -171,11 +171,24 @@ class ExperimentConfig:
         """Raise ConfigError where the settings ``sweep kind`` reads
         conflict, so that it exits 2 before any work: the bias grid, set or
         default, must stay at or above perturb.epsilon0 (``sweep bias``
-        and ``check``'s bias_bounds read both), and the nprocess reference
-        pool must hold at least 10x the largest n."""
+        and ``check``'s bias_bounds read both), the nprocess reference
+        pool must hold at least 10x the largest n, and every kSoS solve of
+        ``sweep ksos`` must pass KsosConfig.validate."""
         problems = []
         if kind == "bias":
             problems = _grid_problems(self, self.get("sweeps.bias.lambda_grid"))
+        elif kind == "ksos":
+            from ..ksos import KsosConfig
+
+            # lambda_phi_schedule, which the sweep passes, is nonnegative;
+            # the grid increases, so the first M that fails is its smallest
+            d, s = self.get("sweeps.ksos.d"), self.ksos_sweep_s()
+            for m in self.get("sweeps.ksos.m_grid"):
+                try:
+                    KsosConfig(M=m, s=s, lambda_phi=0.0).validate(d)
+                except ValueError as exc:
+                    problems.append(f"sweeps.ksos at M = {m}: {exc}")
+                    break
         elif kind == "nprocess":
             pool, n_max = self.get("sweeps.nprocess.pool"), max(self.get("sweeps.nprocess.n_grid"))
             if pool < 10 * n_max:
@@ -185,6 +198,12 @@ class ExperimentConfig:
                 )
         if problems:
             raise ConfigError(problems)
+
+    def ksos_sweep_s(self) -> float:
+        """The smoothness of ``sweep ksos``: sweeps.ksos.s, else optimizer.s,
+        else 2.0 for d = 1 and 2.5 otherwise."""
+        d = self.get("sweeps.ksos.d")
+        return self.get("sweeps.ksos.s", self.get("optimizer.s", 2.0 if d == 1 else 2.5))
 
     def resolve_output_dir(self, override: str | None = None) -> str:
         return override or self.get("output_dir") or os.environ.get(OUTPUT_ENV_VAR, "out")

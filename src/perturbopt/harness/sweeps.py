@@ -202,8 +202,7 @@ def quadratic_certificate_bounds(
 def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
     from ..ksos import KsosConfig, certificate, ksos_minimize, lambda_phi_schedule
 
-    m_grid, d = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d")
-    s = cfg.get("sweeps.ksos.s", cfg.get("optimizer.s", 2.0 if d == 1 else 2.5))
+    m_grid, d, s = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d"), cfg.ksos_sweep_s()
     cbar, delta = cfg.get("optimizer.cbar"), cfg.get("optimizer.delta")
     space = ParamSpace.symmetric(d)
     ell = cfg.get("optimizer.length_scale", space.diameter() / 4.0)

@@ -47,8 +47,8 @@ K that is not finite, or not positive definite after jitter, raises
 GramSingular.  The factor L_W of W gives log det W and T = Y^T Y with
 Y = L_W^-1 Phi, and at the end tr(B K) = mu |L_W^-1|_F^2 and B = F F^T
 with F = sqrt(mu) Phi^-1 L_W^-T, so B is never formed.  The tail needs
-numpy alone too: the surrogate argmin is a grid search and a batched
-compass refine on h(w) = |k_w F|^2, and the Hermite norms of the
+numpy alone too: the surrogate argmin is a batched compass refine on
+h(w) = |k_w F|^2 from the best sample point, and the Hermite norms of the
 smoothness estimates are in closed form.  So the module imports no
 scipy; scipy.special loads only where a kernel smoothness outside the
 closed forms (nu = 0.5, 1.5, 2.5) calls the Bessel form.
@@ -289,28 +289,6 @@ def _surrogate(points, F, nu: float, ell: float):
     return h
 
 
-def _grid_start(h, points, space: ParamSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(start, step): the argmin of h over a grid of 2001, 101 or 41 points
-    per axis for d = 1, 2 or 3, and the grid spacing; for d > 3 the best
-    sample point, with the 41-point spacing.  The grid is a product of
-    axes, so its squared distances are sums of per-axis tables, built 4096
-    rows at a time to bound memory."""
-    d = space.d
-    n_axis = {1: 2001, 2: 101, 3: 41}.get(d, 41)
-    step = (space.upper - space.lower) / (n_axis - 1)
-    if d > 3:
-        return points[int(np.argmin(h(_sq_dists(points, points))))], step
-    axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(space.lower, space.upper)]
-    sq_axes = [(a[:, None] - points[None, :, k]) ** 2 for k, a in enumerate(axes)]
-    n = n_axis**d
-    vals = np.empty(n)
-    for lo in range(0, n, 4096):
-        idx = np.unravel_index(np.arange(lo, min(lo + 4096, n)), (n_axis,) * d)
-        vals[lo : lo + 4096] = h(sum(t[i] for t, i in zip(sq_axes, idx)))
-    best = np.unravel_index(int(np.argmin(vals)), (n_axis,) * d)
-    return np.array([a[i] for a, i in zip(axes, best)]), step
-
-
 def _compass_refine(h, points, start, step, space: ParamSpace) -> np.ndarray:
     """Compass search from start with a line along the recent path.  Each
     round scores, in one h call, best and best +- step along every axis,
@@ -344,13 +322,14 @@ def _compass_refine(h, points, start, step, space: ParamSpace) -> np.ndarray:
 
 
 def _sos_model_argmin(points, F, s, d, ell, space: ParamSpace) -> np.ndarray:
-    """Minimizer of the fitted SoS surrogate h(w) = |k_w F|^2: the grid
-    argmin of _grid_start, then _compass_refine.  Costs no surface
-    evaluations.  ``kw @ F`` runs on threaded BLAS, so the BLAS thread
-    count can move the last bits of h, and with them the refine's path."""
+    """Minimizer of the fitted SoS surrogate h(w) = |k_w F|^2:
+    _compass_refine from the sample point with the lowest h, with a first
+    step of 1/40 of each box side.  Costs no surface evaluations.  ``kw @
+    F`` runs on threaded BLAS, so the BLAS thread count can move the last
+    bits of h, and with them the refine's path."""
     h = _surrogate(points, F, s - d / 2, ell)
-    start, step = _grid_start(h, points, space)
-    return _compass_refine(h, points, start, step, space)
+    start = points[int(np.argmin(h(_sq_dists(points, points))))]
+    return _compass_refine(h, points, start, (space.upper - space.lower) / 40, space)
 
 
 def _surface_values(risk_surface, points: np.ndarray) -> np.ndarray:

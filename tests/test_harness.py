@@ -216,8 +216,14 @@ def test_repeated_grid_value_exits_2_naming_its_key(tmp_path, capsys, command, p
         ("generate", dict(TOY, domain=dict(TOY["domain"], params={"jobs": [4], "job": [5]}))),
         ("generate", dict(TOY, domain=dict(TOY["domain"], params={"jobs": [0]}))),
         ("train", dict(TOY, optimizer={"M": 2})),
+        # these two raised ValueError in a sweep worker and exited 1
+        ("sweep ksos", {"sweeps": {"ksos": {"d": 3}}}),
+        ("sweep ksos", {"sweeps": {"ksos": {"m_grid": [1, 32]}}}),
     ],
-    ids=["check-eps0", "sweep-bias-eps0", "generate-unknown-param", "generate-rejected-param", "train-ksos"],
+    ids=[
+        "check-eps0", "sweep-bias-eps0", "generate-unknown-param", "generate-rejected-param", "train-ksos",
+        "sweep-ksos-s", "sweep-ksos-m",
+    ],
 )
 def test_an_exit_2_leaves_no_output_directory(tmp_path, capsys, command, doc):
     # each of these exited 2 and left an empty output directory behind
@@ -768,11 +774,11 @@ def _loaded_modules(tmp_path, argv):
         pytest.param(["generate"], _domain("contextual", d_context=2), 0, ("scipy",), id="generate-contextual"),
         pytest.param(
             ["train"], {}, 0,
-            ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy"),
+            ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy", "numpy.ma"),
             id="train",
         ),
         pytest.param(
-            ["train"], _domain("contextual", d_context=2), 0, ("scipy",), id="train-contextual",
+            ["train"], _domain("contextual", d_context=2), 0, ("scipy", "numpy.ma"), id="train-contextual",
         ),
         pytest.param(
             ["sweep", "bias"], {}, 0,

@@ -194,12 +194,10 @@ def test_non_finite_gram_matrix_is_a_solver_failure():
             ksos_minimize(_quad2, ParamSpace.symmetric(2), cfg)
 
 
-@pytest.mark.parametrize("d", (1, 2, 3, 4))
-def test_compass_refine_stays_in_the_box_and_matches_nelder_mead(monkeypatch, d):
-    # the surrogate of a solve whose minimum lies on the box boundary in
-    # some coordinates, on a box with unequal sides (so unequal steps)
-    from scipy.optimize import minimize
-
+def _boundary_surrogate(monkeypatch, d):
+    """The surrogate of a solve whose minimum lies on the box boundary in
+    some coordinates, on a box with unequal sides (so unequal steps):
+    (space, points, h, result)."""
     space = ParamSpace(-np.ones(d), np.array([1.0, 0.5, 2.0, 1.0])[:d])
     target = np.array([1.3, -0.4, 0.5, -1.2])[:d]
     f = lambda w: float(np.sum((np.asarray(w) - target) ** 2) + 0.3 * np.sin(3.0 * np.sum(w)))
@@ -214,11 +212,18 @@ def test_compass_refine_stays_in_the_box_and_matches_nelder_mead(monkeypatch, d)
     monkeypatch.setattr(ksos, "_sos_model_argmin", recording_argmin)
     res = ksos_minimize(f, space, KsosConfig(M=32, s=s, lambda_phi=lambda_phi_schedule(32, s, d), seed=d))
     ((points, F),) = seen
-    ell = space.diameter() / 4.0
-    h = ksos._surrogate(points, F, s - d / 2, ell)
+    h = ksos._surrogate(points, F, s - d / 2, space.diameter() / 4.0)
+    return space, points, h, res
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_compass_refine_stays_in_the_box_and_matches_nelder_mead(monkeypatch, d):
+    from scipy.optimize import minimize
+
+    space, points, h, res = _boundary_surrogate(monkeypatch, d)
     h_at = lambda w: float(h(ksos._sq_dists(space.project(w)[None, :], points))[0])
-    start, step = ksos._grid_start(h, points, space)
-    got = ksos._compass_refine(h, points, start, step, space)
+    start = points[int(np.argmin(h(ksos._sq_dists(points, points))))]
+    got = ksos._compass_refine(h, points, start, (space.upper - space.lower) / 40, space)
     assert got.tobytes() == res.w_hat.tobytes()
     assert space.contains(got)
     nm = minimize(
@@ -226,6 +231,59 @@ def test_compass_refine_stays_in_the_box_and_matches_nelder_mead(monkeypatch, d)
     )
     scale = float(np.max(np.abs(h(ksos._sq_dists(points, points)))))
     assert h_at(got) <= h_at(nm.x) + 1e-12 * scale
+
+
+def _reference_grid_start(h, points, space):
+    """The surrogate argmin's start as first written: the argmin of h over
+    a product grid of 2001, 101 or 41 points per axis for d = 1, 2 or 3,
+    scored 4096 rows at a time, and the grid spacing."""
+    d = space.d
+    n_axis = {1: 2001, 2: 101, 3: 41}[d]
+    step = (space.upper - space.lower) / (n_axis - 1)
+    axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(space.lower, space.upper)]
+    sq_axes = [(a[:, None] - points[None, :, k]) ** 2 for k, a in enumerate(axes)]
+    n = n_axis**d
+    vals = np.empty(n)
+    for lo in range(0, n, 4096):
+        idx = np.unravel_index(np.arange(lo, min(lo + 4096, n)), (n_axis,) * d)
+        vals[lo : lo + 4096] = h(sum(t[i] for t, i in zip(sq_axes, idx)))
+    best = np.unravel_index(int(np.argmin(vals)), (n_axis,) * d)
+    return np.array([a[i] for a, i in zip(axes, best)]), step
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_best_sample_start_finds_the_grid_start_minimum(monkeypatch, d):
+    # the refine from the best sample point lands where the refine from the
+    # argmin of a fine product grid does
+    space, points, h, res = _boundary_surrogate(monkeypatch, d)
+    ref = ksos._compass_refine(h, points, *_reference_grid_start(h, points, space), space)
+    h_at = lambda w: float(h(ksos._sq_dists(w[None, :], points))[0])
+    scale = float(np.max(np.abs(h(ksos._sq_dists(points, points)))))
+    assert h_at(res.w_hat) <= h_at(ref) + 1e-12 * scale
+    np.testing.assert_allclose(res.w_hat, ref, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_surrogate_argmin_scores_the_samples_then_compass_rounds(monkeypatch, d):
+    # the start scores the M samples and nothing else: no grid block
+    rows = []
+    original = ksos._surrogate
+
+    def recording_surrogate(*args):
+        h = original(*args)
+
+        def counted(sq):
+            rows.append(sq.shape[0])
+            return h(sq)
+
+        return counted
+
+    monkeypatch.setattr(ksos, "_surrogate", recording_surrogate)
+    f = lambda w: float(np.sum((np.asarray(w) - 0.3) ** 2))
+    s = 1.5 + d / 2
+    ksos_minimize(f, ParamSpace.symmetric(d), KsosConfig(M=24, s=s, lambda_phi=1e-4, seed=d))
+    assert rows[0] == 24
+    assert len(rows) > 1 and max(rows[1:]) <= 2 * d + 10
 
 
 def test_degenerate_zero_penalty_matches_min_sample():
