@@ -492,6 +492,15 @@ def _gaussian_derivative_l1(sigmas: np.ndarray, order: int) -> float:
     return best
 
 
+@functools.cache
+def _sobolev_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The SOBOLEV_NODES-point Gauss-Hermite nodes and weights, read-only.
+    Cached, since every instance's estimate takes the same ones."""
+    nodes, weights = np.polynomial.hermite.hermgauss(SOBOLEV_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _sqrt_density_sobolev_sq(sigmas: np.ndarray, s: float) -> float:
     """integral over xi of (1 + |xi|^2)^s |M_hat(xi)|^2 for M = sqrt of the
     Gaussian density with stddevs sigmas (Fourier characterization of the
@@ -499,7 +508,7 @@ def _sqrt_density_sobolev_sq(sigmas: np.ndarray, s: float) -> float:
     d = len(sigmas)
     det_sigma = float(np.prod(sigmas**2))
     c_sq = (2.0 * math.pi) ** (-d / 2.0) * (4.0 * math.pi) ** d * math.sqrt(det_sigma)
-    nodes, weights = np.polynomial.hermite.hermgauss(SOBOLEV_NODES)
+    nodes, weights = _sobolev_nodes()
     # weight exp(-x^2) with x_j = sqrt(2) sigma_j xi_j
     axes = [nodes / (math.sqrt(2.0) * sig) for sig in sigmas]
     scale = float(np.prod([1.0 / (math.sqrt(2.0) * sig) for sig in sigmas]))

@@ -20,6 +20,15 @@ kSoS surface and every reported risk use it, so
 crn_risk_surface(...).values(W) equals the values of regularized_risk(W)
 bit for bit.
 
+Every per-instance consumer of theta works one polytope cell at a time
+(_polytope_cells): one stacked matmul gives the thetas of all the cell's
+instances and rows, bit for bit those of model.predict.  The risk pass
+scores a cell's lam = 0 rows in one vertex-table scan and, in a
+closed-form cell, costs each instance's vertices once for its lam = 0
+and closed-form rows alike; tail_mass_V takes one internal-radius call
+and one chi_tail call per cell, and theory.uw_moment one internal-radius
+call per cell.
+
 A closed form is Phi of one argument per row, and Phi is _ndtr, a numpy
 port of the cephes ndtr that scipy.special.ndtr runs, equal to it bit
 for bit, so a risk pass loads no scipy module (importing scipy.special
@@ -43,7 +52,7 @@ from .polytopes import (
     Permutahedron,
     SolutionPolytope,
     _vertex_argmax,
-    internal_radius,
+    internal_radius_batch,
     linear_oracle,
     p0,
 )
@@ -287,24 +296,36 @@ def _tie_cost(oracle, x: Instance, theta: np.ndarray, master_seed: int) -> float
     return float(sum(p * float(c) for (_, p), c in zip(measure.atoms, costs)))
 
 
-def _unperturbed_terms(oracle, x: Instance, thetas: np.ndarray, master_seed: int):
-    """(values, ties) of the unperturbed policy at each row of thetas, each
-    row equal to _policy_cost_unperturbed's bit for bit.  A polytope whose
-    vertices enumerate, permutahedron or VspFlow, scores the rows against
-    its vertex table in one _vertex_argmax scan: an untied row's value is
-    eval_vertices at its winner, and a tied row's is _tie_cost, the mean
-    cost under polytopes.p0's split.  Only a polytope past the
+def _unperturbed_terms(oracle, cell, thetas: np.ndarray, master_seed: int, costs=None):
+    """(values, ties), each (n_c, P), of the unperturbed policy at row p of
+    thetas (n_c, P, dim) for instance cell[c], each entry equal to
+    _policy_cost_unperturbed's at thetas[c, p] bit for bit.  A polytope
+    whose vertices enumerate, permutahedron or VspFlow, scores all n_c * P
+    rows against its vertex table in one _vertex_argmax scan.  An untied
+    row's value is its instance's cost at its winner: read from costs, the
+    cell's (n_c, N) vertex-cost table, when the pass built one for its
+    closed form, and otherwise from one eval_vertices call per instance
+    over the instance's distinct winners.  A tied row's is _tie_cost, the
+    mean cost under polytopes.p0's split.  Only a polytope past the
     enumeration cap solves its oracle per row."""
+    n_c, P, dim = thetas.shape
     try:
-        verts = x.polytope.vertices()
+        verts = cell[0].polytope.vertices()
     except EnumerationUnavailable:
-        terms = [_policy_cost_unperturbed(oracle, x, t, master_seed) for t in thetas]
-        return np.array([v for v, _ in terms]), np.array([t for _, t in terms])
-    winners, ties = _vertex_argmax(thetas, verts)
-    distinct, index = np.unique(winners, return_inverse=True)
-    values = oracle.eval_vertices(x, verts[distinct])[index]
-    for m in np.flatnonzero(ties):
-        values[m] = _tie_cost(oracle, x, thetas[m], master_seed)
+        terms = np.array(
+            [[_policy_cost_unperturbed(oracle, x, t, master_seed) for t in th] for x, th in zip(cell, thetas)]
+        )  # (n_c, P, 2): the value and the tie flag
+        return terms[..., 0], terms[..., 1] == 1.0
+    winners, ties = (a.reshape(n_c, P) for a in _vertex_argmax(thetas.reshape(-1, dim), verts))
+    if costs is not None:
+        values = np.take_along_axis(costs, winners, axis=1)
+    else:
+        values = np.empty((n_c, P))
+        for c, x in enumerate(cell):
+            distinct, index = np.unique(winners[c], return_inverse=True)
+            values[c] = oracle.eval_vertices(x, verts[distinct])[index]
+    for c, p in zip(*np.nonzero(ties)):
+        values[c, p] = _tie_cost(oracle, cell[c], thetas[c, p], master_seed)
     return values, ties
 
 
@@ -328,6 +349,22 @@ def _stacked_features(model, cell) -> np.ndarray:
     return np.stack(mats)
 
 
+def _polytope_cells(instances, model, W: np.ndarray):
+    """The polytope cells of instances, in the order of each cell's first
+    instance, as (rows, cell, thetas): the positions of the cell's
+    instances, the instances, and the (n_c, M, dim) stack of their thetas
+    at the M rows of W.  A cell is the instances that share one polytope
+    object, as generate_instances and load_instances build them.  The
+    thetas come from one stacked matmul per cell, one gemv per instance
+    and row as in model.predict(w, x), bit for bit."""
+    cells = {}  # polytope object -> the positions of its instances
+    for i, x in enumerate(instances):
+        cells.setdefault(id(x.polytope), []).append(i)
+    for rows in cells.values():
+        cell = [instances[i] for i in rows]
+        yield rows, cell, np.matmul(_stacked_features(model, cell)[:, None], W[:, :, None])[..., 0]
+
+
 def _fold(table: np.ndarray) -> np.ndarray:
     """The module's one fold: the rows of an (n, M) table summed left to
     right, in instance order."""
@@ -346,46 +383,45 @@ def _risk_terms(W, instances, oracle, model, spec, lams=None):
     when no term of the pass draws noise); and whether each lam = 0
     term's policy hit a tie.
 
-    The tables fill one polytope cell at a time, in the order of each
-    cell's first instance.  The thetas of all the cell's instances and
-    rows come from one stacked matmul, one gemv per instance and row as in
-    model.predict(w, x), bit for bit.  The rows at lam = 0 take the
-    unperturbed policy per instance (_unperturbed_terms).  For the rest, a
-    cell with a closed form makes one exact_policy_distribution call (so
-    one _ndtr) over all its instances and rows, and dots each row's law
-    with its instance's vertex costs in one broadcast vecdot, each term as
-    ``p @ costs``.  In any other cell each instance draws its CRN noise
-    block once for all rows and perturbs every theta in one
-    eval_theta_batch call; the mean over the K samples of each row equals
-    np.mean of that row's costs bit for bit.  theta / lam and lam * z are
-    elementwise, so a term is the same bits whatever else the pass holds,
-    and whether its lambda is shared or its own."""
+    The tables fill one polytope cell at a time (_polytope_cells), the
+    thetas of all the cell's instances and rows from one stacked matmul.
+    A cell with a closed form makes one exact_policy_distribution call (so
+    one _ndtr) over all its instances and rows at lam > 0, costs each
+    instance's vertices once (one eval_vertices call), and dots each row's
+    law with its instance's costs in one broadcast vecdot, each term as
+    ``p @ costs``.  The rows at lam = 0 take the unperturbed policy, the
+    whole cell in one vertex-table scan (_unperturbed_terms), reading the
+    closed form's cost table where the cell has one.  In any other cell
+    each instance draws its CRN noise block once for all rows at lam > 0
+    and perturbs every theta in one eval_theta_batch call; the mean over
+    the K samples of each row equals np.mean of that row's costs bit for
+    bit.  theta / lam and lam * z are elementwise, so a term is the same
+    bits whatever else the pass holds, and whether its lambda is shared or
+    its own."""
     n, M = len(instances), len(W)
     lam = np.full(M, spec.lam) if lams is None else lams
     zero, smooth = np.flatnonzero(lam == 0.0), np.flatnonzero(lam > 0.0)
     lam = lam[smooth]
     terms, variances, ties = np.zeros((n, M)), np.zeros((n, M)), np.zeros((n, M), dtype=bool)
-    cells = {}  # polytope object -> the positions of its instances
-    for i, x in enumerate(instances):
-        cells.setdefault(id(x.polytope), []).append(i)
     sampled = False
-    for rows in cells.values():
-        cell = [instances[i] for i in rows]
+    for rows, cell, thetas in _polytope_cells(instances, model, W):
         polytope = cell[0].polytope
-        thetas = np.matmul(_stacked_features(model, cell)[:, None], W[:, :, None])[..., 0]  # (n_c, M, dim)
-        if zero.size:
-            for i, x, t in zip(rows, cell, thetas[:, zero]):
-                terms[i, zero], ties[i, zero] = _unperturbed_terms(oracle, x, t, spec.master_seed)
-        if not smooth.size:
-            continue
-        thetas = thetas[:, smooth]
-        law = exact_policy_distribution(polytope, thetas.reshape(-1, polytope.dim), np.tile(lam, len(rows)))
+        law = costs = None
+        if smooth.size:
+            law = exact_policy_distribution(
+                polytope, thetas[:, smooth].reshape(-1, polytope.dim), np.tile(lam, len(rows))
+            )
         if law is not None:
             costs = np.array([oracle.eval_vertices(x, polytope.vertices()) for x in cell])
             terms[np.ix_(rows, smooth)] = np.vecdot(law.reshape(len(rows), len(smooth), -1), costs[:, None])
+        if zero.size:
+            terms[np.ix_(rows, zero)], ties[np.ix_(rows, zero)] = _unperturbed_terms(
+                oracle, cell, thetas[:, zero], spec.master_seed, costs
+            )
+        if law is not None or not smooth.size:
             continue
         sampled = True
-        for i, x, t in zip(rows, cell, thetas):
+        for i, x, t in zip(rows, cell, thetas[:, smooth]):
             z = perturbation_block(spec, x.index, x.dim)
             dirs = np.multiply.outer(lam, z)  # (P, K, dim); adding in place saves a second buffer
             dirs += t[:, None, :]
@@ -507,18 +543,21 @@ def tail_mass_V(
     rho(psi_w(X)) / lam, from the exact chi tail.
 
     lam may be a scalar (returns a float) or a 1-D grid (returns a float64
-    array with V_w(lam_j) at j).  The grid form predicts theta and computes
-    rho once per instance and evaluates the tail for the whole grid at
-    once; each entry is the scalar call's value bit for bit, because both
-    fold the instances left to right per lambda.
+    array with V_w(lam_j) at j).  Per polytope cell (_polytope_cells) the
+    thetas come from one stacked matmul, the radii from one
+    internal_radius_batch call over the cell's stack of single directions
+    (internal_radius's bits), and the tail from one chi_tail call over
+    the cell's (n_c, G) thresholds; no model.predict call.  The (n, G)
+    table is folded left to right in instance order (_fold), so each
+    entry is the scalar call's value bit for bit.
     """
     lams = np.asarray(lam, dtype=np.float64)
     if np.any(lams <= 0.0):
         raise ValueError("lam must be positive")
-    total = np.zeros_like(lams)
-    for x in instances:
-        theta = model.predict(w, x, space=space)
-        rho = internal_radius(x.polytope, theta)
-        total += chi_tail(rho / lams, x.dim)
-    v = total / len(instances)
-    return float(v) if v.ndim == 0 else v
+    W = np.ascontiguousarray(model.check_param(w, space)[None])
+    table = np.empty((len(instances), lams.size))
+    for rows, cell, thetas in _polytope_cells(instances, model, W):
+        rho = internal_radius_batch(cell[0].polytope, thetas)  # (n_c, 1)
+        table[rows] = chi_tail(rho / lams.reshape(-1), cell[0].dim)
+    v = _fold(table) / len(instances)
+    return float(v[0]) if lams.ndim == 0 else v

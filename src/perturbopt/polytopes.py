@@ -346,23 +346,33 @@ def _vertex_argmax(directions: np.ndarray, verts: np.ndarray):
 
 
 def internal_radius_batch(polytope: SolutionPolytope, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized internal radius for a batch of directions, shape (B, d).
+    """Vectorized internal radius for a batch of directions, shape (B, d),
+    or for a stack of S such batches, shape (S, B, d), which returns shape
+    (S, B).
 
-    Each row block is worked in two block-sized buffers: the scores, which
-    become the gaps to the top score and then the ratios in place, and the
-    distances from each row's winner.  Memory so stays within twice
-    _BLOCK_ELEMENTS floats whatever the batch size."""
+    Each stack entry is scored by its own product, as numpy's matmul runs
+    one per entry, so entry s equals the call on thetas[s] bit for bit,
+    and a stack of single directions, (S, 1, d), gives internal_radius's
+    bits at each: a product of one row and one of many round differently.
+    A batch is worked in row blocks, a stack in blocks of whole entries,
+    each in two block-sized buffers: the scores, which become the gaps to
+    the top score and then the ratios in place, and the distances from
+    each row's winner.  Memory so stays within twice _BLOCK_ELEMENTS
+    floats whatever the batch size, or the size of one entry if larger."""
     verts = polytope.vertices()  # (N, d)
     dist = polytope._pairwise_distances()  # (N, N)
     thetas = np.asarray(thetas, dtype=np.float64)
-    out = np.empty(len(thetas))
+    per_unit = thetas.shape[1] if thetas.ndim == 3 else 1  # rows per block unit
+    out = np.empty(thetas.shape[:-1])
+    flat = out.reshape(-1)
     buffers = None
-    for block in _row_blocks(len(thetas), len(verts)):
-        n = block.stop - block.start
+    for block in _row_blocks(len(thetas), per_unit * len(verts)):
+        units = thetas[block]
+        n = per_unit * len(units)
         if buffers is None:  # the first block is the largest
             buffers = np.empty((2, n, len(verts)))
         ratio, denom = buffers[0, :n], buffers[1, :n]
-        np.matmul(thetas[block], verts.T, out=ratio)  # the scores
+        np.matmul(units, verts.T, out=ratio.reshape(*units.shape[:-1], -1))  # the scores
         rows = np.arange(n)
         winner = np.argmax(ratio, axis=1)
         np.subtract(ratio[rows, winner][:, None], ratio, out=ratio)  # the gaps
@@ -371,7 +381,7 @@ def internal_radius_batch(polytope: SolutionPolytope, thetas: np.ndarray) -> np.
         with np.errstate(invalid="ignore", divide="ignore"):
             np.divide(ratio, denom, out=ratio)
         ratio[rows, winner] = np.inf
-        out[block] = np.maximum(np.min(ratio, axis=1), 0.0)
+        flat[block.start * per_unit : block.stop * per_unit] = np.maximum(np.min(ratio, axis=1), 0.0)
     return out
 
 

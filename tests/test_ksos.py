@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from perturbopt.ksos import (
     ksos_minimize,
     lambda_phi_schedule,
     _abs_hermite_l1,
+    _sobolev_nodes,
 )
 from perturbopt.model import GeneralizedLinearModel, ParamSpace, model_for_instances
 from perturbopt.perturb import PerturbationSpec, crn_risk_surface
@@ -533,6 +535,26 @@ def test_abs_hermite_l1_is_cached_per_order(monkeypatch):
     info = _abs_hermite_l1.cache_info()
     assert info.misses == 4 and info.hits > 0  # orders 0 to 3, each computed once
     assert [_abs_hermite_l1(k).hex() for k in range(6)] == want_l1
+
+
+def test_sobolev_nodes_are_computed_once(monkeypatch):
+    # every instance's trace estimate takes the same quadrature nodes: one
+    # hermgauss call over repeated estimates, to the bits of a fresh call
+    instances = generate_instances("scheduling", 24, seed=3, jobs=[5])
+    model = model_for_instances(instances, d=2)
+    space = ParamSpace.symmetric(2)
+    monkeypatch.setattr(ksos, "_sobolev_nodes", _sobolev_nodes.__wrapped__)
+    want = glm_smoothness_estimates(model, instances, 0.1, 3.5, 2, 1.0, space)
+    monkeypatch.undo()
+
+    _sobolev_nodes.cache_clear()
+    real = np.polynomial.hermite.hermgauss
+    with mock.patch.object(np.polynomial.hermite, "hermgauss", wraps=real) as hermgauss:
+        got = [glm_smoothness_estimates(model, instances, 0.1, 3.5, 2, 1.0, space) for _ in range(3)]
+    assert hermgauss.call_count == 1
+    assert [tuple(v.hex() for v in g) for g in got] == [tuple(v.hex() for v in want)] * 3
+    nodes, weights = _sobolev_nodes()
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 @pytest.mark.parametrize("order", range(8))

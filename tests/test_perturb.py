@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi, norm
 
 from perturbopt import perturb
-from perturbopt.model import ParamOutsideBox, ParamSpace, model_for_instances
+from perturbopt.model import GeneralizedLinearModel, ParamOutsideBox, ParamSpace, model_for_instances
 from perturbopt.perturb import (
     PerturbationSpec,
     chi_tail,
@@ -25,6 +25,7 @@ from perturbopt.polytopes import (
     EnumerationUnavailable,
     Permutahedron,
     VspFlow,
+    internal_radius,
     linear_oracle,
     p0,
 )
@@ -321,7 +322,7 @@ def _unperturbed_cases():
     ctx = generate_instances("contextual", 12, seed=5, d_context=2)
     ctx[2].features["context"][:] = 0.0  # theta = 0 at every w: a tie row
     cases = [("stovsp", stovsp, 3), ("contextual", ctx, 2)]
-    for jobs in (4, 5):
+    for jobs in (4, 5, 2):
         sched = generate_instances("scheduling", 6, seed=5, jobs=[jobs])
         for feature in sched[2].features.values():
             feature[1] = feature[0]  # theta_0 = theta_1 at every w: a tie row
@@ -330,34 +331,43 @@ def _unperturbed_cases():
 
 
 @pytest.mark.parametrize(
-    "name, instances, d", _unperturbed_cases(), ids=["stovsp", "contextual", "jobs4", "jobs5"]
+    "name, instances, d", _unperturbed_cases(), ids=["stovsp", "contextual", "jobs4", "jobs5", "jobs2"]
 )
 def test_zero_lambda_vertex_table_equals_per_row_oracle_bitwise(monkeypatch, name, instances, d):
+    # each lam = 0 term of a cell-wide scan, and of a risk pass whose other
+    # rows are closed-form or Monte Carlo, is the per-row oracle's
     model = model_for_instances(instances, d=d)
     oracle = default_cost_oracle(name)
     W = np.random.default_rng(8).uniform(-1.0, 1.0, (40, d))
     W[0] = 0.0  # a zero feature map ties every vertex
     W[1, 1:] = 0.0
-    thetas = [np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0] for x in instances]
-    want = []
-    for x, th in zip(instances, thetas):
-        terms = [perturb._policy_cost_unperturbed(oracle, x, t, 9) for t in th]
-        want.append((np.array([v for v, _ in terms]).tobytes(), [t for _, t in terms]))
+    want_values, want_ties = [], []
+    for x in instances:
+        thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]  # one gemv per row
+        terms = [perturb._policy_cost_unperturbed(oracle, x, t, 9) for t in thetas]
+        want_values.append([v for v, _ in terms])
+        want_ties.append([t for _, t in terms])
+    want_values, want_ties = np.array(want_values), np.array(want_ties)
 
     def no_oracle(*args, **kwargs):
         raise AssertionError("the vertex-table path solved an oracle")
 
     monkeypatch.setattr(VspFlow, "argmax", no_oracle)
     monkeypatch.setattr(Permutahedron, "argmax", no_oracle)
-    got = []
-    for x, th in zip(instances, thetas):
-        values, ties = perturb._unperturbed_terms(oracle, x, th, 9)
-        got.append((values.tobytes(), ties.tolist()))
-    assert got == want
-    ties = np.array([t for _, t in want])  # (instance, row)
-    assert ties[:, 0].all() and not ties.all()
+    for rows, cell, thetas in perturb._polytope_cells(instances, model, W):
+        values, ties = perturb._unperturbed_terms(oracle, cell, thetas, 9)
+        assert values.tobytes() == want_values[rows].tobytes()
+        assert np.array_equal(ties, want_ties[rows])
+    lams = np.where(np.arange(len(W)) % 3 == 0, 0.2, 0.0)  # closed-form or Monte Carlo rows too
+    spec = PerturbationSpec(lam=0.0, mc_samples=4, master_seed=9)
+    for row_lams in (None, lams):
+        terms, _, ties = perturb._risk_terms(W, instances, oracle, model, spec, row_lams)
+        zero = slice(None) if row_lams is None else row_lams == 0.0
+        assert terms[:, zero].tobytes() == want_values[:, zero].tobytes()
+        assert np.array_equal(ties[:, zero], want_ties[:, zero])
+    assert want_ties[:, 0].all() and not want_ties.all()
     if name != "stovsp":
-        assert ties[2].all()
+        assert want_ties[2].all()
 
 
 def test_zero_lambda_past_the_cap_solves_the_oracle_per_row():
@@ -368,17 +378,40 @@ def test_zero_lambda_past_the_cap_solves_the_oracle_per_row():
     model = model_for_instances(instances, d=2)
     oracle = default_cost_oracle("scheduling")
     W = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 2))
-    for x in instances:
-        thetas = np.matmul(model.feature_matrix(x), W[:, :, None])[:, :, 0]
-        values, ties = perturb._unperturbed_terms(oracle, x, thetas, 9)
-        want = [oracle.eval_vertices(x, linear_oracle(x.polytope, t).y[None])[0] for t in thetas]
-        assert values.tobytes() == np.array(want).tobytes()
-        assert not ties.any()
-        with pytest.raises(EnumerationUnavailable):
-            perturb._unperturbed_terms(oracle, x, np.zeros((1, 8)), 9)
+    [(rows, cell, thetas)] = perturb._polytope_cells(instances, model, W)
+    values, ties = perturb._unperturbed_terms(oracle, cell, thetas, 9)
+    want = [
+        [oracle.eval_vertices(x, linear_oracle(x.polytope, t).y[None])[0] for t in th]
+        for x, th in zip(cell, thetas)
+    ]
+    assert values.tobytes() == np.array(want).tobytes()
+    assert values.shape == ties.shape == (3, 5) and not ties.any()
+    with pytest.raises(EnumerationUnavailable):
+        perturb._unperturbed_terms(oracle, cell[:1], np.zeros((1, 1, 8)), 9)
     spec = PerturbationSpec(lam=0.0, master_seed=1)
     with pytest.raises(EnumerationUnavailable):
         regularized_risk(np.zeros(2), instances, oracle, model, ParamSpace.symmetric(2), spec)
+
+
+@pytest.mark.parametrize("lams", [None, [0.0, 0.3, 0.0, 0.05]])
+@pytest.mark.parametrize(
+    "domain, params, n_cells",
+    [
+        ("contextual", {"d_context": 2}, 1),
+        ("scheduling", {"jobs": [2, 3, 4]}, 3),
+        ("stovsp", {"tasks": [5]}, 2),
+    ],
+)
+def test_a_risk_pass_scans_each_cells_zero_lambda_rows_once(domain, params, n_cells, lams):
+    instances = generate_instances(domain, 15, seed=3, **params)
+    assert len({id(x.polytope) for x in instances}) == n_cells
+    model = model_for_instances(instances, d=2)
+    W = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 2))
+    spec = PerturbationSpec(lam=0.0, mc_samples=8, master_seed=4)
+    lams = None if lams is None else np.array(lams)
+    with mock.patch.object(perturb, "_vertex_argmax", wraps=perturb._vertex_argmax) as scan:
+        perturb._risk_terms(W, instances, default_cost_oracle(domain), model, spec, lams)
+    assert scan.call_count == n_cells
 
 
 def _tie_first_two_coordinates(x):
@@ -888,3 +921,48 @@ def test_tail_mass_grid_equals_scalar_calls_bitwise():
         scalar = [tail_mass_V(w, instances, model, space, lam) for lam in grid]
         assert all(type(s) is float for s in scalar)
         assert [float(a).hex() for a in v] == [s.hex() for s in scalar]
+
+
+def _tail_mass_per_instance(w, instances, model, space, lam):
+    """tail_mass_V as a loop over the instances: one predict, one
+    internal_radius and one chi_tail per instance, folded left to right."""
+    lams = np.asarray(lam, dtype=np.float64)
+    total = np.zeros_like(lams)
+    for x in instances:
+        rho = internal_radius(x.polytope, model.predict(w, x, space=space))
+        total += chi_tail(rho / lams, x.dim)
+    v = total / len(instances)
+    return float(v) if v.ndim == 0 else v
+
+
+@pytest.mark.parametrize(
+    "domain, params, d, n_cells",
+    [
+        ("contextual", {"d_context": 2}, 2, 1),
+        ("scheduling", {"jobs": [3, 4]}, 2, 2),
+        ("stovsp", {"tasks": [5]}, 3, 2),
+    ],
+)
+def test_tail_mass_is_the_per_instance_loop_bitwise_from_one_chi_tail_per_cell(
+    monkeypatch, domain, params, d, n_cells
+):
+    instances = generate_instances(domain, 16, seed=21, **params)
+    model = model_for_instances(instances, d=d)
+    space = ParamSpace.symmetric(d)
+    W = np.random.default_rng(6).uniform(-1.0, 1.0, (4, d))
+    W[0] = 0.0  # theta = 0: radius 0 and a tail of 1
+    grid = [1e-3, 0.01, 0.1, 0.3, 1.0, 3.0]
+    reference = functools.partial(_tail_mass_per_instance, instances=instances, model=model, space=space)
+    want = [(reference(w, lam=grid), reference(w, lam=0.2)) for w in W]
+
+    def no_predict(*args, **kwargs):
+        raise AssertionError("tail_mass_V called model.predict")
+
+    monkeypatch.setattr(GeneralizedLinearModel, "predict", no_predict)
+    for w, (want_grid, want_scalar) in zip(W, want):
+        with mock.patch.object(perturb, "chi_tail", wraps=perturb.chi_tail) as tail:
+            got_grid = tail_mass_V(w, instances, model, space, grid)
+            got_scalar = tail_mass_V(w, instances, model, space, 0.2)
+        assert tail.call_count == 2 * n_cells
+        assert got_grid.tobytes() == want_grid.tobytes()
+        assert type(got_scalar) is float and got_scalar.hex() == want_scalar.hex()

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from perturbopt import theory
 from perturbopt.model import ParamSpace, model_for_instances
-from perturbopt.perturb import PerturbationSpec, _risk_terms, chi_tail, regularized_risk
+from perturbopt.perturb import PerturbationSpec, _risk_terms, chi_tail, regularized_risk, sample_perturbation
+from perturbopt.polytopes import internal_radius_batch
 from perturbopt.problems import ContextualWrapper, StoVspDelayCost, generate_instances, osc_bound
 from perturbopt.rngs import substream
 from perturbopt.theory import (
@@ -92,6 +95,48 @@ def test_uw_margin_case():
     spec = PerturbationSpec(lam=1.0, mc_samples=1, master_seed=3)
     res = uw_moment(np.array([1.0]), instances, 0.5, 0.0, model, space, spec)
     assert res.value <= (np.sqrt(1.0) / 0.5) ** 0.5 + 1e-12
+
+
+def _uw_per_instance(w, instances, tau, epsilon0, model, space, spec):
+    """uw_moment's value and std error as a loop over the instances: one
+    predict and one internal-radius call per instance."""
+    means, variances = [], []
+    for x in instances:
+        theta = model.predict(w, x, space=space)[None, :]
+        if epsilon0 > 0.0:
+            z = sample_perturbation(x.dim, substream(spec.master_seed, f"uw/{x.index}"), spec.mc_samples)
+            theta = theta + epsilon0 * z
+        with np.errstate(divide="ignore"):
+            vals = (internal_radius_batch(x.polytope, theta) / np.sqrt(x.dim)) ** (-tau)
+        means.append(float(np.mean(vals)))
+        variances.append(float(np.var(vals, ddof=1)) / len(vals) if len(vals) > 1 else 0.0)
+    n = len(instances)
+    se = np.sqrt(float(np.var(means, ddof=1)) / n + float(np.mean(variances)) / n)
+    return float(np.mean(means)), float(se)
+
+
+@pytest.mark.parametrize("epsilon0", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "domain, params, d, n_cells",
+    [
+        ("contextual", {"d_context": 2}, 2, 1),
+        ("scheduling", {"jobs": [3, 4]}, 2, 2),
+        ("stovsp", {"tasks": [5]}, 3, 2),
+    ],
+)
+def test_uw_moment_is_the_per_instance_loop_bitwise_from_one_radius_call_per_cell(
+    monkeypatch, domain, params, d, n_cells, epsilon0
+):
+    instances = generate_instances(domain, 14, seed=43, **params)
+    model = model_for_instances(instances, d=d)
+    space = ParamSpace.symmetric(d)
+    spec = PerturbationSpec(lam=1.0, mc_samples=24, master_seed=6)
+    w = np.linspace(-0.7, 0.9, d)
+    want = _uw_per_instance(w, instances, 0.5, epsilon0, model, space, spec)
+    with mock.patch.object(theory, "internal_radius_batch", wraps=internal_radius_batch) as radius:
+        res = uw_moment(w, instances, 0.5, epsilon0, model, space, spec)
+    assert radius.call_count == n_cells
+    assert (res.value.hex(), res.std_error.hex()) == tuple(v.hex() for v in want)
 
 
 def test_gaussian_inverse_moment_value():
@@ -217,6 +262,30 @@ def test_bias_bound_scores_its_risks_in_one_call(monkeypatch):
         np.array([0.2, -0.4]), instances, ContextualWrapper(), BIAS_GRID, 1e-3, model, space, spec
     )
     assert calls == [[0.0, 1e-3, *BIAS_GRID]]
+
+
+def test_bias_bound_costs_each_instances_vertices_once_per_w(monkeypatch):
+    # the lambda = 0 rows and the closed-form rows read one vertex-cost
+    # table per pass: one eval_vertices call per instance
+    instances, model, space = contextual_pack(12, seed=51)
+    oracle = ContextualWrapper()
+    spec = PerturbationSpec(lam=1.0, mc_samples=16, master_seed=7)
+    osc = osc_bound(oracle, instances)
+    calls = []
+    real = ContextualWrapper.eval_vertices
+
+    def counted(self, x, vertices):
+        calls.append(x.index)
+        return real(self, x, vertices)
+
+    monkeypatch.setattr(ContextualWrapper, "eval_vertices", counted)
+    for w in ([0.2, -0.4], [-0.9, 0.6]):
+        calls.clear()
+        checks, _ = check_bias_bound(
+            np.array(w), instances, oracle, BIAS_GRID, 1e-3, model, space, spec, osc=osc
+        )
+        assert sorted(calls) == [x.index for x in instances]
+        assert all(c.passed for c in checks)
 
 
 def test_bias_rejects_grid_below_epsilon0():
