@@ -23,7 +23,10 @@ scipy.special only for a Matern smoothness outside the kernel's closed
 forms (nu = 0.5, 1.5, 2.5), and scipy.optimize only where a VspFlow
 solves its assignment (polytopes' docstring).  ``sweep`` loads
 ``sweeps`` and ``check`` loads ``checks``; both bring in ``theory``, and
-only ``sweep ksos`` loads ``ksos``.
+only ``sweep ksos`` loads ``ksos``.  ``sweep bias`` and ``sweep ksos``
+load no scipy module: the bias check's chi tail is perturb's numpy port
+of igamc (for perturbations of dimension at most 40), and the theory
+checks import the scipy.special ufuncs they call where they call them.
 """
 
 from __future__ import annotations

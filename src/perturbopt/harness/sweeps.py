@@ -3,9 +3,10 @@
 Only the kSoS sweep solves with kSoS, so ``ksos`` is imported inside the
 two functions that call it, and ``sweep bias`` and ``sweep nprocess``
 start without it.  ``sweep bias`` scores its lam = 0 risks against the
-contextual vertex table, so it solves no assignment and never loads
-scipy.optimize; it computes the cost oscillation of its instances once
-for all its w.
+contextual vertex table, so it solves no assignment, and takes its tail
+mass from perturb's numpy port of igamc, so it loads no scipy module at
+all; it computes the cost oscillation of its instances once for all
+its w.
 """
 
 from __future__ import annotations

@@ -107,9 +107,14 @@ class GeneralizedLinearModel:
 
 def model_for_instances(instances, d: int, builder=None) -> GeneralizedLinearModel:
     """Build a model whose Lipschitz bound is the exact max operator norm
-    over the given instances."""
+    over the given instances: one batched SVD per feature-matrix shape,
+    each matrix's norm the bits of its own np.linalg.norm(phi, ord=2)."""
     model = GeneralizedLinearModel(d=d, lipschitz_bound=np.inf, builder=builder)
-    ops = [np.linalg.norm(model.feature_matrix(x), ord=2) for x in instances]
+    by_shape = {}
+    for x in instances:
+        phi = model.feature_matrix(x)
+        by_shape.setdefault(phi.shape, []).append(phi)
+    ops = (np.linalg.norm(np.stack(phis), ord=2, axis=(1, 2)).max() for phis in by_shape.values())
     model.lipschitz_bound = float(max(ops))
     return model
 

@@ -95,3 +95,21 @@ def test_model_for_instances_lipschitz_bound_is_exact():
     assert scaled.lipschitz_bound == 3.0
     zero = model_for_instances(instances, d=1, builder=lambda _: np.zeros((1, 1)))
     assert zero.lipschitz_bound == 0.0
+
+
+@pytest.mark.parametrize(
+    "domain, params, d",
+    [
+        ("contextual", {"d_context": 3}, 3),
+        ("scheduling", {"jobs": [2, 3, 5]}, 2),
+        ("stovsp", {"tasks": [3, 5]}, 3),
+    ],
+    ids=["contextual", "scheduling", "stovsp"],
+)
+def test_lipschitz_bound_is_the_per_instance_norm_loop_bitwise(domain, params, d):
+    # one batched SVD per feature-matrix shape, mixed shapes included
+    instances = generate_instances(domain, 60, seed=11, **params)
+    model = model_for_instances(instances, d=d)
+    loop = max(np.linalg.norm(model.feature_matrix(x), ord=2) for x in instances)
+    assert model.lipschitz_bound.hex() == float(loop).hex()
+    assert type(model.lipschitz_bound) is float

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import re
 from unittest import mock
 
@@ -868,6 +869,103 @@ def test_chi_tail_is_scipy_chi_sf_bitwise():
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert [float(v).hex() for v in chi_tail(grid, d)] == [v.hex() for v in want]
+
+
+def _igamc_thresholds(d):
+    """Thresholds t whose x = d t^2 / 2 reach every branch of igamc(d/2, x):
+    both series, the continued fraction, both igam_fac forms and its
+    underflow, on both sides of each switch, plus t <= 0 and t = inf."""
+    a = 0.5 * d
+    x = np.concatenate([
+        np.geomspace(1e-320, 1e4, 400),
+        np.linspace(0.01, 3.0 * a + 3.0, 300),
+        a * substream(d, "igamc").uniform(0.55, 1.45, 200),  # around the Lanczos switch
+        [0.5, 1.1, a, a / 1.1, np.exp(-0.4 / a), 750.0, 2000.0],
+    ])
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    t = np.sqrt(2.0 * x / d)
+    return np.concatenate([t, [-1.0, -1e-300, -0.0, 0.0, 5e-324, np.inf]])
+
+
+def _igamc_route(a, x):
+    """Which cephes branch igamc(a, x) takes, for a <= 20, by its rules."""
+    if x == 0.0 or x == np.inf:
+        return "edge"
+    if x > 1.1:
+        loop = "igam_series" if x < a else "fraction"
+    elif x <= 0.5:
+        loop = "igam_series" if -0.4 / math.log(x) < a else "igamc_series"
+    else:
+        loop = "igam_series" if x * 1.1 < a else "igamc_series"
+    if loop == "igamc_series":
+        return loop
+    if abs(a - x) <= 0.4 * a:
+        return loop + "/lanczos"
+    underflow = a * math.log(x) - x - math.lgamma(a) < -perturb._MAXLOG
+    return loop + ("/underflow" if underflow else "/exp")
+
+
+def test_chi_tail_port_is_gammaincc_bitwise_on_every_branch():
+    from scipy.special import gammaincc
+
+    each_until, fraction_rescaled = perturb._each_until, []
+
+    def spy(step, rows, n_iter, out):
+        if step.__name__ != "fraction_step":
+            return each_until(step, rows, n_iter, out)
+
+        def watched(i, s):
+            pkm1 = s[3:5].copy()
+            done = step(i, s)
+            # after the shift pkm2 is the old pkm1, unless cephes rescaled it
+            fraction_rescaled.append(not np.array_equal(s[1:3], pkm1))
+            return done
+
+        return each_until(watched, rows, n_iter, out)
+
+    seen = set()
+    for d in range(1, 41):
+        t = _igamc_thresholds(d)
+        x = np.sqrt(d) * np.maximum(t, 0.0)
+        x = 0.5 * (x * x)
+        seen |= {_igamc_route(0.5 * d, v) for v in x}
+        with mock.patch.object(perturb, "_each_until", spy):
+            got = chi_tail(t, d)
+        want = gammaincc(0.5 * d, x)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), d
+        assert [chi_tail(v, d).hex() for v in t[::37]] == [v.hex() for v in want[::37].tolist()]
+    assert seen == {
+        "edge", "igamc_series", "igam_series/exp", "igam_series/lanczos", "igam_series/underflow",
+        "fraction/exp", "fraction/lanczos", "fraction/underflow",
+    }
+    assert any(fraction_rescaled)
+    assert chi_tail(np.array([-1.0, 0.0, np.inf]), 7).tolist() == [1.0, 1.0, 0.0]
+    # past d = 40 the tail is still scipy's, through its Temme series
+    t = np.linspace(0.0, 2.0, 101)
+    assert chi_tail(t, 41).view(np.int64).tolist() == chi.sf(np.sqrt(41) * t, df=41).view(np.int64).tolist()
+
+
+@given(st.integers(1, 40), st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=32))
+@settings(max_examples=200, deadline=None)
+def test_chi_tail_port_is_gammaincc_bitwise(d, values):
+    from scipy.special import gammaincc
+
+    t = np.array(values, dtype=np.float64)
+    t = np.concatenate([t, t * 1e-3, t[np.abs(t) < 1e300] * 1e-160])
+    with np.errstate(over="ignore"):  # a square past DBL_MAX is inf on both sides
+        x = np.sqrt(d) * np.maximum(t, 0.0)
+        _assert_same_bits(chi_tail(t, d), gammaincc(0.5 * d, 0.5 * (x * x)))
+
+
+def test_igamc_helpers_are_cephes_bitwise():
+    from scipy.special import expm1, gammaln
+
+    halves = 0.5 * np.arange(1, 43)
+    assert [perturb._lgam(float(a)) for a in halves] == gammaln(halves).tolist()
+    # cephes expm1: the rational form on |x| <= 0.5, exp(x) - 1 outside
+    x = np.concatenate([np.linspace(-2.0, 2.0, 4001), substream(3, "expm1").uniform(-0.5, 0.5, 2000)])
+    x = np.concatenate([x, np.nextafter(0.5, 1.0) * np.array([-1.0, 1.0]), [-0.5, 0.5, 0.0, -0.0, 1e-300]])
+    assert perturb._expm1(x).view(np.int64).tolist() == expm1(x).view(np.int64).tolist()
 
 
 def test_tail_mass_chi1_example():
