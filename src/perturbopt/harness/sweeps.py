@@ -237,6 +237,7 @@ def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
             "certified_bound": certified,
             "certificate_covers": int(certified >= true_err),
             "converged": int(result.converged),
+            "max_constraint_residual": result.max_constraint_residual,
         }
 
     cells = [(m, s_idx) for m in m_grid for s_idx in range(cfg.get("sweeps.ksos.seeds"))]
@@ -246,6 +247,7 @@ def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         [
             "M", "seed", "arg_error", "value_error", "c_hat", "gap",
             "lambda_phi", "certified_bound", "certificate_covers", "converged",
+            "max_constraint_residual",
         ],
         rows,
     )

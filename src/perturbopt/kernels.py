@@ -14,11 +14,16 @@ and each row reads its entry of that table at the row's lexicographic
 rank sum_i c_i * (d-1-i)!, where c_i = #{j > i : theta_i >= theta_j}
 counts the later jobs that run after job i (the Lehmer code of the row's
 argmax vertex).  Ranking takes d(d-1)/2 vectorised comparisons, where
-sorting takes a per-row argsort.  A smaller batch, or d >= 8, sorts each
+sorting takes a per-row argsort.  The comparisons read theta by columns,
+``np.ascontiguousarray(theta.T)``: free for the transpose of a C-ordered
+(d, k) buffer, which is how the Monte Carlo risk pass hands its
+directions over, and one copy for a C-ordered batch.  The rank is summed
+in int16 buffers, in place, and gathered with ``table.take``: at d <= 7
+each c_i * (d-1-i)! is at most 4320 and each rank at most 5039.  A smaller batch, or d >= 8, sorts each
 row.  Both paths run the one recursion on the same run order, so a row
-gets bit-identical costs in a batch of either size.  theta must hold no
-NaN: a NaN compares false either way, which the two paths read
-differently.
+gets bit-identical costs in a batch of either size, and in any memory
+layout of theta.  theta must hold no NaN: a NaN compares false either
+way, which the two paths read differently.
 
 The benchmark in ``perfbench/`` times it as ``kernels.sched_us_per_dir``
 and records ``backend()``.  ``backend()`` stays ``"numpy"``: the
@@ -48,7 +53,7 @@ def scheduling_total_completion(
     table of every run order's cost at each row's rank; a smaller one
     sorts each row (the module docstring gives the rank and the tie rule).
     """
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
     release = np.asarray(release, dtype=np.float64)
     processing = np.asarray(processing, dtype=np.float64)
     k, d = theta.shape
@@ -57,13 +62,18 @@ def scheduling_total_completion(
         order = np.argsort(-theta, axis=1, kind="stable")
         return _recursion(order, release, processing)
     table = _recursion(_run_orders(d), release, processing)
-    cols = theta.T.copy()
-    rank = np.zeros(k, dtype=np.intp)
+    cols = np.ascontiguousarray(theta.T)
+    rank = np.zeros(k, dtype=np.int16)
+    count = np.empty(k, dtype=np.int16)
+    later = np.empty(k, dtype=bool)
     for i in range(d - 1):
-        weight = math.factorial(d - 1 - i)
+        count.fill(0)
         for j in range(i + 1, d):
-            rank += (cols[i] >= cols[j]) * weight
-    return table[rank]
+            np.greater_equal(cols[i], cols[j], out=later)
+            count += later
+        count *= math.factorial(d - 1 - i)
+        rank += count
+    return table.take(rank)
 
 
 def _recursion(order: np.ndarray, release: np.ndarray, processing: np.ndarray) -> np.ndarray:

@@ -33,11 +33,13 @@ that rounding stays below it, which takes mu above u ptp(R) / INNER_TOL
 = 1.1e-7 ptp(R); below that the line searches start to fail and the
 iterates follow rounding noise, which the BLAS thread count changes.
 MU_REL = 3e-7 keeps the rounding at INNER_TOL / 2.7; a higher floor
-costs accuracy, since c_hat lies below the infimum by about mu on the
-planted quadratics.  The shift also keeps the multiplier of sum(alpha)
-= 1 small (c sits near min R), so the rounding of sum(step) does not
-leak into the decrement.  A constant surface (ptp = 0) still runs down
-to MU_MIN.
+costs accuracy, since each constraint's c_m = R_m - mu T_mm lies below
+R_m by the barrier term mu T_mm.  c_hat is the mean of the M values c_m,
+not a lower bound on the surface: the value at the surrogate argmin
+w_hat can lie below it, so aposteriori_gap can be negative.  The shift
+also keeps the multiplier of sum(alpha) = 1 small (c sits near min R),
+so the rounding of sum(step) does not leak into the decrement.  A
+constant surface (ptp = 0) still runs down to MU_MIN.
 
 The solver runs on numpy alone and factors by Cholesky alone: Phi = L_K^T
 for K = L_K L_K^T.  Any Phi with Phi^T Phi = K is U K^{1/2} for an

@@ -635,9 +635,15 @@ def _risk_terms(W, instances, oracle, model, spec, lams=None):
     each instance draws its CRN noise block once for all rows at lam > 0
     and perturbs every theta in one eval_theta_batch call; the mean over
     the K samples of each row equals np.mean of that row's costs bit for
-    bit.  theta / lam and lam * z are elementwise, so a term is the same
-    bits whatever else the pass holds, and whether its lambda is shared or
-    its own."""
+    bit.  The directions fill one (dim, P, K) column buffer per cell,
+    reused by each instance, from the instance's noise block transposed
+    once to (dim, K): lam * z is taken once per instance when every row
+    shares lam (every train and surface pass), and once per row
+    otherwise, and theta is added into the buffer.  The oracle reads the
+    buffer's transposed view, the same (P * K, dim) rows, which the
+    scheduling kernel ranks by columns without a copy.  theta / lam and
+    lam * z are elementwise, so a term is the same bits whatever else the
+    pass holds, and whether its lambda is shared or its own."""
     n, M = len(instances), len(W)
     lam = np.full(M, spec.lam) if lams is None else lams
     zero, smooth = np.flatnonzero(lam == 0.0), np.flatnonzero(lam > 0.0)
@@ -661,11 +667,12 @@ def _risk_terms(W, instances, oracle, model, spec, lams=None):
         if law is not None or not smooth.size:
             continue
         sampled = True
+        scale = lam[:1] if np.all(lam == lam[0]) else lam  # one lam * z per instance when shared
+        dirs = np.empty((polytope.dim, len(smooth), spec.mc_samples))
         for i, x, t in zip(rows, cell, thetas[:, smooth]):
-            z = perturbation_block(spec, x.index, x.dim)
-            dirs = np.multiply.outer(lam, z)  # (P, K, dim); adding in place saves a second buffer
-            dirs += t[:, None, :]
-            costs = oracle.eval_theta_batch(x, dirs.reshape(-1, x.dim)).reshape(len(smooth), -1)
+            z = np.ascontiguousarray(perturbation_block(spec, x.index, x.dim).T)  # (dim, K)
+            np.add(scale[:, None] * z[:, None, :], t.T[:, :, None], out=dirs)
+            costs = oracle.eval_theta_batch(x, dirs.reshape(x.dim, -1).T).reshape(len(smooth), -1)
             terms[i, smooth] = np.mean(costs, axis=1)
             if costs.shape[1] > 1:
                 variances[i, smooth] = np.var(costs, axis=1, ddof=1) / costs.shape[1]

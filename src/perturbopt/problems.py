@@ -20,6 +20,10 @@ A cost oracle scores batches only: ``eval_theta_batch(x, thetas)`` costs
 the oracle solution of each direction row, ``eval_vertices(x, vertices)``
 costs each solution row, and ``bounds(x)`` gives the declared cost range.
 One solution is costed as a batch of one, ``eval_vertices(x, y[None])[0]``.
+``eval_theta_batch`` takes thetas in any memory layout, with the same
+bits in each, and keeps no view of them: the Monte Carlo risk pass hands
+it the transpose of a column buffer that it refills for the next
+instance.
 Neither checks feasibility: every solution it is given comes from a
 polytope's oracle or vertex table, and the polytope tests check those.
 """
@@ -154,6 +158,7 @@ class StoVspDelayCost:
         assignment returns, so ``_cost_of`` gives both the same bits.
         """
         poly: VspFlow = x.polytope
+        thetas = np.ascontiguousarray(thetas)  # the matmul's bits depend on the layout it reads
         try:
             verts = poly.vertices()
         except EnumerationUnavailable:

@@ -589,8 +589,9 @@ def test_ksos_sweep_schema(tmp_path):
     assert main(["sweep", "ksos", "--config", cfg_path, "--out", out]) == 0
     rows = read_csv_rows(os.path.join(out, "sweep_ksos.csv"))
     assert len(rows) == 4
-    assert {"M", "arg_error", "certificate_covers"} <= set(rows[0])
+    assert {"M", "arg_error", "certificate_covers", "max_constraint_residual"} <= set(rows[0])
     assert all(r["certificate_covers"] == "1" for r in rows)
+    assert all(np.isfinite(float(r["max_constraint_residual"])) for r in rows)
     assert_manifest_lists_csv_and_summary(out, "ksos")
 
 

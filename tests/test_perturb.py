@@ -560,19 +560,49 @@ RISK_PINS = {
 }
 
 
-@pytest.mark.parametrize("case", list(RISK_PINS), ids=["sched", "vsp", "ctx"])
-def test_regularized_risk_pinned_on_test_sets(case):
+# The same at four points of SURFACE_GRID in one pass, row m at its own
+# lambda PER_ROW_LAMS[m]: the pass whose rows share no lambda.
+PER_ROW_LAMS = [0.05, 0.1, 0.3, 1.0]
+PER_ROW_LAM_PINS = {
+    ("scheduling", 256, (("jobs", (5,)),), 2, 512): [
+        ("0x1.8e960874649f5p+3", "0x1.b82ab6118ab5bp-11"),
+        ("0x1.589832a519ecap+3", "0x1.fadefdd40e1eep-11"),
+        ("0x1.976ddc53d7c3fp+3", "0x1.6923f57279d8dp-9"),
+        ("0x1.55859e81cc226p+3", "0x1.c5c760e1ab8e9p-9"),
+    ],
+    ("stovsp", 16, (("tasks", (5,)),), 3, 32): [
+        ("0x1.12f04a37d7298p+2", "0x1.3e320d564a6e8p-9"),
+        ("0x1.347f2b48a00ffp+2", "0x1.698d9a4b5f44fp-7"),
+        ("0x1.ab213848da71ap+2", "0x1.27019e4ede427p-6"),
+        ("0x1.aa8af5edab8ebp+2", "0x1.80896f27e03cdp-6"),
+    ],
+}
+
+
+def pinned_test_set(case):
+    """(test instances, oracle, model, space, spec) of a pinned case."""
     domain, n_test, params, d, samples = case
     test = generate_instances(domain, n_test, spawn_seed(7, "dataset/test"), **dict(params))
-    model = model_for_instances(test, d=d)
-    space = ParamSpace.symmetric(d)
     spec = PerturbationSpec(lam=0.1, mc_samples=samples, master_seed=7)
-    oracle = default_cost_oracle(domain)
+    return test, default_cost_oracle(domain), model_for_instances(test, d=d), ParamSpace.symmetric(d), spec
+
+
+@pytest.mark.parametrize("case", list(RISK_PINS), ids=["sched", "vsp", "ctx"])
+def test_regularized_risk_pinned_on_test_sets(case):
+    test, oracle, model, space, spec = pinned_test_set(case)
     got = []
     for w in SURFACE_GRID[1:3]:
-        rep = regularized_risk(np.array(w[:d]), test, oracle, model, space, spec)
+        rep = regularized_risk(np.array(w[: model.d]), test, oracle, model, space, spec)
         got.append((rep.value.hex(), rep.mc_std_error.hex()))
     assert got == RISK_PINS[case]
+
+
+@pytest.mark.parametrize("case", list(PER_ROW_LAM_PINS), ids=["sched", "vsp"])
+def test_regularized_risk_pinned_at_per_row_lambdas(case):
+    test, oracle, model, space, spec = pinned_test_set(case)
+    W = np.array(SURFACE_GRID[1:5])[:, : model.d]
+    reports = regularized_risk(W, test, oracle, model, space, spec, lams=PER_ROW_LAMS)
+    assert [(r.value.hex(), r.mc_std_error.hex()) for r in reports] == PER_ROW_LAM_PINS[case]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perturbopt import problems
 from perturbopt.model import ParamSpace, model_for_instances
 from perturbopt.perturb import PerturbationSpec, perturbation_block
-from perturbopt.polytopes import VspFlow
+from perturbopt.polytopes import VspFlow, _vertex_argmax
 from perturbopt.problems import (
     ContextualWrapper,
     Instance,
@@ -186,6 +189,47 @@ def test_stovsp_batch_past_the_cap_solves_assignments(monkeypatch):
     batch = oracle.eval_theta_batch(x, thetas)
     assert len(calls) == len(thetas)
     assert np.array_equal(batch, reference)  # bitwise
+
+
+def layout_cases(domain):
+    """(oracle, instance, thetas) batches of one domain: scheduling for
+    2 <= d <= 7 on both kernel paths (d! - 1 rows sort, d! + 3 read the
+    run-order table), with ties; stovsp at enumerable sizes; contextual
+    with signed zeros."""
+    if domain == "scheduling":
+        for d in range(2, 8):
+            (x,) = generate_instances("scheduling", 1, seed=d, jobs=[d])
+            rng = np.random.default_rng(d)
+            for k in (math.factorial(d) - 1, math.factorial(d) + 3):
+                yield SchedulingCompletionTime(), x, np.round(rng.standard_normal((k, d)), 1)
+    elif domain == "stovsp":
+        for x, thetas in itertools.islice(stovsp_crn_directions(n=4), 0, None, 2):
+            yield StoVspDelayCost(), x, thetas
+    else:
+        rng = np.random.default_rng(5)
+        for x in generate_instances("contextual", 3, seed=5):
+            thetas = np.round(rng.standard_normal((64, 1)), 1)
+            thetas[:2, 0] = 0.0, -0.0
+            yield ContextualWrapper(), x, thetas
+
+
+@pytest.mark.parametrize("domain", ["scheduling", "stovsp", "contextual"])
+def test_theta_batch_is_the_same_bits_in_any_layout(domain, monkeypatch):
+    # the risk pass hands each batch over as the transpose of a C-ordered
+    # (dim, rows) column buffer, an F-ordered view.  A matmul's bits can
+    # depend on the layout it reads, so stovsp scores C-ordered rows.
+    def c_ordered_argmax(directions, verts):
+        assert directions.flags.c_contiguous
+        return _vertex_argmax(directions, verts)
+
+    monkeypatch.setattr(problems, "_vertex_argmax", c_ordered_argmax)
+    for oracle, x, thetas in layout_cases(domain):
+        view = np.ascontiguousarray(thetas.T).T
+        assert view.flags.f_contiguous
+        assert np.array_equal(
+            oracle.eval_theta_batch(x, view).view(np.int64),
+            oracle.eval_theta_batch(x, np.ascontiguousarray(view)).view(np.int64),
+        )
 
 
 def test_stovsp_banned_and_forced_solves_match_brute_force():
