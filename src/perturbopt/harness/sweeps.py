@@ -5,8 +5,12 @@ two functions that call it, and ``sweep bias`` and ``sweep nprocess``
 start without it.  ``sweep bias`` scores its lam = 0 risks against the
 contextual vertex table, so it solves no assignment, and takes its tail
 mass from perturb's numpy port of igamc, so it loads no scipy module at
-all; it computes the cost oscillation of its instances once for all
-its w.
+all.  It computes the cost oscillation of its instances once for all
+its w, and the tail masses of all its w and lambdas in one tail_mass_V
+call, so one chi_tail call, over the stack of its w.  Its scaling fits
+and their median take no np.median, and the thread pool is imported
+only for threads > 1, so it loads neither numpy.ma nor
+concurrent.futures.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..model import ParamSpace, model_for_instances
-from ..perturb import PerturbationSpec
+from ..perturb import PerturbationSpec, tail_mass_V
 from ..problems import default_cost_oracle, generate_instances, osc_bound
 from ..rngs import spawn_seed, substream
 from ..theory import check_bias_bound, check_empirical_process
@@ -37,9 +40,21 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> str:
     return path
 
 
+def _median(values) -> float:
+    """np.median of a nonempty list of finite floats, bit for bit: the
+    middle value, or the mean (a + b) / 2 of the two middle ones.
+    np.median imports numpy.ma, and statistics imports decimal and
+    fractions."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _parallel_map(fn, items, threads: int):
     if threads <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -68,17 +83,18 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         lam=max(lambda_grid), mc_samples=cfg.get("perturb.samples"), master_seed=seed
     )
     osc = osc_bound(oracle, instances)
+    ws = [space.sample(substream(seed, f"sweep/bias/w/{i}"), 1)[0] for i in range(n_w)]
+    # every tail mass in one pass; row i is V at ws[i] on the grid as check_bias_bound sorts it
+    v = tail_mass_V(np.stack(ws), instances, model, space, sorted(lambda_grid))
 
     def one_w(i):
-        w = space.sample(substream(seed, f"sweep/bias/w/{i}"), 1)[0]
-        checks, fit = check_bias_bound(
-            w, instances, oracle, lambda_grid, eps0, model, space, spec, osc=osc
+        return check_bias_bound(
+            ws[i], instances, oracle, lambda_grid, eps0, model, space, spec, osc=osc, v_grid=v[i]
         )
-        return w, checks, fit
 
     rows = []
     slopes = []
-    for i, (w, checks, fit) in enumerate(_parallel_map(one_w, range(n_w), threads)):
+    for i, (checks, fit) in enumerate(_parallel_map(one_w, range(n_w), threads)):
         # check_bias_bound's layout: three checks per grid value, in grid order
         for unperturbed, smoothed, monotone in zip(*[iter(checks)] * 3):
             rows.append(
@@ -108,7 +124,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         {
             "n_w": n_w,
             "n_rows": len(rows),
-            "fitted_slope_median": float(np.median(slopes)) if slopes else float("nan"),
+            "fitted_slope_median": _median(slopes) if slopes else float("nan"),
             "all_passed": int(all(r["passed"] for r in rows)),
         }
     ]

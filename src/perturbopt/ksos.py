@@ -503,25 +503,39 @@ def _sobolev_nodes() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.cache
+def _sobolev_weights(d: int) -> np.ndarray:
+    """The product of the Gauss-Hermite weights over d axes, shape
+    (SOBOLEV_NODES,) * d, read-only: entry (i_1, ..., i_d) is
+    w_{i_1} w_{i_2} ... w_{i_d}, multiplied left to right.  Cached per d,
+    since every instance's estimate takes the same one."""
+    _, weights = _sobolev_nodes()
+    wprod = weights
+    for _ in range(d - 1):
+        wprod = wprod[..., None] * weights
+    wprod.flags.writeable = False
+    return wprod
+
+
 def _sqrt_density_sobolev_sq(sigmas: np.ndarray, s: float) -> float:
     """integral over xi of (1 + |xi|^2)^s |M_hat(xi)|^2 for M = sqrt of the
     Gaussian density with stddevs sigmas (Fourier characterization of the
-    squared Sobolev norm), by SOBOLEV_NODES-point Gauss-Hermite quadrature per axis."""
+    squared Sobolev norm), by SOBOLEV_NODES-point Gauss-Hermite quadrature per axis.
+
+    |xi|^2 on the product grid is the sum of the axes' squares, broadcast
+    one axis at a time and added left to right, and the weights are the
+    cached product _sobolev_weights(d); no grid is materialized per axis."""
     d = len(sigmas)
     det_sigma = float(np.prod(sigmas**2))
     c_sq = (2.0 * math.pi) ** (-d / 2.0) * (4.0 * math.pi) ** d * math.sqrt(det_sigma)
-    nodes, weights = _sobolev_nodes()
+    nodes, _ = _sobolev_nodes()
     # weight exp(-x^2) with x_j = sqrt(2) sigma_j xi_j
-    axes = [nodes / (math.sqrt(2.0) * sig) for sig in sigmas]
     scale = float(np.prod([1.0 / (math.sqrt(2.0) * sig) for sig in sigmas]))
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*([weights] * d), indexing="ij")
-    norm_sq = np.zeros_like(grids[0])
-    wprod = np.ones_like(grids[0])
-    for g, wg in zip(grids, wgrids):
-        norm_sq = norm_sq + g * g
-        wprod = wprod * wg
-    integral = float(np.sum(wprod * (1.0 + norm_sq) ** s)) * scale
+    norm_sq = 0.0
+    for j, sig in enumerate(sigmas):
+        g = nodes / (math.sqrt(2.0) * sig)
+        norm_sq = norm_sq + (g * g).reshape((-1,) + (1,) * (d - 1 - j))
+    integral = float(np.sum(_sobolev_weights(d) * (1.0 + norm_sq) ** s)) * scale
     return c_sq * integral
 
 

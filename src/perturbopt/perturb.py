@@ -26,8 +26,8 @@ instances and rows, bit for bit those of model.predict.  The risk pass
 scores a cell's lam = 0 rows in one vertex-table scan and, in a
 closed-form cell, costs each instance's vertices once for its lam = 0
 and closed-form rows alike; tail_mass_V takes one internal-radius call
-and one chi_tail call per cell, and theory.uw_moment one internal-radius
-call per cell.
+and one chi_tail call per cell over every w of a stack, and
+theory.uw_moment one internal-radius call per cell.
 
 A closed form is Phi of one argument per row, and Phi is _ndtr, a numpy
 port of the cephes ndtr that scipy.special.ndtr runs, equal to it bit
@@ -134,9 +134,12 @@ def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
     cut below n = 42, 258 ulps from lgam(3/2).  Past d = 40 (a > 20) cephes takes
     Temme's asymptotic series near x = a, whose coefficient table the
     port leaves out, and chi_tail imports scipy.special's gammaincc where
-    it is called.  The port costs 3-4 ms per call over the bias check's
-    600 thresholds at d = 1, against 0.4 ms for scipy's ufunc (2-core
-    x86-64 VM), mostly numpy dispatch, so callers batch their thresholds.
+    it is called.  The port costs 3-4 ms per call over one w's 600
+    thresholds at d = 1, against 0.4 ms for scipy's ufunc (2-core x86-64
+    VM), mostly numpy dispatch, so callers batch their thresholds: on the
+    bias sweep's 20 w, 20 calls of 600 take 41-43 ms and one call over
+    all 12,000 takes 8-9 ms, so the sweep takes every tail mass from one
+    tail_mass_V call over its stack of w.
 
     The square is a product: on a numpy scalar ``** 2`` goes through pow,
     which can differ from the array square in the last bit."""
@@ -790,21 +793,28 @@ def tail_mass_V(
     rho(psi_w(X)) / lam, from the exact chi tail.
 
     lam may be a scalar (returns a float) or a 1-D grid (returns a float64
-    array with V_w(lam_j) at j).  Per polytope cell (_polytope_cells) the
-    thetas come from one stacked matmul, the radii from one
-    internal_radius_batch call over the cell's stack of single directions
-    (internal_radius's bits), and the tail from one chi_tail call over
-    the cell's (n_c, G) thresholds; no model.predict call.  The (n, G)
-    table is folded left to right in instance order (_fold), so each
-    entry is the scalar call's value bit for bit.
+    array with V_w(lam_j) at j).  w may be one parameter of shape (d,) or
+    a stack of shape (n_w, d), which returns shape (n_w,) for a scalar lam
+    and (n_w, G) for a grid, row i the call at W[i] bit for bit.
+
+    Per polytope cell (_polytope_cells) the thetas of every instance and
+    row come from one stacked matmul, the radii from one
+    internal_radius_batch call over the cell's (n_c * n_w, 1, dim) stack
+    of single directions (internal_radius's bits; a stack of n_w-row
+    batches would round differently), and the tail from one chi_tail call
+    over the cell's (n_c, n_w, G) thresholds; no model.predict call.  The
+    (n, n_w, G) table is folded left to right in instance order (_fold),
+    so each entry is the scalar call's value bit for bit.
     """
     lams = np.asarray(lam, dtype=np.float64)
     if np.any(lams <= 0.0):
         raise ValueError("lam must be positive")
-    W = np.ascontiguousarray(model.check_param(w, space)[None])
-    table = np.empty((len(instances), lams.size))
+    W = _param_rows(w, model, space)
+    table = np.empty((len(instances), len(W), lams.size))
     for rows, cell, thetas in _polytope_cells(instances, model, W):
-        rho = internal_radius_batch(cell[0].polytope, thetas)  # (n_c, 1)
-        table[rows] = chi_tail(rho / lams.reshape(-1), cell[0].dim)
-    v = _fold(table) / len(instances)
-    return float(v[0]) if lams.ndim == 0 else v
+        rho = internal_radius_batch(cell[0].polytope, thetas.reshape(-1, 1, thetas.shape[-1]))
+        table[rows] = chi_tail(rho.reshape(len(rows), len(W), 1) / lams.reshape(-1), cell[0].dim)
+    v = (_fold(table.reshape(len(instances), -1)) / len(instances)).reshape(len(W), lams.size)
+    if np.ndim(w) == 2:
+        return v[:, 0] if lams.ndim == 0 else v
+    return float(v[0, 0]) if lams.ndim == 0 else v[0]

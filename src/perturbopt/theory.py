@@ -178,6 +178,7 @@ def check_bias_bound(
     space: ParamSpace,
     spec: PerturbationSpec,
     osc: float | None = None,
+    v_grid: np.ndarray | None = None,
 ) -> tuple[list[BoundCheck], ScalingFit]:
     """Both risk-perturbation inequalities on a lambda grid, plus the
     log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
@@ -193,13 +194,21 @@ def check_bias_bound(
 
     ``osc`` is the cost oscillation over the instances, osc_bound's value;
     a caller that checks many w on the same instances passes it once
-    computed, and without it the check computes it.
+    computed, and without it the check computes it.  ``v_grid`` is the
+    same for the tail masses V_w at the sorted grid: a caller that checks
+    many w passes row i of one tail_mass_V call over its stack of w,
+    which equals the single call at w bit for bit; without it the check
+    makes that single call.
 
     The checks come three per grid value, in sorted grid order:
-    bias_vs_unperturbed, bias_vs_base_smoothed, tail_mass_monotone."""
+    bias_vs_unperturbed, bias_vs_base_smoothed, tail_mass_monotone.  The
+    scaling fit is fit_loglog of the gaps, with no interval: one slope
+    gives none."""
     lambda_grid = sorted(float(v) for v in lambda_grid)
     if any(lam < epsilon0 for lam in lambda_grid):
         raise ValueError("lambda grid must stay above epsilon0")
+    if v_grid is not None and np.shape(v_grid) != (len(lambda_grid),):
+        raise ValueError(f"v_grid needs one tail mass per grid value, got shape {np.shape(v_grid)}")
 
     if osc is None:
         osc = osc_bound(oracle, instances)
@@ -208,7 +217,8 @@ def check_bias_bound(
         np.tile(np.asarray(w, dtype=np.float64), (len(lams), 1)),
         instances, oracle, model, space, spec, lams=lams,
     )
-    v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
+    if v_grid is None:
+        v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []
     gaps = []
     v_prev = -np.inf
@@ -243,7 +253,7 @@ def check_bias_bound(
         )
         v_prev = v_lam
         gaps.append(abs(r_lam.value - r_eps.value))
-    fit = _scaling_fit(np.asarray(lambda_grid), np.asarray(gaps)[None, :])
+    fit = ScalingFit(fitted_slope=fit_loglog(lambda_grid, gaps), slope_ci=(float("nan"), float("nan")))
     return checks, fit
 
 

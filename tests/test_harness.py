@@ -558,6 +558,49 @@ def test_bias_sweep_schema(tmp_path):
     assert_manifest_lists_csv_and_summary(out, "bias")
 
 
+def test_bias_sweep_takes_every_tail_mass_in_one_call(tmp_path, monkeypatch):
+    # one tail_mass_V call over the stack of all w, so one chi_tail call on
+    # the one contextual cell; each check still runs once per w
+    from perturbopt import perturb, theory
+    from perturbopt.harness import sweeps
+
+    calls = {"tail_mass_V": [], "chi_tail": 0, "check_bias_bound": 0}
+    real_tail, real_chi, real_check = perturb.tail_mass_V, perturb.chi_tail, theory.check_bias_bound
+
+    def tail(w, *args, **kwargs):
+        calls["tail_mass_V"].append(np.shape(w))
+        return real_tail(w, *args, **kwargs)
+
+    def chi(*args, **kwargs):
+        calls["chi_tail"] += 1
+        return real_chi(*args, **kwargs)
+
+    def check(w, *args, **kwargs):
+        assert np.shape(w) == (2,) and kwargs["v_grid"] is not None
+        calls["check_bias_bound"] += 1
+        return real_check(w, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "tail_mass_V", tail)
+    monkeypatch.setattr(perturb, "chi_tail", chi)
+    monkeypatch.setattr(sweeps, "check_bias_bound", check)
+    doc = dict(
+        TOY,
+        sweeps={"bias": {"lambda_grid": [0.01, 0.1, 1.0], "n_pairs": 12, "n_instances": 12}},
+    )
+    out = sweep_out(tmp_path)
+    assert main(["sweep", "bias", "--config", write_cfg(tmp_path, doc), "--out", out]) == 0
+    assert calls == {"tail_mass_V": [(4, 2)], "chi_tail": 1, "check_bias_bound": 4}
+    assert len(read_csv_rows(os.path.join(out, "sweep_bias.csv"))) == 4 * 3
+
+
+@pytest.mark.parametrize("values", [[0.3], [2.0, -1.0], [0.1, 0.7, -0.2], [0.5, 0.25, 3.0, 1e-9, -7.0, 0.1]])
+def test_sweep_median_is_np_median_bitwise(values):
+    from perturbopt.harness.sweeps import _median
+
+    got = _median(values)
+    assert type(got) is float and got.hex() == float(np.median(values)).hex()
+
+
 def test_nprocess_sweep_schema(tmp_path):
     doc = dict(
         TOY,
@@ -733,7 +776,9 @@ def test_seed_override_changes_dataset(tmp_path):
 # The theory checks import the scipy.special ufuncs they call in the
 # functions that call them, and the bias check's chi tail is perturb's
 # numpy port of igamc, so neither sweep bias nor sweep ksos, which import
-# the theory layer with the sweeps module, loads a scipy module.
+# the theory layer with the sweeps module, loads a scipy module.  Sweep
+# bias takes no np.median, which loads numpy.ma, and a serial sweep no
+# thread pool.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -785,7 +830,8 @@ def _loaded_modules(tmp_path, argv):
             ["train"], _domain("contextual", d_context=2), 0, ("scipy", "numpy.ma"), id="train-contextual",
         ),
         pytest.param(
-            ["sweep", "bias"], {}, 0, ("perturbopt.ksos", "scipy"), id="sweep-bias",
+            ["sweep", "bias"], {}, 0, ("perturbopt.ksos", "scipy", "numpy.ma", "concurrent.futures"),
+            id="sweep-bias",
         ),
         pytest.param(
             ["sweep", "ksos"], {"sweeps": {"ksos": {"m_grid": [8], "seeds": 1}}}, 0, ("scipy",),

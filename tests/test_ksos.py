@@ -557,6 +557,38 @@ def test_sobolev_nodes_are_computed_once(monkeypatch):
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
+def _sqrt_density_sobolev_sq_on_meshgrids(sigmas, s):
+    """The quadrature on d materialized meshgrids of nodes and of weights,
+    each summed or multiplied into a running grid axis by axis."""
+    d = len(sigmas)
+    det_sigma = float(np.prod(sigmas**2))
+    c_sq = (2.0 * math.pi) ** (-d / 2.0) * (4.0 * math.pi) ** d * math.sqrt(det_sigma)
+    nodes, weights = _sobolev_nodes()
+    axes = [nodes / (math.sqrt(2.0) * sig) for sig in sigmas]
+    scale = float(np.prod([1.0 / (math.sqrt(2.0) * sig) for sig in sigmas]))
+    grids = np.meshgrid(*axes, indexing="ij")
+    wgrids = np.meshgrid(*([weights] * d), indexing="ij")
+    norm_sq = np.zeros_like(grids[0])
+    wprod = np.ones_like(grids[0])
+    for g, wg in zip(grids, wgrids):
+        norm_sq = norm_sq + g * g
+        wprod = wprod * wg
+    integral = float(np.sum(wprod * (1.0 + norm_sq) ** s)) * scale
+    return c_sq * integral
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sqrt_density_sobolev_sq_is_the_meshgrid_quadrature_bitwise(d):
+    rng = substream(5, f"sobolev/{d}")
+    for s in (0.5, 1.0, 1.75, 2.0, 2.5, 3.5):
+        for sigmas in (np.full(d, 1.0), rng.uniform(0.05, 3.0, d), rng.uniform(1e-3, 0.1, d)):
+            want = _sqrt_density_sobolev_sq_on_meshgrids(sigmas, s)
+            assert ksos._sqrt_density_sobolev_sq(sigmas, s).hex() == want.hex()
+    weights = ksos._sobolev_weights(d)
+    assert weights is ksos._sobolev_weights(d) and not weights.flags.writeable
+    assert weights.shape == (ksos.SOBOLEV_NODES,) * d
+
+
 @pytest.mark.parametrize("order", range(8))
 def test_abs_hermite_l1_closed_form_matches_quadrature(order):
     from scipy.integrate import quad

@@ -27,6 +27,7 @@ from perturbopt.polytopes import (
     Permutahedron,
     VspFlow,
     internal_radius,
+    internal_radius_batch,
     linear_oracle,
     p0,
 )
@@ -1049,6 +1050,58 @@ def test_tail_mass_grid_equals_scalar_calls_bitwise():
         scalar = [tail_mass_V(w, instances, model, space, lam) for lam in grid]
         assert all(type(s) is float for s in scalar)
         assert [float(a).hex() for a in v] == [s.hex() for s in scalar]
+
+
+@pytest.mark.parametrize(
+    "domain, params, d, n_cells",
+    [
+        ("contextual", {"d_context": 2}, 2, 1),
+        ("scheduling", {"jobs": [3]}, 2, 1),
+        ("scheduling", {"jobs": [3, 4]}, 2, 2),
+        ("stovsp", {"tasks": [5]}, 3, 2),
+    ],
+)
+def test_tail_mass_stack_equals_single_calls_bitwise(domain, params, d, n_cells):
+    # a stack of n_w parameters: one internal_radius_batch call per cell over
+    # (n_c * n_w, 1, dim) single directions and one chi_tail call per cell,
+    # and row i is the single call at W[i] bit for bit
+    instances = generate_instances(domain, 14, seed=23, **params)
+    model = model_for_instances(instances, d=d)
+    space = ParamSpace.symmetric(d)
+    W = np.random.default_rng(8).uniform(-1.0, 1.0, (5, d))
+    W[2] = 0.0  # theta = 0: radius 0 and a tail of 1
+    grid = [1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0]
+    want_grid = [tail_mass_V(w, instances, model, space, grid) for w in W]
+    want_scalar = [tail_mass_V(w, instances, model, space, 0.2) for w in W]
+    radius_shapes = []
+
+    def radius(polytope, thetas):
+        radius_shapes.append(thetas.shape)
+        return internal_radius_batch(polytope, thetas)
+
+    with mock.patch.object(perturb, "internal_radius_batch", radius), mock.patch.object(
+        perturb, "chi_tail", wraps=perturb.chi_tail
+    ) as tail:
+        got_grid = tail_mass_V(W, instances, model, space, grid)
+        assert tail.call_count == n_cells
+        got_scalar = tail_mass_V(W, instances, model, space, 0.2)
+    assert tail.call_count == 2 * n_cells
+    cells = [(len(cell), cell[0].dim) for _, cell, _ in perturb._polytope_cells(instances, model, W[:1])]
+    assert len(cells) == n_cells
+    assert radius_shapes == [(n_c * len(W), 1, dim) for n_c, dim in cells] * 2
+    assert got_grid.dtype == np.float64 and got_grid.shape == (len(W), len(grid))
+    assert got_grid.tobytes() == np.stack(want_grid).tobytes()
+    assert got_scalar.shape == (len(W),)
+    assert [float(v).hex() for v in got_scalar] == [v.hex() for v in want_scalar]
+    np.testing.assert_array_equal(got_grid[2], 1.0)
+
+
+def test_tail_mass_stack_checks_every_row():
+    instances, model, space = contextual_setup(context=[0.7, 0.0])
+    with pytest.raises(ParamOutsideBox):
+        tail_mass_V(np.array([[0.5, 0.5], [2.0, 0.0]]), instances, model, space, [0.1, 1.0])
+    with pytest.raises(ValueError):
+        tail_mass_V(np.zeros((2, 3)), instances, model, space, 0.1)
 
 
 def _tail_mass_per_instance(w, instances, model, space, lam):

@@ -288,6 +288,57 @@ def test_bias_bound_costs_each_instances_vertices_once_per_w(monkeypatch):
         assert all(c.passed for c in checks)
 
 
+def test_bias_bound_with_precomputed_tail_masses_is_the_same_check(monkeypatch):
+    # v_grid, row i of one tail_mass_V call over a stack of w, gives the
+    # check without it field by field, and no tail_mass_V call is made
+    instances, model, space = contextual_pack(16, seed=57)
+    oracle = ContextualWrapper()
+    spec = PerturbationSpec(lam=1.0, mc_samples=32, master_seed=7)
+    grid = [2.0, 0.02, 0.5, 0.1]  # check_bias_bound sorts it
+    W = space.sample(substream(11, "w"), 3)
+    V = theory.tail_mass_V(W, instances, model, space, sorted(grid))
+    want = [check_bias_bound(w, instances, oracle, grid, 1e-3, model, space, spec) for w in W]
+
+    def no_tail_mass(*args, **kwargs):
+        raise AssertionError("check_bias_bound computed the tail masses it was given")
+
+    monkeypatch.setattr(theory, "tail_mass_V", no_tail_mass)
+    for w, v, (want_checks, want_fit) in zip(W, V, want):
+        checks, fit = check_bias_bound(w, instances, oracle, grid, 1e-3, model, space, spec, v_grid=v)
+        assert len(checks) == len(want_checks) == 3 * len(grid)
+        for got, ref in zip(checks, want_checks):
+            assert (got.name, got.metadata) == (ref.name, ref.metadata)
+            assert [f.hex() for f in (got.lhs, got.rhs, got.se_lhs)] == [
+                f.hex() for f in (ref.lhs, ref.rhs, ref.se_lhs)
+            ]
+        assert fit.fitted_slope.hex() == want_fit.fitted_slope.hex()
+        assert np.isnan(fit.slope_ci).all() and np.isnan(want_fit.slope_ci).all()
+
+
+def test_bias_bound_fit_is_the_one_row_scaling_fit():
+    # one row of gaps: its median is the row, and one slope gives no interval
+    instances, model, space = contextual_pack(16, seed=57)
+    spec = PerturbationSpec(lam=1.0, mc_samples=32, master_seed=7)
+    checks, fit = check_bias_bound(
+        np.array([0.3, -0.5]), instances, ContextualWrapper(), BIAS_GRID, 1e-3, model, space, spec
+    )
+    gaps = [c.lhs for c in checks if c.name == "bias_vs_base_smoothed"]
+    want = theory._scaling_fit(np.asarray(BIAS_GRID), np.asarray(gaps)[None, :])
+    assert fit.fitted_slope.hex() == want.fitted_slope.hex()
+    assert np.isnan(fit.slope_ci).all() and np.isnan(want.slope_ci).all()
+
+
+@pytest.mark.parametrize("v_grid", [[0.1, 0.2, 0.3], [0.1] * 5, [[0.1, 0.2, 0.3, 0.4]]])
+def test_bias_bound_rejects_a_v_grid_of_the_wrong_shape(v_grid):
+    instances, model, space = contextual_pack(5, seed=51)
+    spec = PerturbationSpec(lam=1.0, mc_samples=16, master_seed=7)
+    with pytest.raises(ValueError, match="v_grid"):
+        check_bias_bound(
+            np.zeros(2), instances, ContextualWrapper(), BIAS_GRID, 1e-3, model, space, spec,
+            v_grid=np.asarray(v_grid),
+        )
+
+
 def test_bias_rejects_grid_below_epsilon0():
     instances, model, space = contextual_pack(5, seed=51)
     spec = PerturbationSpec(lam=1.0, mc_samples=64, master_seed=7)
