@@ -12,11 +12,13 @@ checks have passed.  The default output root comes from $PERTURBOPT_OUT.
 
 Most of a short command's wall time is import, so each command imports
 the layers it runs in its own body, once its config has loaded.  The
-module itself loads only argparse, ``config`` (yaml) and ``manifest``,
-so ``--help``, an argparse error and a config error start without numpy
-or scipy.  ``generate`` loads ``problems`` and ``rngs``: numpy, and
-scipy not at all.  ``train`` adds ``model``, ``perturb`` and ``ksos``,
-which solves, fits its surrogate and bounds the smoothness on numpy
+module itself loads only argparse, json, os and sys, so ``--help`` and an
+argparse error exit on argparse alone.  ``main`` loads ``config`` (yaml)
+once the arguments parse, and ``generate``, ``train`` and ``sweep`` load
+``manifest`` (hashlib) once the config has loaded, so a config error
+exits without ``manifest``, numpy or scipy.  ``generate`` loads
+``problems`` and ``rngs``: numpy, and scipy not at all.  ``train`` adds
+``model``, ``perturb`` and ``ksos``, which solves, fits its surrogate and bounds the smoothness on numpy
 alone, and a closed-form risk term (the contextual domain, scheduling
 with two jobs) takes perturb's numpy port of ndtr.  So train loads
 scipy.special only for a Matern smoothness outside the kernel's closed
@@ -37,11 +39,9 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .config import ConfigError, ExperimentConfig, load_config
-from .manifest import ManifestWriter
-
 if TYPE_CHECKING:
     from ..ksos import KsosConfig
+    from .config import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,6 +81,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _load(args) -> tuple[ExperimentConfig, str]:
     """The config and the output directory, which is not created here."""
+    from .config import load_config
+
     cfg = load_config(args.config, master_seed=args.seed_override)
     return cfg, cfg.resolve_output_dir(args.out)
 
@@ -96,6 +98,8 @@ def cmd_generate(args) -> int:
     cfg, out_dir = _load(args)
     from ..problems import generate_instances, generator_params, save_instances
     from ..rngs import spawn_seed
+    from .config import ConfigError
+    from .manifest import ManifestWriter
 
     name, params, seed = cfg.get("domain.name"), cfg.get("domain.params"), cfg.get("master_seed")
     allowed = generator_params(name)
@@ -137,6 +141,7 @@ def _ksos_config(cfg: ExperimentConfig) -> KsosConfig:
     problem under optimizer."""
     from ..ksos import KsosConfig, lambda_phi_schedule
     from ..rngs import spawn_seed
+    from .config import ConfigError
 
     m, s, d = cfg.get("optimizer.M"), cfg.get("optimizer.s"), cfg.get("model.d")
     lam_phi = cfg.get("optimizer.lambda_phi")
@@ -170,15 +175,14 @@ def _train_osc(oracle, train) -> tuple[float, str]:
 
 def cmd_train(args) -> int:
     cfg, out_dir = _load(args)
-    import statistics
-
     import numpy as np
 
     from ..ksos import GramSingular, baseline_minimize, certificate, glm_smoothness_estimates, ksos_minimize
     from ..model import ParamSpace, model_for_instances
-    from ..perturb import PerturbationSpec, crn_risk_surface, regularized_risk
+    from ..perturb import PerturbationSpec, crn_risk_surface, median, regularized_risk
     from ..problems import default_cost_oracle, load_instances
     from ..rngs import spawn_seed, substream
+    from .manifest import ManifestWriter
 
     d, seed = cfg.get("model.d"), cfg.get("master_seed")
     ks_cfg = _ksos_config(cfg)
@@ -249,8 +253,7 @@ def cmd_train(args) -> int:
 
     result_doc["comparison"] = {
         "random_policy_test_risks": random_risks,
-        # statistics, not np.median, which imports numpy.ma
-        "random_policy_median": float(statistics.median(random_risks)),
+        "random_policy_median": median(random_risks),
         "budget_matched_random_search": {
             "w": base_w.tolist(),
             "train_value": base_v,
@@ -278,6 +281,7 @@ def cmd_sweep(args) -> int:
     cfg, out_dir = _load(args)
     cfg.check_sweep(args.kind)
     os.makedirs(out_dir, exist_ok=True)
+    from .manifest import ManifestWriter
     from .sweeps import run_bias_sweep, run_ksos_sweep, run_nprocess_sweep
 
     threads = args.threads if args.threads is not None else cfg.get("threads")
@@ -323,6 +327,8 @@ def cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from .config import ConfigError
+
     try:
         if args.command == "generate":
             return cmd_generate(args)

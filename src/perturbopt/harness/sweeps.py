@@ -6,11 +6,12 @@ start without it.  ``sweep bias`` scores its lam = 0 risks against the
 contextual vertex table, so it solves no assignment, and takes its tail
 mass from perturb's numpy port of igamc, so it loads no scipy module at
 all.  It computes the cost oscillation of its instances once for all
-its w, and the tail masses of all its w and lambdas in one tail_mass_V
-call, so one chi_tail call, over the stack of its w.  Its scaling fits
-and their median take no np.median, and the thread pool is imported
-only for threads > 1, so it loads neither numpy.ma nor
-concurrent.futures.
+its w, the tail masses of all its w and lambdas in one tail_mass_V
+call, so one chi_tail call, over the stack of its w, and all its risks
+in one regularized_risk call, so one pass over its instances, each
+instance's vertices costed once.  Its scaling fits and their median take
+no np.median, and the thread pool is imported only for threads > 1, so
+it loads neither numpy.ma nor concurrent.futures.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import numpy as np
 
 from ..model import ParamSpace, model_for_instances
-from ..perturb import PerturbationSpec, tail_mass_V
+from ..perturb import PerturbationSpec, median, regularized_risk, tail_mass_V
 from ..problems import default_cost_oracle, generate_instances, osc_bound
 from ..rngs import spawn_seed, substream
 from ..theory import check_bias_bound, check_empirical_process
@@ -38,16 +39,6 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> str:
         for row in rows:
             writer.writerow([CSV_SCHEMA_VERSION] + [row.get(c, "") for c in columns])
     return path
-
-
-def _median(values) -> float:
-    """np.median of a nonempty list of finite floats, bit for bit: the
-    middle value, or the mean (a + b) / 2 of the two middle ones.
-    np.median imports numpy.ma, and statistics imports decimal and
-    fractions."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
 def _parallel_map(fn, items, threads: int):
@@ -67,7 +58,12 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
     """Bias bounds over a lambda grid at random w.  Runs on contextual
     instances with d_context = model.d whatever the configured domain,
     until the sweep follows domain.name (ROADMAP "The uniform weak property
-    in production").  Returns the paths of the CSV and its summary."""
+    in production").  Returns the paths of the CSV and its summary.
+
+    The n_w tail-mass rows and the n_w * (2 + G) risks (each w at
+    lambda = 0, epsilon0 and the sorted grid) come from one call each over
+    the stack of w; check_bias_bound then checks one w at a time from its
+    row and its block, which equal its own calls bit for bit."""
     lambda_grid = cfg.get("sweeps.bias.lambda_grid")
     eps0, d, seed = cfg.get("perturb.epsilon0"), cfg.get("model.d"), cfg.get("master_seed")
     n_w = max(1, cfg.get("sweeps.bias.n_pairs") // len(lambda_grid))
@@ -83,13 +79,21 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         lam=max(lambda_grid), mc_samples=cfg.get("perturb.samples"), master_seed=seed
     )
     osc = osc_bound(oracle, instances)
-    ws = [space.sample(substream(seed, f"sweep/bias/w/{i}"), 1)[0] for i in range(n_w)]
-    # every tail mass in one pass; row i is V at ws[i] on the grid as check_bias_bound sorts it
-    v = tail_mass_V(np.stack(ws), instances, model, space, sorted(lambda_grid))
+    ws = np.stack([space.sample(substream(seed, f"sweep/bias/w/{i}"), 1)[0] for i in range(n_w)])
+    # the lambdas of each w's risks and tail masses, as check_bias_bound orders them
+    grid = sorted(float(lam) for lam in lambda_grid)
+    lams = [0.0, eps0, *grid]
+    # every tail mass in one pass; row i is V at ws[i]
+    v = tail_mass_V(ws, instances, model, space, grid)
+    # every risk in one pass; block i is ws[i] at each of lams
+    risks = regularized_risk(
+        np.repeat(ws, len(lams), axis=0), instances, oracle, model, space, spec, lams=lams * n_w
+    )
 
     def one_w(i):
         return check_bias_bound(
-            ws[i], instances, oracle, lambda_grid, eps0, model, space, spec, osc=osc, v_grid=v[i]
+            ws[i], instances, oracle, lambda_grid, eps0, model, space, spec, osc=osc, v_grid=v[i],
+            risks=risks[i * len(lams):(i + 1) * len(lams)],
         )
 
     rows = []
@@ -124,7 +128,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         {
             "n_w": n_w,
             "n_rows": len(rows),
-            "fitted_slope_median": _median(slopes) if slopes else float("nan"),
+            "fitted_slope_median": median(slopes) if slopes else float("nan"),
             "all_passed": int(all(r["passed"] for r in rows)),
         }
     ]

@@ -13,16 +13,19 @@ in the ``itertools.permutations`` order of ``Permutahedron(d).vertices()``,
 and each row reads its entry of that table at the row's lexicographic
 rank sum_i c_i * (d-1-i)!, where c_i = #{j > i : theta_i >= theta_j}
 counts the later jobs that run after job i (the Lehmer code of the row's
-argmax vertex).  Ranking takes d(d-1)/2 vectorised comparisons, where
-sorting takes a per-row argsort.  The comparisons read theta by columns,
+argmax vertex).  Ranking takes d-1 vectorised comparisons, column i
+against all later columns at once into a (d-1, k) bool buffer, each
+counted by one int16 sum over its rows, where sorting takes a per-row
+argsort.  The comparisons read theta by columns,
 ``np.ascontiguousarray(theta.T)``: free for the transpose of a C-ordered
 (d, k) buffer, which is how the Monte Carlo risk pass hands its
-directions over, and one copy for a C-ordered batch.  The rank is summed
-in int16 buffers, in place, and gathered with ``table.take``: at d <= 7
-each c_i * (d-1-i)! is at most 4320 and each rank at most 5039.  A smaller batch, or d >= 8, sorts each
-row.  Both paths run the one recursion on the same run order, so a row
-gets bit-identical costs in a batch of either size, and in any memory
-layout of theta.  theta must hold no NaN: a NaN compares false either
+directions over, and one copy for a C-ordered batch.  The counts are
+integers, so every rank is exact; it is summed in int16 buffers, in
+place, and gathered with ``table.take``: at d <= 7 each c_i * (d-1-i)!
+is at most 4320 and each rank at most 5039.  A smaller batch, or d >= 8,
+sorts each row.  Both paths run the one recursion on the same run order,
+so a row gets bit-identical costs in a batch of either size, and in any
+memory layout of theta.  theta must hold no NaN: a NaN compares false either
 way, which the two paths read differently.
 
 The benchmark in ``perfbench/`` times it as ``kernels.sched_us_per_dir``
@@ -65,12 +68,11 @@ def scheduling_total_completion(
     cols = np.ascontiguousarray(theta.T)
     rank = np.zeros(k, dtype=np.int16)
     count = np.empty(k, dtype=np.int16)
-    later = np.empty(k, dtype=bool)
+    later = np.empty((d - 1, k), dtype=bool)
     for i in range(d - 1):
-        count.fill(0)
-        for j in range(i + 1, d):
-            np.greater_equal(cols[i], cols[j], out=later)
-            count += later
+        after = later[: d - 1 - i]
+        np.greater_equal(cols[i], cols[i + 1:], out=after)
+        np.add.reduce(after, axis=0, dtype=np.int16, out=count)
         count *= math.factorial(d - 1 - i)
         rank += count
     return table.take(rank)

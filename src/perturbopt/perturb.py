@@ -617,6 +617,16 @@ def _fold(table: np.ndarray) -> np.ndarray:
     return total
 
 
+def median(values) -> float:
+    """np.median of a nonempty list of finite floats, bit for bit: the
+    middle value, or the mean (a + b) / 2 of the two middle ones.
+    np.median imports numpy.ma, and statistics imports decimal and
+    fractions."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _risk_terms(W, instances, oracle, model, spec, lams=None):
     """The one risk estimator, for the rows of W, an (M, d) array from
     _param_rows (a single w is M = 1), row m at lambda lams[m] (spec.lam
@@ -638,7 +648,8 @@ def _risk_terms(W, instances, oracle, model, spec, lams=None):
     each instance draws its CRN noise block once for all rows at lam > 0
     and perturbs every theta in one eval_theta_batch call; the mean over
     the K samples of each row equals np.mean of that row's costs bit for
-    bit.  The directions fill one (dim, P, K) column buffer per cell,
+    bit, and the variance np.var's (_mean_var), the mean taken once.  The
+    directions fill one (dim, P, K) column buffer per cell,
     reused by each instance, from the instance's noise block transposed
     once to (dim, K): lam * z is taken once per instance when every row
     shares lam (every train and surface pass), and once per row
@@ -676,10 +687,25 @@ def _risk_terms(W, instances, oracle, model, spec, lams=None):
             z = np.ascontiguousarray(perturbation_block(spec, x.index, x.dim).T)  # (dim, K)
             np.add(scale[:, None] * z[:, None, :], t.T[:, :, None], out=dirs)
             costs = oracle.eval_theta_batch(x, dirs.reshape(x.dim, -1).T).reshape(len(smooth), -1)
-            terms[i, smooth] = np.mean(costs, axis=1)
-            if costs.shape[1] > 1:
-                variances[i, smooth] = np.var(costs, axis=1, ddof=1) / costs.shape[1]
+            terms[i, smooth], var = _mean_var(costs)
+            if var is not None:
+                variances[i, smooth] = var / costs.shape[1]
     return terms, variances if sampled else None, ties
+
+
+def _mean_var(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """np.mean(costs, axis=1) and np.var(costs, axis=1, ddof=1) of a (P, K)
+    table bit for bit, the variance None at K = 1, from one sum per row:
+    the reductions those two run (add.reduce, divide by K, subtract,
+    square in place, add.reduce, divide by K - 1), the mean taken once."""
+    k = costs.shape[1]
+    mean = np.add.reduce(costs, axis=1, keepdims=True)
+    mean /= k
+    if k == 1:
+        return mean[:, 0], None
+    dev = costs - mean
+    np.square(dev, out=dev)
+    return mean[:, 0], np.add.reduce(dev, axis=1) / (k - 1)
 
 
 def regularized_risk(

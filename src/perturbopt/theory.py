@@ -17,6 +17,7 @@ import numpy as np
 from .model import GeneralizedLinearModel, ParamSpace
 from .perturb import (
     PerturbationSpec,
+    RiskReport,
     _polytope_cells,
     chi_tail,
     exact_policy_distribution,
@@ -179,6 +180,7 @@ def check_bias_bound(
     spec: PerturbationSpec,
     osc: float | None = None,
     v_grid: np.ndarray | None = None,
+    risks: list[RiskReport] | None = None,
 ) -> tuple[list[BoundCheck], ScalingFit]:
     """Both risk-perturbation inequalities on a lambda grid, plus the
     log-log scaling of |R_lambda - R_eps0| against lambda, for the cost
@@ -187,10 +189,10 @@ def check_bias_bound(
     elsewhere, and the unperturbed policy at lambda = 0; spec supplies
     the Monte Carlo samples and seed, and each risk its own lambda.
 
-    The 2 + len(grid) risks at w (lambda = 0, epsilon0 and the grid) come
-    from one regularized_risk call, one pass over the instances: each
-    row carries its own lambda, and each report equals the single call at
-    that lambda bit for bit.
+    The 2 + len(grid) risks at w (lambda = 0, epsilon0 and the sorted
+    grid) come from one regularized_risk call, one pass over the
+    instances: each row carries its own lambda, and each report equals
+    the single call at that lambda bit for bit.
 
     ``osc`` is the cost oscillation over the instances, osc_bound's value;
     a caller that checks many w on the same instances passes it once
@@ -198,7 +200,12 @@ def check_bias_bound(
     same for the tail masses V_w at the sorted grid: a caller that checks
     many w passes row i of one tail_mass_V call over its stack of w,
     which equals the single call at w bit for bit; without it the check
-    makes that single call.
+    makes that single call.  ``risks`` is the same for the 2 + len(grid)
+    risk reports, in that lambda order: a caller that checks many w
+    passes block i of one regularized_risk call over its stack of w, each
+    repeated once per lambda, which equals the check's own call bit for
+    bit; without it the check makes that call.  A v_grid or a risks of
+    the wrong length, or risks at other lambdas, raises ValueError.
 
     The checks come three per grid value, in sorted grid order:
     bias_vs_unperturbed, bias_vs_base_smoothed, tail_mass_monotone.  The
@@ -209,14 +216,18 @@ def check_bias_bound(
         raise ValueError("lambda grid must stay above epsilon0")
     if v_grid is not None and np.shape(v_grid) != (len(lambda_grid),):
         raise ValueError(f"v_grid needs one tail mass per grid value, got shape {np.shape(v_grid)}")
+    lams = [0.0, epsilon0, *lambda_grid]
+    if risks is not None and [r.lam for r in risks] != lams:
+        raise ValueError(f"risks needs one report at each lambda of {lams}, got {[r.lam for r in risks]}")
 
     if osc is None:
         osc = osc_bound(oracle, instances)
-    lams = [0.0, epsilon0, *lambda_grid]
-    base, r_eps, *r_grid = regularized_risk(
-        np.tile(np.asarray(w, dtype=np.float64), (len(lams), 1)),
-        instances, oracle, model, space, spec, lams=lams,
-    )
+    if risks is None:
+        risks = regularized_risk(
+            np.tile(np.asarray(w, dtype=np.float64), (len(lams), 1)),
+            instances, oracle, model, space, spec, lams=lams,
+        )
+    base, r_eps, *r_grid = risks
     if v_grid is None:
         v_grid = tail_mass_V(w, instances, model, space, lambda_grid)
     checks: list[BoundCheck] = []

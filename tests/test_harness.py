@@ -560,12 +560,15 @@ def test_bias_sweep_schema(tmp_path):
 
 def test_bias_sweep_takes_every_tail_mass_in_one_call(tmp_path, monkeypatch):
     # one tail_mass_V call over the stack of all w, so one chi_tail call on
-    # the one contextual cell; each check still runs once per w
+    # the one contextual cell, and one regularized_risk call over each w
+    # repeated at lambda = 0, epsilon0 and the grid; each check still runs
+    # once per w, is handed its row and its block, and scores nothing
     from perturbopt import perturb, theory
     from perturbopt.harness import sweeps
 
-    calls = {"tail_mass_V": [], "chi_tail": 0, "check_bias_bound": 0}
+    calls = {"tail_mass_V": [], "chi_tail": 0, "regularized_risk": [], "check_bias_bound": 0}
     real_tail, real_chi, real_check = perturb.tail_mass_V, perturb.chi_tail, theory.check_bias_bound
+    real_risk = perturb.regularized_risk
 
     def tail(w, *args, **kwargs):
         calls["tail_mass_V"].append(np.shape(w))
@@ -575,29 +578,40 @@ def test_bias_sweep_takes_every_tail_mass_in_one_call(tmp_path, monkeypatch):
         calls["chi_tail"] += 1
         return real_chi(*args, **kwargs)
 
+    def risk(w, *args, **kwargs):
+        calls["regularized_risk"].append(np.shape(w))
+        return real_risk(w, *args, **kwargs)
+
     def check(w, *args, **kwargs):
-        assert np.shape(w) == (2,) and kwargs["v_grid"] is not None
+        assert np.shape(w) == (2,) and kwargs["v_grid"] is not None and len(kwargs["risks"]) == 2 + 3
         calls["check_bias_bound"] += 1
         return real_check(w, *args, **kwargs)
 
+    def no_risk(*args, **kwargs):
+        raise AssertionError("check_bias_bound scored the risks it was given")
+
     monkeypatch.setattr(sweeps, "tail_mass_V", tail)
     monkeypatch.setattr(perturb, "chi_tail", chi)
+    monkeypatch.setattr(sweeps, "regularized_risk", risk)
     monkeypatch.setattr(sweeps, "check_bias_bound", check)
+    monkeypatch.setattr(theory, "regularized_risk", no_risk)
     doc = dict(
         TOY,
         sweeps={"bias": {"lambda_grid": [0.01, 0.1, 1.0], "n_pairs": 12, "n_instances": 12}},
     )
     out = sweep_out(tmp_path)
     assert main(["sweep", "bias", "--config", write_cfg(tmp_path, doc), "--out", out]) == 0
-    assert calls == {"tail_mass_V": [(4, 2)], "chi_tail": 1, "check_bias_bound": 4}
+    assert calls == {
+        "tail_mass_V": [(4, 2)], "chi_tail": 1, "regularized_risk": [(4 * (2 + 3), 2)], "check_bias_bound": 4,
+    }
     assert len(read_csv_rows(os.path.join(out, "sweep_bias.csv"))) == 4 * 3
 
 
 @pytest.mark.parametrize("values", [[0.3], [2.0, -1.0], [0.1, 0.7, -0.2], [0.5, 0.25, 3.0, 1e-9, -7.0, 0.1]])
 def test_sweep_median_is_np_median_bitwise(values):
-    from perturbopt.harness.sweeps import _median
+    from perturbopt.perturb import median
 
-    got = _median(values)
+    got = median(values)
     assert type(got) is float and got.hex() == float(np.median(values)).hex()
 
 
@@ -778,7 +792,9 @@ def test_seed_override_changes_dataset(tmp_path):
 # numpy port of igamc, so neither sweep bias nor sweep ksos, which import
 # the theory layer with the sweeps module, loads a scipy module.  Sweep
 # bias takes no np.median, which loads numpy.ma, and a serial sweep no
-# thread pool.
+# thread pool.  --help and an argparse error load neither config (yaml)
+# nor manifest (hashlib), a config error loads no manifest, and train
+# takes its median without statistics, which loads decimal and fractions.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -788,6 +804,7 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
+ARGPARSE_ONLY = ("yaml", "hashlib", "perturbopt.harness.config", "perturbopt.harness.manifest")
 IMPORT_TOY = dict(
     TOY, perturb=dict(TOY["perturb"], samples=16), optimizer={"kind": "ksos", "M": 8},
     sweeps={"bias": {"lambda_grid": [0.1, 1.0], "n_pairs": 2, "n_instances": 5}},
@@ -813,9 +830,11 @@ def _loaded_modules(tmp_path, argv):
 @pytest.mark.parametrize(
     "words, patch, code, unloaded",
     [
-        pytest.param(["--help"], {}, 0, ("numpy", "scipy"), id="help"),
+        pytest.param(["--help"], None, 0, ("numpy", "scipy", *ARGPARSE_ONLY), id="help"),
+        pytest.param(["train"], None, 2, ("numpy", "scipy", *ARGPARSE_ONLY), id="usage-error"),
         pytest.param(
-            ["generate"], {"domain": dict(TOY["domain"], n_train=0)}, 2, ("numpy", "scipy"),
+            ["generate"], {"domain": dict(TOY["domain"], n_train=0)}, 2,
+            ("numpy", "scipy", "hashlib", "perturbopt.harness.manifest"),
             id="config-error",
         ),
         pytest.param(["generate"], _domain("scheduling", jobs=[4]), 0, ("scipy",), id="generate-scheduling"),
@@ -823,11 +842,15 @@ def _loaded_modules(tmp_path, argv):
         pytest.param(["generate"], _domain("contextual", d_context=2), 0, ("scipy",), id="generate-contextual"),
         pytest.param(
             ["train"], {}, 0,
-            ("perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy", "numpy.ma"),
+            (
+                "perturbopt.theory", "perturbopt.harness.checks", "perturbopt.harness.sweeps", "scipy", "numpy.ma",
+                "statistics",
+            ),
             id="train",
         ),
         pytest.param(
-            ["train"], _domain("contextual", d_context=2), 0, ("scipy", "numpy.ma"), id="train-contextual",
+            ["train"], _domain("contextual", d_context=2), 0, ("scipy", "numpy.ma", "statistics"),
+            id="train-contextual",
         ),
         pytest.param(
             ["sweep", "bias"], {}, 0, ("perturbopt.ksos", "scipy", "numpy.ma", "concurrent.futures"),
@@ -840,11 +863,13 @@ def _loaded_modules(tmp_path, argv):
     ],
 )
 def test_cli_command_import_budget(tmp_path, words, patch, code, unloaded):
-    cfg_path = write_cfg(tmp_path, dict(IMPORT_TOY, **patch))
-    out = str(tmp_path / "run")
-    if words[0] == "train":
-        assert main(["generate", "--config", cfg_path, "--out", out]) == 0
-    argv = words if words[0] == "--help" else [*words, "--config", cfg_path, "--out", out]
+    argv = words  # patch None: the words alone, no config
+    if patch is not None:
+        cfg_path = write_cfg(tmp_path, dict(IMPORT_TOY, **patch))
+        out = str(tmp_path / "run")
+        if words[0] == "train":
+            assert main(["generate", "--config", cfg_path, "--out", out]) == 0
+        argv = [*words, "--config", cfg_path, "--out", out]
     got, modules = _loaded_modules(tmp_path, argv)
     assert got == code
     assert [m for m in modules if any(m == u or m.startswith(u + ".") for u in unloaded)] == []

@@ -98,6 +98,46 @@ def test_scheduling_kernel_equals_sorted_recursion_bitwise(theta, seed):
     assert np.array_equal(bits(small), bits(got[: len(below)]))
 
 
+def pairwise_rank(theta):
+    """Reference: the rank as one comparison per pair of columns, each
+    counted into an int16 buffer."""
+    k, d = theta.shape
+    cols = np.ascontiguousarray(theta.T)
+    rank = np.zeros(k, dtype=np.int16)
+    count = np.empty(k, dtype=np.int16)
+    later = np.empty(k, dtype=bool)
+    for i in range(d - 1):
+        count.fill(0)
+        for j in range(i + 1, d):
+            np.greater_equal(cols[i], cols[j], out=later)
+            count += later
+        count *= math.factorial(d - 1 - i)
+        rank += count
+    return rank
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_scheduling_rank_equals_the_pairwise_loop(monkeypatch, d, layout):
+    # the table path's rank, read through a table whose entry r is r, is
+    # the pairwise loop's on tie-heavy batches in either memory layout
+    def rank_table(order, release, processing):
+        return np.arange(len(order), dtype=np.float64)
+
+    monkeypatch.setattr(kernels, "_recursion", rank_table)
+    rng = np.random.default_rng(d)
+    k = math.factorial(d) + 200
+    for theta in (
+        rng.integers(-2, 3, size=(k, d)).astype(np.float64),  # integer theta
+        np.where(rng.random((k, d)) < 0.5, 0.0, -0.0),  # mixed signed zeros
+        rng.choice(TIE_VALUES, size=(k, d)),
+        rng.standard_normal((k, d)),
+    ):
+        theta = np.asarray(theta, order=layout)
+        got = kernels.scheduling_total_completion(theta, np.zeros(d), np.ones(d))
+        assert np.array_equal(got, pairwise_rank(theta).astype(np.float64))
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_scheduling_kernel_path_follows_batch_size(monkeypatch, d):
     """A batch of at least d! rows within the cap costs the run-order table,

@@ -728,6 +728,28 @@ def test_vecdot_is_the_per_row_dot_bitwise(n_verts, m, seed):
     assert [float(v).hex() for v in got] == [float(p @ costs).hex() for p in probs]
 
 
+@pytest.mark.parametrize(
+    "costs",
+    [
+        np.random.default_rng(3).uniform(-3.0, 40.0, (7, 512)),  # random rows
+        np.random.default_rng(4).standard_normal((5, 33)) * 1e3 + 1e6,
+        np.full((4, 64), 17.3),  # constant rows
+        np.random.default_rng(5).uniform(0.0, 9.0, (6, 2)),  # K = 2
+        np.array([[0.1, 0.1], [1e-300, -1e-300], [3.0, 3.0 + 2**-51]]),
+    ],
+)
+def test_fused_mean_and_variance_are_np_mean_and_var_bitwise(costs):
+    mean, var = perturb._mean_var(costs)
+    assert [v.hex() for v in mean.tolist()] == [v.hex() for v in np.mean(costs, axis=1).tolist()]
+    assert [v.hex() for v in var.tolist()] == [v.hex() for v in np.var(costs, axis=1, ddof=1).tolist()]
+
+
+def test_fused_mean_of_one_sample_has_no_variance():
+    costs = np.array([[2.5], [-1.0]])
+    mean, var = perturb._mean_var(costs)
+    assert var is None and mean.tolist() == [2.5, -1.0]
+
+
 @pytest.mark.parametrize("name", ["ctx", "perm2"])
 def test_exact_terms_are_each_rows_law_dotted_with_the_vertex_costs(name):
     if name == "ctx":

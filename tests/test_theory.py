@@ -315,6 +315,54 @@ def test_bias_bound_with_precomputed_tail_masses_is_the_same_check(monkeypatch):
         assert np.isnan(fit.slope_ci).all() and np.isnan(want_fit.slope_ci).all()
 
 
+def test_bias_bound_with_precomputed_risks_is_the_same_check(monkeypatch):
+    # risks, block i of one regularized_risk call over a stack of w each
+    # repeated at lambda = 0, epsilon0 and the sorted grid, gives the check
+    # without it field by field, and no regularized_risk call is made
+    instances, model, space = contextual_pack(16, seed=57)
+    oracle = ContextualWrapper()
+    spec = PerturbationSpec(lam=1.0, mc_samples=32, master_seed=7)
+    grid = [2.0, 0.02, 0.5, 0.1]  # check_bias_bound sorts it
+    lams = [0.0, 1e-3, *sorted(grid)]
+    W = space.sample(substream(11, "w"), 3)
+    R = regularized_risk(
+        np.repeat(W, len(lams), axis=0), instances, oracle, model, space, spec, lams=lams * len(W)
+    )
+    want = [check_bias_bound(w, instances, oracle, grid, 1e-3, model, space, spec) for w in W]
+
+    def no_risk(*args, **kwargs):
+        raise AssertionError("check_bias_bound scored the risks it was given")
+
+    monkeypatch.setattr(theory, "regularized_risk", no_risk)
+    for i, (w, (want_checks, want_fit)) in enumerate(zip(W, want)):
+        risks = R[i * len(lams):(i + 1) * len(lams)]
+        checks, fit = check_bias_bound(w, instances, oracle, grid, 1e-3, model, space, spec, risks=risks)
+        assert len(checks) == len(want_checks) == 3 * len(grid)
+        for got, ref in zip(checks, want_checks):
+            assert (got.name, got.metadata) == (ref.name, ref.metadata)
+            assert [f.hex() for f in (got.lhs, got.rhs, got.se_lhs)] == [
+                f.hex() for f in (ref.lhs, ref.rhs, ref.se_lhs)
+            ]
+        assert fit.fitted_slope.hex() == want_fit.fitted_slope.hex()
+
+
+@pytest.mark.parametrize("pick", ["short", "long", "unsorted"])
+def test_bias_bound_rejects_risks_at_other_lambdas(pick):
+    instances, model, space = contextual_pack(5, seed=51)
+    oracle = ContextualWrapper()
+    spec = PerturbationSpec(lam=1.0, mc_samples=16, master_seed=7)
+    lams = {
+        "short": [0.0, 1e-3, *BIAS_GRID[:-1]],
+        "long": [0.0, 1e-3, *BIAS_GRID, BIAS_GRID[-1]],
+        "unsorted": [1e-3, 0.0, *BIAS_GRID],
+    }[pick]
+    risks = regularized_risk(
+        np.zeros((len(lams), 2)), instances, oracle, model, space, spec, lams=lams
+    )
+    with pytest.raises(ValueError, match="risks"):
+        check_bias_bound(np.zeros(2), instances, oracle, BIAS_GRID, 1e-3, model, space, spec, risks=risks)
+
+
 def test_bias_bound_fit_is_the_one_row_scaling_fit():
     # one row of gaps: its median is the row, and one slope gives no interval
     instances, model, space = contextual_pack(16, seed=57)
