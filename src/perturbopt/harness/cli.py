@@ -29,6 +29,8 @@ only ``sweep ksos`` loads ``ksos``.  ``sweep bias`` and ``sweep ksos``
 load no scipy module: the bias check's chi tail is perturb's numpy port
 of igamc (for perturbations of dimension at most 40), and the theory
 checks import the scipy.special ufuncs they call where they call them.
+Every sweep runs serially, in the calling thread: no command takes a
+thread count, and none loads concurrent.futures.
 """
 
 from __future__ import annotations
@@ -64,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep")
     p.add_argument("kind", choices=["bias", "nprocess", "ksos"])
     _common_flags(p)
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads of sweep bias and sweep ksos; sweep nprocess runs serially "
-        "(default: config threads)",
-    )
     return parser
 
 
@@ -284,7 +281,6 @@ def cmd_sweep(args) -> int:
     from .manifest import ManifestWriter
     from .sweeps import run_bias_sweep, run_ksos_sweep, run_nprocess_sweep
 
-    threads = args.threads if args.threads is not None else cfg.get("threads")
     manifest = ManifestWriter(out_dir, cfg.to_doc())
     runner = {
         "bias": run_bias_sweep,
@@ -292,7 +288,7 @@ def cmd_sweep(args) -> int:
         "ksos": run_ksos_sweep,
     }[args.kind]
     with manifest.time(f"sweep/{args.kind}"):
-        paths = runner(cfg, out_dir, threads=threads)
+        paths = runner(cfg, out_dir)
     for path in paths:
         manifest.add_file(path)
     manifest.write()

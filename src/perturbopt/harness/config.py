@@ -93,7 +93,9 @@ def _is(kind: type, val) -> bool:
 SCHEMA = {
     "master_seed": Key(7, int),
     "output_dir": Key(None, str),  # None: --out, else $PERTURBOPT_OUT, else "out"
-    "threads": Key(1, int, low=1),  # worker threads of sweep bias and sweep ksos
+    # sweeps run serially, so 1 is the only value; the key goes with the benchmark
+    # change that drops threads: 1 from perfbench/workloads.py
+    "threads": Key(1, int, low=1, high=1),
     "domain.name": Key("scheduling", str, choices=("scheduling", "stovsp", "contextual")),
     "domain.params": Key({}, dict),  # keyword arguments of the instance generator
     "domain.n_train": Key(48, int, low=1),

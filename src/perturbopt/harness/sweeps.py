@@ -9,9 +9,9 @@ all.  It computes the cost oscillation of its instances once for all
 its w, the tail masses of all its w and lambdas in one tail_mass_V
 call, so one chi_tail call, over the stack of its w, and all its risks
 in one regularized_risk call, so one pass over its instances, each
-instance's vertices costed once.  Its scaling fits and their median take
-no np.median, and the thread pool is imported only for threads > 1, so
-it loads neither numpy.ma nor concurrent.futures.
+instance's vertices costed once.  Every sweep runs serially, and both
+the bias and the kSoS sweep take their medians with perturb.median, not
+np.median, so neither loads numpy.ma.
 """
 
 from __future__ import annotations
@@ -41,20 +41,11 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> str:
     return path
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Bias sweep
 
 
-def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
+def run_bias_sweep(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     """Bias bounds over a lambda grid at random w.  Runs on contextual
     instances with d_context = model.d whatever the configured domain,
     until the sweep follows domain.name (ROADMAP "The uniform weak property
@@ -90,15 +81,13 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         np.repeat(ws, len(lams), axis=0), instances, oracle, model, space, spec, lams=lams * n_w
     )
 
-    def one_w(i):
-        return check_bias_bound(
+    rows = []
+    slopes = []
+    for i in range(n_w):
+        checks, fit = check_bias_bound(
             ws[i], instances, oracle, lambda_grid, eps0, model, space, spec, osc=osc, v_grid=v[i],
             risks=risks[i * len(lams):(i + 1) * len(lams)],
         )
-
-    rows = []
-    slopes = []
-    for i, (checks, fit) in enumerate(_parallel_map(one_w, range(n_w), threads)):
         # check_bias_bound's layout: three checks per grid value, in grid order
         for unperturbed, smoothed, monotone in zip(*[iter(checks)] * 3):
             rows.append(
@@ -144,7 +133,7 @@ def run_bias_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
 # Empirical process sweep
 
 
-def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
+def run_nprocess_sweep(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     lam = cfg.get("sweeps.nprocess.lambda")
     d_context = cfg.get("sweeps.nprocess.d_context")
     result = check_empirical_process(
@@ -220,7 +209,7 @@ def quadratic_certificate_bounds(
     return 2.0 * trace_bound, 2.0
 
 
-def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[str]:
+def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str) -> list[str]:
     from ..ksos import KsosConfig, certificate, ksos_minimize, lambda_phi_schedule
 
     m_grid, d, s = cfg.get("sweeps.ksos.m_grid"), cfg.get("sweeps.ksos.d"), cfg.ksos_sweep_s()
@@ -261,7 +250,7 @@ def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
         }
 
     cells = [(m, s_idx) for m in m_grid for s_idx in range(cfg.get("sweeps.ksos.seeds"))]
-    rows = _parallel_map(one_cell, cells, threads)
+    rows = [one_cell(cell) for cell in cells]
     path = write_csv(
         os.path.join(out_dir, "sweep_ksos.csv"),
         [
@@ -274,7 +263,7 @@ def run_ksos_sweep(cfg: ExperimentConfig, out_dir: str, threads: int) -> list[st
     med_rows = []
     for m in m_grid:
         errs = [r["arg_error"] for r in rows if r["M"] == m]
-        med_rows.append({"M": m, "median_arg_error": float(np.median(errs))})
+        med_rows.append({"M": m, "median_arg_error": median(errs)})
     summary_path = write_csv(
         os.path.join(out_dir, "sweep_ksos_summary.csv"),
         ["M", "median_arg_error"],

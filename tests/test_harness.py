@@ -511,13 +511,13 @@ def test_train_with_a_dataset_file_missing_exits_2_naming_it(tmp_path, capsys, m
 
 
 def test_train_takes_no_threads_flag(tmp_path, capsys):
-    # train, generate and check are serial; only sweep has worker threads
+    # every command runs serially, sweeps included
     cfg_path = write_cfg(tmp_path, TOY)
-    for command in ("generate", "train", "check"):
+    for command in ("generate", "train", "check", "sweep bias"):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", cfg_path, "--threads", "2"])
+            main([*command.split(), "--config", cfg_path, "--threads", "2"])
         assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+        assert "--threads" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -652,27 +652,26 @@ def test_ksos_sweep_schema(tmp_path):
     assert_manifest_lists_csv_and_summary(out, "ksos")
 
 
-def test_sweep_thread_invariance(tmp_path):
-    doc = dict(
-        TOY,
-        sweeps={
-            "bias": {"lambda_grid": [0.01, 0.1, 1.0], "n_pairs": 6, "n_instances": 12},
-            "ksos": {"m_grid": [16, 32], "seeds": 2, "d": 1},
-        },
-    )
-    cfg_path = write_cfg(tmp_path, doc)
-    digests = {}
-    for threads in (1, 2):
-        out = str(tmp_path / f"t{threads}")
-        os.makedirs(out)
-        for kind in ("ksos", "bias"):
-            assert main(["sweep", kind, "--config", cfg_path, "--out", out, "--threads", str(threads)]) == 0
-        digests[threads] = [
-            file_digest(os.path.join(out, f"sweep_{kind}{suffix}.csv"))
-            for kind in ("ksos", "bias")
-            for suffix in ("", "_summary")
-        ]
-    assert digests[1] == digests[2]
+@pytest.mark.parametrize("threads", [0, 2])
+def test_config_threads_other_than_1_exits_2(tmp_path, capsys, threads):
+    # sweeps run serially; threads is pinned to 1 until the benchmark configs drop it
+    out = tmp_path / "run"
+    cfg_path = write_cfg(tmp_path, dict(TOY, threads=threads))
+    assert main(["sweep", "bias", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "threads: must be >= 1 and <= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_threads_1_writes_the_bias_sweep_of_no_threads_key(tmp_path):
+    doc = dict(TOY, sweeps={"bias": {"lambda_grid": [0.01, 0.1, 1.0], "n_pairs": 6, "n_instances": 12}})
+    digests = []
+    for name, cfg_doc in (("without", doc), ("with", dict(doc, threads=1))):
+        out = str(tmp_path / name)
+        assert main(["sweep", "bias", "--config", write_cfg(tmp_path, cfg_doc), "--out", out]) == 0
+        digests.append([
+            file_digest(os.path.join(out, f"sweep_bias{suffix}.csv")) for suffix in ("", "_summary")
+        ])
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +789,12 @@ def test_seed_override_changes_dataset(tmp_path):
 # The theory checks import the scipy.special ufuncs they call in the
 # functions that call them, and the bias check's chi tail is perturb's
 # numpy port of igamc, so neither sweep bias nor sweep ksos, which import
-# the theory layer with the sweeps module, loads a scipy module.  Sweep
-# bias takes no np.median, which loads numpy.ma, and a serial sweep no
-# thread pool.  --help and an argparse error load neither config (yaml)
-# nor manifest (hashlib), a config error loads no manifest, and train
-# takes its median without statistics, which loads decimal and fractions.
+# the theory layer with the sweeps module, loads a scipy module.  Neither
+# sweep takes np.median, which loads numpy.ma, and every sweep runs
+# serially, with no thread pool.  --help and an argparse error load
+# neither config (yaml) nor manifest (hashlib), a config error loads no
+# manifest, and train takes its median without statistics, which loads
+# decimal and fractions.
 IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from perturbopt.harness.cli import main
@@ -857,7 +857,8 @@ def _loaded_modules(tmp_path, argv):
             id="sweep-bias",
         ),
         pytest.param(
-            ["sweep", "ksos"], {"sweeps": {"ksos": {"m_grid": [8], "seeds": 1}}}, 0, ("scipy",),
+            ["sweep", "ksos"], {"sweeps": {"ksos": {"m_grid": [8], "seeds": 1}}}, 0,
+            ("scipy", "numpy.ma", "concurrent.futures"),
             id="sweep-ksos",
         ),
     ],
