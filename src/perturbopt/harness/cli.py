@@ -25,9 +25,10 @@ scipy.special only for a Matern smoothness outside the kernel's closed
 forms (nu = 0.5, 1.5, 2.5), and scipy.optimize only where a VspFlow
 solves its assignment (polytopes' docstring).  ``sweep`` loads
 ``sweeps`` and ``check`` loads ``checks``; both bring in ``theory``, and
-only ``sweep ksos`` loads ``ksos``.  ``sweep bias`` and ``sweep ksos``
-load no scipy module: the bias check's chi tail is perturb's numpy port
-of igamc (for perturbations of dimension at most 40), and the theory
+only ``sweep ksos`` loads ``ksos``.  ``sweep bias``, ``sweep ksos`` and
+a ``check`` of gauss_tail and bias_bounds load no scipy module: the chi
+tail is perturb's finite sum for the upper incomplete gamma at integer
+dimension (Abramowitz and Stegun 6.5.13 and 26.4.21), and the theory
 checks import the scipy.special ufuncs they call where they call them.
 Every sweep runs serially, in the calling thread: no command takes a
 thread count, and none loads concurrent.futures.

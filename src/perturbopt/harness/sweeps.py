@@ -4,9 +4,10 @@ Only the kSoS sweep solves with kSoS, so ``ksos`` is imported inside the
 two functions that call it, and ``sweep bias`` and ``sweep nprocess``
 start without it.  ``sweep bias`` scores its lam = 0 risks against the
 contextual vertex table, so it solves no assignment, and takes its tail
-mass from perturb's numpy port of igamc, so it loads no scipy module at
-all.  It computes the cost oscillation of its instances once for all
-its w, the tail masses of all its w and lambdas in one tail_mass_V
+mass from perturb's chi_tail, a finite sum on math's exp, log and
+lgamma (Abramowitz and Stegun 6.5.13 and 26.4.21), so it loads no scipy
+module at all.  It computes the cost oscillation of its instances once
+for all its w, the tail masses of all its w and lambdas in one tail_mass_V
 call, so one chi_tail call, over the stack of its w, and all its risks
 in one regularized_risk call, so one pass over its instances, each
 instance's vertices costed once.  Every sweep runs serially, and both

@@ -35,15 +35,14 @@ for bit, so a risk pass loads no scipy module (importing scipy.special
 costs about 0.2 s).  The port costs about 0.14 ms of numpy dispatch per
 call on a 2-core x86-64 VM, where the scipy ufunc costs 0.5 us, so a
 risk pass makes one _ndtr call per closed-form cell, over all its
-instances and rows.  chi_tail's Q is _igamc, a port of cephes igamc
-equal to scipy.special.gammaincc bit for bit, so the bias check loads no
-scipy module either; only for d > 40 does chi_tail import scipy.special,
-where it is called.
+instances and rows.  chi_tail's Q(d/2, x) is the finite sum that the
+upper incomplete gamma is at integer d (Abramowitz and Stegun 6.5.13
+and 26.4.21), on math's exp, log and lgamma and on _ndtr for odd d, so
+the bias check loads no scipy module either, at any d.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -120,37 +119,42 @@ def perturbation_block(spec: PerturbationSpec, instance_index: int, d: int) -> n
 
 def chi_tail(threshold: float | np.ndarray, d: int) -> float | np.ndarray:
     """P(|Z| > threshold) for the d-dimensional perturbation law: the
-    regularized upper incomplete gamma Q(d/2, d t^2 / 2), which is 1 for
-    t <= 0.  A float for a scalar threshold, elementwise for an array.
+    regularized upper incomplete gamma Q(d/2, x) at x = d t^2 / 2, which
+    is 1 for t <= 0, 0 at t = inf and NaN at NaN.  A float for a scalar
+    threshold, elementwise for an array.
 
-    For d <= 40, Q is _igamc, a numpy port of the cephes igamc that
-    scipy.special.gammaincc runs, equal to it bit for bit, so the bias
-    check loads no scipy module.  By cephes' rules on x and a = d/2 it
-    takes 1 - the power series of P, a series of Q for x <= 1.1, or the
-    continued fraction (_igamc lists the branches).  Two details keep its
-    bits: the series of Q calls cephes' own rational expm1, not libm's,
-    which puts Q one or two ulps off on a quarter of the points at
-    a = 1/2 in (0.45, 1.1]; and cephes' lgam1p(1/2) is its Taylor sum
-    cut below n = 42, 258 ulps from lgam(3/2).  Past d = 40 (a > 20) cephes takes
-    Temme's asymptotic series near x = a, whose coefficient table the
-    port leaves out, and chi_tail imports scipy.special's gammaincc where
-    it is called.  The port costs 3-4 ms per call over one w's 600
-    thresholds at d = 1, against 0.4 ms for scipy's ufunc (2-core x86-64
-    VM), mostly numpy dispatch, so callers batch their thresholds: on the
-    bias sweep's 20 w, 20 calls of 600 take 41-43 ms and one call over
-    all 12,000 takes 8-9 ms, so the sweep takes every tail mass from one
+    At integer d, Q is a finite sum (Abramowitz and Stegun 6.5.13 and
+    26.4.21): sum_{j < d/2} x^j e^-x / j! for even d, and for odd d
+    erfc(sqrt x) = 2 Phi(-sqrt(2x)) plus the same terms at the powers
+    j + 1/2.  Each term is exp(-x + p log x - lgamma(p + 1)) and every
+    term is positive, so the sum is good to about 1e-13 relative wherever
+    Q is a normal float, at every d; a sum that rounds above 1 is 1.
+    exp and log are libm's (_libm), as in _ndtr, so the bits do not
+    depend on numpy's SIMD build, and the terms are added in order of j,
+    so a batch gives each threshold the bits of a single call.  One call
+    over 12,000 thresholds costs 2-3 ms at d = 1 or 2 and 4 ms at d = 5
+    (2-core x86-64 VM), mostly math calls and numpy dispatch, so callers
+    batch their thresholds: the bias sweep takes every tail mass from one
     tail_mass_V call over its stack of w.
 
     The square is a product: on a numpy scalar ``** 2`` goes through pow,
     which can differ from the array square in the last bit."""
     x = np.sqrt(d) * np.maximum(threshold, 0.0)
-    if 1 <= d <= 40:
-        tail = _igamc(0.5 * d, np.asarray(0.5 * (x * x), dtype=np.float64))
-    else:
-        from scipy.special import gammaincc
-
-        tail = gammaincc(0.5 * d, 0.5 * (x * x))
-    return float(tail) if np.ndim(tail) == 0 else tail
+    x = np.asarray(0.5 * (x * x), dtype=np.float64)
+    flat = x.ravel()
+    tail = np.full_like(flat, np.nan)  # NaN fails every test below
+    tail[flat == 0.0] = 1.0  # x = 0 has no log
+    tail[flat == np.inf] = 0.0
+    live = (flat > 0.0) & (flat < np.inf)
+    v = flat[live]
+    half = 0.5 * (d % 2)
+    total = 2.0 * _ndtr(-np.sqrt(2.0 * v)) if half else np.zeros_like(v)
+    log_v = _libm(math.log, v)
+    for j in range(d // 2):
+        p = j + half
+        total += _libm(math.exp, -v + p * log_v - math.lgamma(p + 1.0))
+    tail[live] = np.minimum(total, 1.0)  # rounding can put a sum near 1 above it
+    return float(tail[0]) if x.ndim == 0 else tail.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +204,11 @@ def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
     return ans
 
 
-def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(x_i, *args) element by element, fn a math function: math calls
-    libm, as cephes does, where numpy's SIMD exp, log and pow can differ
-    from it in the last bit (AVX-512 builds)."""
-    return np.fromiter(map(fn, x.tolist(), *(itertools.repeat(v) for v in args)), np.float64, x.size)
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn(x_i) element by element, fn a math function: math calls libm,
+    as cephes does, where numpy's SIMD exp and log can differ from it in
+    the last bit (AVX-512 builds)."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -249,218 +253,6 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     half = 0.5 * erfc
     y[tail] = np.where(x[tail] > 0.0, 1.0 - half, half)
     return y
-
-
-# The cephes igam.c, lgam.c, unity.c (expm1) and lanczos.h constants.
-# _LGAM_C is monic (p1evl) and _LGAM_A, B, C, _EXPM1_P, Q and the Lanczos
-# sum are highest degree first, as _polevl reads them.
-_MACHEP = 1.11022302462515654042e-16  # 2^-53
-_MAXITER = 2000
-_CF_BIG, _CF_BIGINV = 4.503599627370496e15, 2.22044604925031308085e-16
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_LGAM_A = (
-    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
-)
-_LGAM_B = (
-    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
-)
-_LGAM_C = (
-    1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
-)
-_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2, 9.9999999999999999991025e-1)
-_EXPM1_Q = (
-    3.0019850513866445504159e-6, 2.5244834034968410419224e-3, 2.2726554820815502876593e-1,
-    2.0000000000000000000897e0,
-)
-_LANCZOS_G = 6.024680040776729583740234375
-_LANCZOS_NUM = (
-    0.006061842346248906525783753964555936883222, 0.5098416655656676188125178644804694509993,
-    19.51992788247617482847860966235652136208, 449.9445569063168119446858607650988409623,
-    6955.999602515376140356310115515198987526, 75999.29304014542649875303443598909137092,
-    601859.6171681098786670226533699352302507, 3481712.15498064590882071018964774556468,
-    14605578.08768506808414169982791359218571, 43338889.32467613834773723740590533316085,
-    86363131.28813859145546927288977868422342, 103794043.1163445451906271053616070238554,
-    56906521.91347156388090791033559122686859,
-)
-_LANCZOS_DEN = (
-    1.0, 66.0, 1925.0, 32670.0, 357423.0, 2637558.0, 13339535.0, 45995730.0, 105258076.0,
-    150917976.0, 120543840.0, 39916800.0, 0.0,
-)
-# cephes lgam1p(0.5): its Taylor sum in zeta(n), cut at n < 42; lgam(1.5)
-# is 258 ulps away
-_LGAM1P_HALF = float.fromhex("-0x1.eeb95b094c296p-4")
-
-
-def _lgam(x: float) -> float:
-    """cephes lgam, log Gamma(x), on 0 < x < 1000: shift x into [2, 3)
-    and take the rational B/C there below 13, Stirling's series above."""
-    if x >= 13.0:
-        q = (x - 0.5) * math.log(x) - x + _LS2PI
-        return q + float(_polevl(1.0 / (x * x), _LGAM_A)) / x
-    z, p, u = 1.0, 0.0, x
-    while u >= 3.0:
-        p -= 1.0
-        u = x + p
-        z *= u
-    while u < 2.0:
-        z /= u
-        p += 1.0
-        u = x + p
-    if u == 2.0:
-        return math.log(z)
-    x = x + (p - 2.0)
-    return math.log(z) + x * float(_polevl(x, _LGAM_B)) / float(_polevl(x, _LGAM_C))
-
-
-def _expm1(x: np.ndarray) -> np.ndarray:
-    """cephes expm1 on finite x: exp(x) - 1 for |x| > 0.5, the rational
-    P/Q within.  It is not libm's expm1, which differs in the last bit."""
-    out = np.empty_like(x)
-    outside = np.abs(x) > 0.5
-    out[outside] = _libm(math.exp, x[outside]) - 1.0
-    u = x[~outside]
-    xx = u * u
-    r = u * _polevl(xx, _EXPM1_P)
-    r = r / (_polevl(xx, _EXPM1_Q) - r)
-    out[~outside] = r + r
-    return out
-
-
-def _each_until(step, rows: np.ndarray, n_iter: int, out: int) -> np.ndarray:
-    """Run a cephes loop over arrays: rows is the (k, n) state, one row
-    per loop variable and one column per element, and step(i, rows)
-    updates it in place and returns the elements whose loop breaks after
-    iteration i.  Those leave the active columns, so every element runs
-    exactly its scalar sequence of operations.  Returns state row out at
-    each element's break (or after n_iter), in input order."""
-    final = np.empty(rows.shape[1])
-    idx = np.arange(rows.shape[1])
-    for i in range(n_iter):
-        if not idx.size:
-            break
-        done = step(i, rows)
-        if done.any():
-            final[idx[done]] = rows[out, done]
-            keep = ~done
-            idx, rows = idx[keep], rows.compress(keep, axis=1)
-    final[idx] = rows[out]
-    return final
-
-
-def _igamc(a: float, x: np.ndarray) -> np.ndarray:
-    """Q(a, x), the regularized upper incomplete gamma, elementwise over
-    x >= 0 for a in {0.5, 1, ..., 20}: the cephes igamc that
-    scipy.special.gammaincc runs, ported branch for branch, so it equals
-    scipy's bit for bit.  1 at x = 0, 0 at x = inf, NaN at NaN.  Else:
-
-    - x > 1.1: 1 - igam_series if x < a, else the continued fraction;
-    - x <= 0.5: 1 - igam_series if -0.4 / log x < a, else igamc_series;
-    - otherwise: 1 - igam_series if 1.1 x < a, else igamc_series.
-
-    igam_series and the continued fraction scale by igam_fac, x^a e^-x /
-    Gamma(a): exp(a log x - x - lgam(a)) where |a - x| > 0.4 a, which is
-    0 once its exponent is below -MAXLOG, and the Lanczos form elsewhere;
-    a result of 0 there is 0 without the loop.  igamc_series is
-    -expm1(a log x - lgam1p(a)) - x^a / Gamma(a) times its sum, with
-    cephes' own expm1 (_expm1), and lgam1p(a) is the constant
-    _LGAM1P_HALF at a = 0.5, 0 at a = 1 and lgam(a + 1) beyond.  Past
-    a = 20 cephes takes Temme's series near x = a, which is left out.
-
-    lgam, lgam1p and the Lanczos factor depend on a alone, so they are
-    Python scalars, computed once per call.  log, exp and pow are libm's
-    through math (_libm); each series or continued fraction runs over
-    the elements still in its loop (_each_until)."""
-    flat = x.ravel()
-    out = np.full_like(flat, np.nan)  # NaN fails every branch test below
-    out[flat == 0.0] = 1.0
-    out[flat == np.inf] = 0.0
-    live = (flat > 0.0) & (flat < np.inf)
-    v = flat[live]
-    lower = np.where(v > 1.1, v < a, v * 1.1 < a)
-    small = v <= 0.5
-    lower[small] = -0.4 / _libm(math.log, v[small]) < a
-    fraction = (v > 1.1) & ~lower
-    upper = ~lower & ~fraction
-
-    lgam_a = _lgam(a)
-    lanczos_fac = a + _LANCZOS_G - 0.5
-    if a > 1.0:  # cephes ratevl: a polynomial in 1/a past 1
-        y, num, den = 1.0 / a, _LANCZOS_NUM[::-1], _LANCZOS_DEN[::-1]
-    else:
-        y, num, den = a, _LANCZOS_NUM, _LANCZOS_DEN
-    lanczos_sum = float(_polevl(y, num)) / float(_polevl(y, den))
-    lanczos_res = math.sqrt(lanczos_fac / math.exp(1.0)) / lanczos_sum
-
-    def igam_fac(t):
-        fac = np.empty_like(t)
-        far = np.abs(a - t) > 0.4 * a
-        tf, tn = t[far], t[~far]
-        ax = a * _libm(math.log, tf) - tf - lgam_a
-        fac[far] = np.where(ax < -_MAXLOG, 0.0, _libm(math.exp, ax))
-        fac[~far] = lanczos_res * (_libm(math.exp, a - tn) * _libm(math.pow, tn / lanczos_fac, a))
-        return fac
-
-    # In igam_series r = a + i + 1, in igamc_series n = i + 1, and in the
-    # continued fraction c = i + 1 and y = 1 - a + i + 1: the cephes
-    # running sums, exact for a half integer a.  x rides along in each
-    # state, to be compacted with it.
-    def series_step(i, s):
-        c, ans, t = s
-        c *= t / (a + (i + 1.0))
-        ans += c
-        return c <= _MACHEP * ans
-
-    def fraction_step(i, s):  # s: ans, pkm2, qkm2, pkm1, qkm1, z
-        ans, z = s[0], s[5]
-        z += 2.0
-        pk, qk = new = s[3:5] * z - s[1:3] * ((1.0 - a + (i + 1.0)) * (i + 1.0))
-        r = pk / qk
-        t = np.abs((ans - r) / r)
-        if not qk.all():  # at qk = 0 cephes keeps ans and takes t = 1
-            zero = qk == 0.0
-            r[zero], t[zero] = ans[zero], 1.0
-        s[0], s[1:3], s[3:5] = r, s[3:5], new
-        big = np.abs(pk) > _CF_BIG
-        if big.any():
-            s[1:5] *= np.where(big, _CF_BIGINV, 1.0)
-        return t <= _MACHEP
-
-    def upper_step(i, s):
-        fac, total, t = s
-        fac *= -t / (i + 1.0)
-        term = fac / (a + (i + 1.0))
-        total += term
-        return np.abs(term) <= _MACHEP * np.abs(total)
-
-    def scaled(t, loop):  # cephes returns 0 before the loop where igam_fac is 0
-        fac = igam_fac(t)
-        ok = fac != 0.0
-        out = np.zeros_like(t)
-        out[ok] = loop(t[ok]) * fac[ok]
-        return out
-
-    def igam_series(t):
-        return _each_until(series_step, np.stack([np.ones_like(t), np.ones_like(t), t]), _MAXITER, 1)
-
-    def continued_fraction(t):
-        z = t + (1.0 - a) + 1.0
-        state = np.stack([(t + 1.0) / (z * t), np.ones_like(t), t, t + 1.0, z * t, z])
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero qk or r, as in cephes
-            return _each_until(fraction_step, state, _MAXITER, 0)
-
-    res = np.empty_like(v)
-    res[lower] = 1.0 - scaled(v[lower], igam_series) / a
-    res[fraction] = scaled(v[fraction], continued_fraction)
-    t = v[upper]
-    total = _each_until(upper_step, np.stack([np.ones_like(t), np.zeros_like(t), t]), _MAXITER - 1, 1)
-    logx = _libm(math.log, t)
-    lgam1p_a = _LGAM1P_HALF if a == 0.5 else 0.0 if a == 1.0 else _lgam(a + 1.0)
-    res[upper] = -_expm1(a * logx - lgam1p_a) - _libm(math.exp, a * logx - lgam_a) * total
-    out[live] = res
-    return out.reshape(x.shape)
 
 
 def exact_policy_distribution(

@@ -86,9 +86,7 @@ def gaussian_inverse_moment(tau: float) -> float:
     """E |N(0,1)|^{-tau} for tau in (0, 1)."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must be in (0, 1)")
-    from scipy.special import gamma as gamma_fn
-
-    return float(2.0 ** (-tau / 2.0) * gamma_fn((1.0 - tau) / 2.0) / math.sqrt(math.pi))
+    return 2.0 ** (-tau / 2.0) * math.gamma((1.0 - tau) / 2.0) / math.sqrt(math.pi)
 
 
 def uw_analytic_bound(instances, tau: float, epsilon0: float) -> float:

@@ -787,9 +787,10 @@ def test_seed_override_changes_dataset(tmp_path):
 # module at all: not on scheduling, whose every risk term is a Monte Carlo
 # mean, nor on the contextual domain, whose every term is closed-form.
 # The theory checks import the scipy.special ufuncs they call in the
-# functions that call them, and the bias check's chi tail is perturb's
-# numpy port of igamc, so neither sweep bias nor sweep ksos, which import
-# the theory layer with the sweeps module, loads a scipy module.  Neither
+# functions that call them, and the chi tail is perturb's finite sum on
+# math and its ndtr port, so neither sweep bias nor sweep ksos, which
+# import the theory layer with the sweeps module, nor a check of the
+# gauss tail and the bias bounds loads a scipy module.  Neither
 # sweep takes np.median, which loads numpy.ma, and every sweep runs
 # serially, with no thread pool.  --help and an argparse error load
 # neither config (yaml) nor manifest (hashlib), a config error loads no
@@ -860,6 +861,10 @@ def _loaded_modules(tmp_path, argv):
             ["sweep", "ksos"], {"sweeps": {"ksos": {"m_grid": [8], "seeds": 1}}}, 0,
             ("scipy", "numpy.ma", "concurrent.futures"),
             id="sweep-ksos",
+        ),
+        pytest.param(
+            ["check"], {"check": {"names": ["gauss_tail", "bias_bounds"]}}, 0, ("scipy", "numpy.ma"),
+            id="check-tail-and-bias",
         ),
     ],
 )
