@@ -20,7 +20,7 @@ exits without ``manifest``, numpy or scipy.  ``generate`` loads
 ``problems`` and ``rngs``: numpy, and scipy not at all.  ``train`` adds
 ``model``, ``perturb`` and ``ksos``, which solves, fits its surrogate and bounds the smoothness on numpy
 alone, and a closed-form risk term (the contextual domain, scheduling
-with two jobs) takes perturb's numpy port of ndtr.  So train loads
+with two jobs) takes perturb's Phi on libm's erfc.  So train loads
 scipy.special only for a Matern smoothness outside the kernel's closed
 forms (nu = 0.5, 1.5, 2.5), and scipy.optimize only where a VspFlow
 solves its assignment (polytopes' docstring).  ``sweep`` loads

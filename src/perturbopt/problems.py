@@ -333,8 +333,8 @@ def _generate_contextual(count, seed, d_context=2, signal=0.0) -> list[Instance]
         if signal > 0.0:
             # push c1 below c0 when u[0] > 0
             shift = signal * u[0]
-            c1 = float(np.clip(0.5 - 0.5 * shift + 0.35 * (c1 - 0.5), 0.0, 1.0))
-            c0 = float(np.clip(0.5 + 0.5 * shift + 0.35 * (c0 - 0.5), 0.0, 1.0))
+            c1 = float(min(max(0.5 - 0.5 * shift + 0.35 * (c1 - 0.5), 0.0), 1.0))
+            c0 = float(min(max(0.5 + 0.5 * shift + 0.35 * (c0 - 0.5), 0.0), 1.0))
         out.append(
             Instance(
                 domain="contextual",

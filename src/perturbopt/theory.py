@@ -275,15 +275,16 @@ def contextual_risk_matrix(instances, w_grid: np.ndarray, lam: float) -> np.ndar
     parameter in the grid, shape (n, G).  The two-decision closed form:
     c0 + (c1 - c0) Phi(<u, w> / lam).
 
-    Phi is scipy.special.ndtr, not perturb's port of it: the two agree bit
-    for bit, but sweep nprocess runs this on 100k x 128 elements, where the
-    port, with its per-element libm exp, takes about 10x as long (3.9 s
-    against 0.39 s on a 2-core x86-64 VM).  So check_empirical_process
+    Phi is scipy.special.ndtr, not perturb's _ndtr, which agrees with it
+    to about 6e-14 relative but makes one libm erfc call per element:
+    sweep nprocess runs this on 100k x 128 elements, in 10k-instance
+    chunks, which took 0.26-0.29 s with scipy's ufunc and 1.2 s with
+    _ndtr in its place (2-core x86-64 VM).  So check_empirical_process
     stays here rather than on the production risk pass: on 10k contextual
     instances x 128 parameters that pass (crn_risk_surface(...).values)
-    took 0.25-0.28 s against this function's 0.06-0.09 s on the same VM,
-    as its one _ndtr call over the 1.28M elements takes 0.12-0.14 s
-    against 0.020-0.024 s for scipy's."""
+    took 0.20-0.25 s against this function's 0.02-0.03 s on the same VM,
+    as its one _ndtr call over the 1.28M elements takes about 0.10 s
+    against 0.017 s for scipy's."""
     from scipy.special import ndtr
 
     contexts = np.array([x.features["context"] for x in instances])

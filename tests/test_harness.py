@@ -783,12 +783,12 @@ def test_seed_override_changes_dataset(tmp_path):
 # of harness/cli.py); scipy.stats, a large share of start-up, never loads:
 # the package calls the scipy.special ufuncs underneath it instead, each
 # imported where it is called.  kSoS runs on numpy alone, and a closed-form
-# risk term takes perturb's numpy port of ndtr, so train loads no scipy
+# risk term takes perturb's Phi on libm's erfc, so train loads no scipy
 # module at all: not on scheduling, whose every risk term is a Monte Carlo
 # mean, nor on the contextual domain, whose every term is closed-form.
 # The theory checks import the scipy.special ufuncs they call in the
 # functions that call them, and the chi tail is perturb's finite sum on
-# math and its ndtr port, so neither sweep bias nor sweep ksos, which
+# math's functions, so neither sweep bias nor sweep ksos, which
 # import the theory layer with the sweeps module, nor a check of the
 # gauss tail and the bias bounds loads a scipy module.  Neither
 # sweep takes np.median, which loads numpy.ma, and every sweep runs

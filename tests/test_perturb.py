@@ -145,14 +145,20 @@ def test_p_lambda_monte_carlo_agrees_with_exact():
     assert np.all(np.abs(probs - exact) <= 3.0 * ses + 1e-9)
 
 
-def test_exact_policy_distribution_is_norm_cdf_bitwise():
-    # the closed forms call perturb's port of scipy.special.ndtr, which is
-    # what norm.cdf evaluates; row b of a batch is the scalar formula at thetas[b]
+def test_exact_policy_distribution_is_ndtr_bitwise():
+    # row b of a batch is [1 - p, p] with p the single _ndtr call at
+    # t[b] / lam, and p is norm.cdf's value to 1e-12 relative
     one_d = VspFlow(2, [(0, 1)])
     perm2 = Permutahedron(2)
     rng = substream(6, "ndtr")
     ts = [0.0, -0.0, 1e-300, -3.7, 0.3, 40.0, np.inf, -np.inf]
     ts += list(rng.standard_normal(40) * 3.0)
+
+    def phi(a):
+        p = float(perturb._ndtr(np.array([a]))[0])
+        assert p == pytest.approx(norm.cdf(a), rel=1e-12, abs=1e-300)
+        return p
+
     for lam in (1e-3, 0.37, 1.0, 5.0):
         probs = exact_policy_distribution(one_d, np.array(ts)[:, None], lam)
         assert probs.shape == (len(ts), 2)
@@ -160,19 +166,19 @@ def test_exact_policy_distribution_is_norm_cdf_bitwise():
         perm_probs = exact_policy_distribution(perm2, thetas, lam)
         assert perm_probs.shape == (len(ts), 2)
         for t, row, theta, perm_row in zip(ts, probs, thetas, perm_probs):
-            p_hi = float(norm.cdf(t / lam))
+            p_hi = phi(t / lam)
             assert row.tolist() == [1.0 - p_hi, p_hi]
-            p_21 = float(norm.cdf((theta[0] - theta[1]) / lam))
+            p_21 = phi((theta[0] - theta[1]) / lam)
             want = [p_21 if v[0] == 2.0 else 1.0 - p_21 for v in perm2.vertices()]
             assert perm_row.tolist() == want
 
 
 def _ndtr_edges():
-    # +-0, subnormals, +-inf, NaN, and both sides of the branch edges
+    # +-0, subnormals, +-inf, NaN, both sides of cephes's branch edges
     # |a| = 1, sqrt(2) and 8 sqrt(2) (|x| = sqrt(1/2), 1 and 8 for
-    # x = a / sqrt(2)) and of the underflow edge sqrt(2 MAXLOG) = 37.68
+    # x = a / sqrt(2)) and of its underflow edge sqrt(2 ln DBL_MAX) = 37.68
     points = [0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, np.inf, np.nan, 1.0,
-              np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * perturb._MAXLOG), 1e308]
+              np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.67712072049519, 1e308]
     out = []
     for p in points:
         for a in (p, -p):
@@ -185,32 +191,54 @@ def _ndtr_edges():
     return np.array(out + list(np.linspace(37.6, 37.8, 401)) + list(np.linspace(-37.8, -37.6, 401)))
 
 
-def _assert_same_bits(got, want):
-    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
-    # NaN compares by isnan, everything else by its bits
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-
-def test_ndtr_port_is_scipy_ndtr_bitwise_at_the_branch_edges():
+def _assert_close_to_scipy_ndtr(a):
+    """_ndtr(a) against scipy.special.ndtr: NaN where it is NaN, rtol 1e-12
+    where it is 1e-300 or more, and atol 1e-300 below, where libm's erfc
+    goes on into the subnormals that cephes's ndtr cuts to 0.  A batch
+    gives each element the bits of a single call."""
     from scipy.special import ndtr
 
+    got, want = perturb._ndtr(a), ndtr(a)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    big = want >= 1e-300
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[~nan & ~big], want[~nan & ~big], rtol=0.0, atol=1e-300)
+    singles = np.array([perturb._ndtr(a[i : i + 1])[0] for i in range(a.size)])
+    assert np.array_equal(singles.view(np.uint64), got.view(np.uint64))
+
+
+def _assert_symmetric_and_monotone(a):
+    """Phi(a) + Phi(-a) is within 4 ulp of 1, and Phi does not decrease
+    over the sorted non-NaN values of a."""
+    a = np.sort(a[~np.isnan(a)])
+    got = perturb._ndtr(a)
+    assert np.all(np.abs(got + perturb._ndtr(-a) - 1.0) <= 4.0 * np.spacing(1.0))
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def test_ndtr_is_scipy_ndtr_to_1e_12_at_the_edges():
     edges = _ndtr_edges()
-    _assert_same_bits(perturb._ndtr(edges), ndtr(edges))
-    _assert_same_bits(perturb._ndtr(edges[:0]), ndtr(edges[:0]))
+    _assert_close_to_scipy_ndtr(edges)
+    _assert_close_to_scipy_ndtr(edges[:0])
+    _assert_symmetric_and_monotone(np.concatenate([edges, np.linspace(-40.0, 40.0, 80_001)]))
+    # exact at +-0, +-inf and NaN, and past +-38: libm's erfc rounds to 2
+    # from a = 8.3 and reaches 0 at a = -38.48
+    exact = np.array([0.0, -0.0, np.inf, -np.inf, 38.0, 40.0, 1e308, -38.5, -40.0, -1e308])
+    assert perturb._ndtr(exact).tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    assert np.isnan(perturb._ndtr(np.array([np.nan]))[0])
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=64))
 @settings(max_examples=300, deadline=None)
-def test_ndtr_port_is_scipy_ndtr_bitwise(values):
-    from scipy.special import ndtr
-
+def test_ndtr_is_scipy_ndtr_to_1e_12(values):
     a = np.array(values, dtype=np.float64)
-    _assert_same_bits(perturb._ndtr(a), ndtr(a))
-    # and on a wide spread of scales, where every branch is taken
+    # and on a wide spread of scales, from the core to both tails
     scaled = np.concatenate([a * 1e-3, a / 40.0, a[np.abs(a) < 1e300] * 1e-300])
-    _assert_same_bits(perturb._ndtr(scaled), ndtr(scaled))
+    for b in (a, scaled):
+        _assert_close_to_scipy_ndtr(b)
+        _assert_symmetric_and_monotone(b)
 
 
 @pytest.mark.parametrize("polytope", [Permutahedron(1), Permutahedron(3), VspFlow(3, [(0, 1), (1, 2)])])
